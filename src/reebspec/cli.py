@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -134,10 +135,10 @@ def cmd_cz(args):
         freqs = [float(tok) for tok in args.freqs.split(",") if tok.strip()]
     except ValueError as err:
         raise _UsageError(f"bad --freqs: {err}")
-    if not freqs or any(f <= 0 for f in freqs):
-        raise _UsageError("--freqs must be a comma list of positive numbers")
-    if not args.duration > 0:
-        raise _UsageError(f"--duration must be positive, got {args.duration}")
+    if not freqs or not all(0 < f < math.inf for f in freqs):
+        raise _UsageError("--freqs must be a comma list of finite positive numbers")
+    if not 0 < args.duration < math.inf:
+        raise _UsageError(f"--duration must be finite and positive, got {args.duration}")
 
     want_analytic = args.analytic or args.both or not (args.analytic or args.numeric)
     want_numeric = args.numeric or args.both or not (args.analytic or args.numeric)

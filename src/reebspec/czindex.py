@@ -52,6 +52,8 @@ TOL_ACCEPT = 1e-3
 TOL_EIG = 1e-6
 ISOLATION_FACTOR = 1e-6
 REFINE_FACTOR = 1e-12
+MAX_CANDIDATES = 256
+INTEGER_TOL = 1e-9
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -259,11 +261,11 @@ def _sigma_min_stack(mats, n):
     return np.linalg.svd(mats - np.eye(2 * n), compute_uv=False)[:, -1]
 
 
-def _sigma_min_grid(path, ts, tol_symp):
+def _sigma_min_grid(path, ts):
     mats = path.evaluate_batch(ts)
     j = standard_j(path.n)
     defect = np.abs(np.swapaxes(mats, -1, -2) @ j @ mats - j).max()
-    if defect > tol_symp:
+    if defect > TOL_SYMPLECTIC:
         raise ValueError(
             f"path leaves Sp(2n): max ||Psi^T J Psi - J|| = {defect:.3e} "
             f"on the sample grid"
@@ -300,7 +302,7 @@ def _candidate_runs(sigma, gate):
     The gate combines a Lipschitz bound with the acceptance band: sigma_min
     moves by at most (max observed slope) * step between samples, so a zero
     within half a step of a sample forces that sample below slope * step;
-    the tol_accept term keeps shallow ambiguous dips visible.  Using the
+    the TOL_ACCEPT term keeps shallow ambiguous dips visible.  Using the
     global slope rather than local differences matters: a steep dip from a
     fast block can be truncated sideways by a slower block's branch,
     leaving neighbor differences that badly understate the true descent.
@@ -330,8 +332,7 @@ def _split_at_peaks(sigma, start, end):
     return parts
 
 
-def _window_minima(path, t_lo, t_hi, slope, xatol, tol_accept, width_floor,
-                   max_candidates=256):
+def _window_minima(path, t_lo, t_hi, slope, xatol, width_floor):
     """Refine every dip inside [t_lo, t_hi] to golden-section accuracy.
 
     Windows are rescanned at 16x finer resolution per level; candidate runs
@@ -354,9 +355,9 @@ def _window_minima(path, t_lo, t_hi, slope, xatol, tol_accept, width_floor,
         if hi - t <= 4.0 * xatol and hi != path.b:
             return
         out.append((t, val))
-        if len(out) > max_candidates:
+        if len(out) > MAX_CANDIDATES:
             raise NonIsolatedCrossingError(
-                f"more than {max_candidates} near-singular minima inside "
+                f"more than {MAX_CANDIDATES} near-singular minima inside "
                 f"[{t_lo}, {t_hi}]; crossings are not isolated"
             )
 
@@ -376,7 +377,7 @@ def _window_minima(path, t_lo, t_hi, slope, xatol, tol_accept, width_floor,
         ts = np.linspace(lo, hi, count)
         sigma = _sigma_min_stack(path.evaluate_batch(ts), path.n)
         step = float(ts[1] - ts[0])
-        gate = 2.0 * slope * step + tol_accept
+        gate = 2.0 * slope * step + TOL_ACCEPT
         resolved = step <= width_floor / 2.0
         for start, end in _candidate_runs(sigma, gate):
             for s, e in _split_at_peaks(sigma, start, end):
@@ -409,14 +410,14 @@ def _is_genuine_minimum(path, t, val, probe_max, probe_min, a, b, atol=1e-12):
     return True
 
 
-def _kernel_and_form(path, t, tol_kernel):
+def _kernel_and_form(path, t):
     mat = path.evaluate(t)
     dim = mat.shape[0]
     _, s, vh = np.linalg.svd(mat - np.eye(dim))
-    k = int(np.sum(s <= tol_kernel))
+    k = int(np.sum(s <= TOL_KERNEL))
     if k == 0:
         raise NotACrossingError(
-            f"t = {t} is not a crossing: sigma_min = {s[-1]:.3e} > {tol_kernel:.1e}"
+            f"t = {t} is not a crossing: sigma_min = {s[-1]:.3e} > {TOL_KERNEL:.1e}"
         )
     basis = vh[dim - k:].T  # orthonormal columns spanning ker(Psi_t - id)
     s_mat = standard_j(dim // 2) @ path.derivative_at(t) @ np.linalg.inv(mat)
@@ -425,50 +426,47 @@ def _kernel_and_form(path, t, tol_kernel):
     return form, basis
 
 
-def crossing_form(path, t, tol_kernel=TOL_KERNEL):
+def crossing_form(path, t):
     """The crossing form at t, restricted to an orthonormal kernel basis.
 
     Returns a k x k symmetric matrix, k = dim ker(Psi_t - id).  The ambient
     form matrix J (dPsi/dt) Psi^{-1} is symmetrized before restriction to
     absorb numerical asymmetry.
     """
-    form, _ = _kernel_and_form(path, t, tol_kernel)
+    form, _ = _kernel_and_form(path, t)
     return form
 
 
-def _make_crossing(path, t, tol_kernel, tol_eig):
-    form, basis = _kernel_and_form(path, t, tol_kernel)
+def _make_crossing(path, t):
+    form, basis = _kernel_and_form(path, t)
     eigs = np.linalg.eigvalsh(form)
-    pos = int(np.sum(eigs > tol_eig))
-    neg = int(np.sum(eigs < -tol_eig))
-    degenerate = bool(np.any(np.abs(eigs) < tol_eig))
+    pos = int(np.sum(eigs > TOL_EIG))
+    neg = int(np.sum(eigs < -TOL_EIG))
+    degenerate = bool(np.any(np.abs(eigs) < TOL_EIG))
     return Crossing(t=float(t), kernel_basis=basis, signature=pos - neg,
                     degenerate=degenerate)
 
 
-def find_crossings(path, tol_kernel=TOL_KERNEL, tol_accept=TOL_ACCEPT,
-                   tol_eig=TOL_EIG, tol_symp=TOL_SYMPLECTIC,
-                   isolation_factor=ISOLATION_FACTOR,
-                   refine_factor=REFINE_FACTOR):
+def find_crossings(path):
     """All isolated crossing times of the path, sorted, with form data.
 
     Raises FlatCrossingError when a genuine local minimum of sigma_min lands
-    in the ambiguous band [tol_kernel, tol_accept), and
+    in the ambiguous band [TOL_KERNEL, TOL_ACCEPT), and
     NonIsolatedCrossingError when two crossings are closer than
-    isolation_factor * (b - a) — crossings within an eighth of that gap are
+    ISOLATION_FACTOR * (b - a) — crossings within an eighth of that gap are
     treated as one and merged — or when the grid shows a singular plateau
     (e.g. a constant identity path).
     """
     a, b = path.a, path.b
     span = b - a
-    xatol = refine_factor * span
-    isolation_gap = isolation_factor * span
+    xatol = REFINE_FACTOR * span
+    isolation_gap = ISOLATION_FACTOR * span
     probe = max(isolation_gap / 2.0, 64.0 * xatol)
     ts = np.linspace(a, b, path.sample_count)
-    sigma = _sigma_min_grid(path, ts, tol_symp)
+    sigma = _sigma_min_grid(path, ts)
 
     run = 0
-    for flag in sigma < tol_kernel:
+    for flag in sigma < TOL_KERNEL:
         run = run + 1 if flag else 0
         if run >= 3:
             raise NonIsolatedCrossingError(
@@ -479,13 +477,13 @@ def find_crossings(path, tol_kernel=TOL_KERNEL, tol_accept=TOL_ACCEPT,
     width_floor = max(isolation_gap / 2.0, 64.0 * xatol)
     step = float(ts[1] - ts[0])
     slope = float(np.abs(np.diff(sigma)).max()) / step
-    gate = 2.0 * slope * step + tol_accept
+    gate = 2.0 * slope * step + TOL_ACCEPT
     candidates = []
     for start, end in _candidate_runs(sigma, gate):
         lo = max(start - 1, 0)
         hi = min(end + 1, path.sample_count - 1)
         candidates.extend(_window_minima(
-            path, ts[lo], ts[hi], slope, xatol, tol_accept, width_floor))
+            path, ts[lo], ts[hi], slope, xatol, width_floor))
 
     # endpoints are examined explicitly, never via bracketing
     candidates.append((a, float(sigma[0])))
@@ -493,17 +491,17 @@ def find_crossings(path, tol_kernel=TOL_KERNEL, tol_accept=TOL_ACCEPT,
 
     accepted = []  # (t, sigma) pairs
     for t, val in candidates:
-        if val < tol_kernel:
+        if val < TOL_KERNEL:
             if t - a < 10 * xatol:
                 t = a
             elif b - t < 10 * xatol:
                 t = b
             accepted.append((float(t), val))
-        elif val < tol_accept:
+        elif val < TOL_ACCEPT:
             if _is_genuine_minimum(path, t, val, probe, 16.0 * xatol, a, b):
                 raise FlatCrossingError(
                     f"ambiguous near-crossing at t = {t}: sigma_min = "
-                    f"{val:.3e} lies in [{tol_kernel:.1e}, {tol_accept:.1e})"
+                    f"{val:.3e} lies in [{TOL_KERNEL:.1e}, {TOL_ACCEPT:.1e})"
                 )
 
     accepted.sort()
@@ -520,27 +518,22 @@ def find_crossings(path, tol_kernel=TOL_KERNEL, tol_accept=TOL_ACCEPT,
                 f"crossings at t = {t0} and t = {t1} are closer than the "
                 f"isolation gap {isolation_gap:.3e}"
             )
-    return [_make_crossing(path, t, tol_kernel, tol_eig) for t, _ in merged]
+    return [_make_crossing(path, t) for t, _ in merged]
 
 
-def cz_index(path, tol_kernel=TOL_KERNEL, tol_accept=TOL_ACCEPT,
-             tol_eig=TOL_EIG, tol_symp=TOL_SYMPLECTIC,
-             isolation_factor=ISOLATION_FACTOR, refine_factor=REFINE_FACTOR):
+def cz_index(path):
     """Conley-Zehnder index: interior signatures plus half-signatures at the
     endpoints, as an exact Fraction (denominator 1 or 2).
 
     Requires every crossing to be isolated and non-degenerate; a degenerate
     crossing raises instead of silently contributing a half-count.
     """
-    crossings = find_crossings(
-        path, tol_kernel=tol_kernel, tol_accept=tol_accept, tol_eig=tol_eig,
-        tol_symp=tol_symp, isolation_factor=isolation_factor,
-        refine_factor=refine_factor)
+    crossings = find_crossings(path)
     for c in crossings:
         if c.degenerate:
             raise DegenerateCrossingError(
                 f"degenerate crossing at t = {c.t}: a crossing-form "
-                f"eigenvalue is below {tol_eig:.1e}"
+                f"eigenvalue is below {TOL_EIG:.1e}"
             )
     twice = 0
     for c in crossings:
@@ -549,13 +542,14 @@ def cz_index(path, tol_kernel=TOL_KERNEL, tol_accept=TOL_ACCEPT,
     return Fraction(twice, 2)
 
 
-def cz_rotation_analytic(freqs, duration, integer_tol=1e-9):
+def cz_rotation_analytic(freqs, duration):
     """Closed-form index of a direct sum of rotation blocks on [0, duration].
 
     Each block contributes 1 + 2*floor(T*alpha) when T*alpha is not an
     integer and 2*T*alpha when it is, where T*alpha = duration*alpha/(2*pi);
     both branches come from summing crossing signatures directly.  Returns
-    an int (the half-weights always pair up for rotation paths).
+    an int (the half-weights always pair up for rotation paths).  Raises
+    ValueError when some T*alpha is not finite, e.g. an infinite duration.
     """
     if not freqs:
         raise ValueError("freqs must be nonempty")
@@ -566,8 +560,12 @@ def cz_rotation_analytic(freqs, duration, integer_tol=1e-9):
         if alpha <= 0:
             raise ValueError(f"frequencies must be positive, got {alpha}")
         t_alpha = duration * alpha / (2.0 * math.pi)
+        if not math.isfinite(t_alpha):
+            raise ValueError(
+                f"duration*alpha/(2*pi) = {t_alpha} is not finite "
+                f"(alpha = {alpha}, duration = {duration})")
         nearest = round(t_alpha)
-        if abs(t_alpha - nearest) <= integer_tol:
+        if abs(t_alpha - nearest) <= INTEGER_TOL:
             total += 2 * int(nearest)
         else:
             total += 1 + 2 * math.floor(t_alpha)

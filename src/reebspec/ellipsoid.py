@@ -5,9 +5,12 @@ carries exactly m simple closed Reeb orbits gamma_j, one per coordinate
 axis, with period pi*a_j.  The n-th iterate of gamma_j has Conley-Zehnder
 index
 
-    m - 1 + 2 * sum_k floor(n * a_j / a_k),
+    m - 1 + 2 * sum_k floor(n * a_j / a_k) = m - 1 + 2 * A_j(n),
 
-computed here with certified exact floors.  The linearized return map is a
+where A_j(n) is the n-th element of the j-th Tamura set of the weights.  So
+an Ellipsoid is a view of the TamuraFamily of its weights: orbit indices
+are its certified elements and the spectrum is its merged streams mapped
+to degrees.  The linearized return map is a
 direct sum of rotations with frequencies 2/a_l, so the same index is also
 reachable through the numeric crossing-form engine; cross_check_index runs
 both routes and records agreement.  Exact weights are converted to doubles
@@ -16,6 +19,7 @@ only at that numeric boundary.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +28,8 @@ import mpmath
 
 from .czindex import RotationPath, cz_index
 from .errors import CrossingError, HypothesisViolation
-from .quadfield import QuadIrrational, _floor_scaled, pairwise_rational_ratio
+from .partitions import TamuraFamily
+from .quadfield import QuadIrrational
 
 __all__ = [
     "Ellipsoid",
@@ -50,24 +55,21 @@ def _as_mpf(x):
 
 
 class Ellipsoid:
-    """E(a_1, ..., a_m) with exact positive weights in one Q(sqrt(d))."""
+    """E(a_1, ..., a_m) with exact positive weights in one Q(sqrt(d)).
+
+    The weights are checked by TamuraFamily.  A rational weight ratio is
+    not an error at construction: the ellipsoid keeps the violation and
+    raises it from require_hypothesis(), when the index formula is used.
+    """
 
     def __init__(self, weights):
-        weights = tuple(weights)
-        if not weights:
-            raise ValueError("an ellipsoid needs at least one weight")
-        for w in weights:
-            if not isinstance(w, QuadIrrational):
-                raise TypeError(f"weights must be QuadIrrational, got {type(w).__name__}")
-            if w.sign() <= 0:
-                raise ValueError(f"weights must be positive, got {w}")
-        self.weights = weights
-        self._violation = pairwise_rational_ratio(weights)
-        # per-family scaled ratio triples, for fast certified floors
-        self._ratio_triples = [
-            [(aj / ak).scaled_triple() for ak in weights] for aj in weights
-        ]
-        self._d = weights[0].d
+        self.weights = tuple(weights)
+        self.family = None
+        self._violation = None
+        try:
+            self.family = TamuraFamily(self.weights)
+        except HypothesisViolation as err:
+            self._violation = err
 
     @property
     def m(self):
@@ -80,15 +82,7 @@ class Ellipsoid:
 
     def require_hypothesis(self):
         if self._violation is not None:
-            raise HypothesisViolation.rational_ratio(*self._violation)
-
-    def floor_sum(self, j, n):
-        """sum_k floor(n * a_j / a_k), exact."""
-        total = 0
-        d = self._d
-        for p, q, c in self._ratio_triples[j - 1]:
-            total += _floor_scaled(n * p, n * q, c, d)
-        return total
+            raise self._violation.with_traceback(None)
 
     def __repr__(self):
         inner = ", ".join(str(w) for w in self.weights)
@@ -114,38 +108,28 @@ class ReebOrbit:
 
 
 def orbit_index(e, j, n):
-    """Conley-Zehnder index of gamma_j^n: m - 1 + 2*sum_k floor(n*a_j/a_k).
+    """Conley-Zehnder index of gamma_j^n: m - 1 + 2*A_j(n).
 
     Refuses (rather than guessing) when the irrationality hypothesis fails,
     since the formula is not valid there.
     """
-    if not 1 <= j <= e.m:
-        raise ValueError(f"orbit family j must be in 1..{e.m}, got {j}")
-    if n < 1:
-        raise ValueError(f"iterate count must be >= 1, got {n}")
     e.require_hypothesis()
-    return e.m - 1 + 2 * e.floor_sum(j, n)
+    return e.m - 1 + 2 * e.family.element(j, n)
 
 
 def spectrum(e, max_degree):
     """All orbits (j, n) with cz <= max_degree, sorted by (cz, j, n).
 
-    Complete: for fixed j the index strictly increases with n (the k = j
-    floor alone advances by one per iterate), so enumeration stops at the
-    first overshoot.
+    cz = m - 1 + 2a rises with the Tamura element a, so the k-way merge of
+    the Tamura streams up to a = (max_degree - m + 1) // 2, ordered by
+    (a, j, n), is already in (cz, j, n) order and complete.
     """
     e.require_hypothesis()
-    orbits = []
-    for j in range(1, e.m + 1):
-        n = 1
-        while True:
-            cz = e.m - 1 + 2 * e.floor_sum(j, n)
-            if cz > max_degree:
-                break
-            orbits.append(ReebOrbit(j=j, n=n, weight=e.weights[j - 1], cz=cz))
-            n += 1
-    orbits.sort(key=lambda o: (o.cz, o.j, o.n))
-    return orbits
+    m = e.m
+    limit = (max_degree - m + 1) // 2
+    streams = [e.family.generator(j, limit) for j in range(1, m + 1)]
+    return [ReebOrbit(j=j, n=n, weight=e.weights[j - 1], cz=m - 1 + 2 * a)
+            for a, j, n in heapq.merge(*streams)]
 
 
 @dataclass

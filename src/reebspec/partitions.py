@@ -5,9 +5,11 @@ the positive integers whenever the weight ratios are pairwise irrational;
 for m = 2 they reduce to the classical Rayleigh pair of Beatty sequences
 with 1/alpha + 1/beta = 1.  Every floor here is certified in exact
 arithmetic, so a "partition" verdict up to N is a proof, not a
-floating-point impression.  The scanners stream the m generators through a
-k-way merge, which needs no table and reports the smallest violating value
-together with both producing (set, n) witnesses.
+floating-point impression.  Tamura sets, Beatty sets and the naive sets
+{floor(n * a)} are all one kind of stream: the sum of certified floors of
+n times a fixed list of slopes, for n = 1, 2, ...  The scanners merge the
+streams k-way, which needs no table and reports the smallest violating
+value together with both producing (set, n) witnesses.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import HypothesisViolation
-from .quadfield import (
-    QuadIrrational,
-    _floor_scaled,
-    floor_product,
-    pairwise_rational_ratio,
-)
+from .quadfield import QuadIrrational, _floor_scaled, pairwise_rational_ratio
 
 __all__ = [
     "TamuraFamily",
@@ -34,8 +31,33 @@ __all__ = [
     "uspensky_scan",
 ]
 
-# above this bound the per-value owner table is not materialized
-OWNER_TABLE_LIMIT = 10**6
+
+def _floor_sum(triples, d, n):
+    """sum of floor(n * x) over slopes x = (P + Q*sqrt(d)) / C, exact."""
+    total = 0
+    for p, q, c in triples:
+        total += _floor_scaled(n * p, n * q, c, d)
+    return total
+
+
+def _floor_stream(triples, d, label, limit):
+    """Yield (value, label, n) for value = _floor_sum(triples, d, n) up to
+    limit, skipping every value <= the last one yielded.
+
+    The sum never decreases in n.  For Tamura and Beatty sets it strictly
+    increases, so the skip is a no-op; for slopes below 1 it drops the
+    zeros and the repeats, since a set contains each value once.
+    """
+    last = 0
+    n = 1
+    while True:
+        value = _floor_sum(triples, d, n)
+        if value > limit:
+            return
+        if value > last:
+            yield (value, label, n)
+            last = value
+        n += 1
 
 
 class TamuraFamily:
@@ -73,25 +95,11 @@ class TamuraFamily:
             raise ValueError(f"set label j must be in 1..{self.m}, got {j}")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        total = 0
-        d = self._d
-        for p, q, c in self._ratio_triples[j - 1]:
-            total += _floor_scaled(n * p, n * q, c, d)
-        return total
+        return _floor_sum(self._ratio_triples[j - 1], self._d, n)
 
     def generator(self, j, limit):
         """Yield (value, j, n) with value ascending, stopping past limit."""
-        triples = self._ratio_triples[j - 1]
-        d = self._d
-        n = 1
-        while True:
-            total = 0
-            for p, q, c in triples:
-                total += _floor_scaled(n * p, n * q, c, d)
-            if total > limit:
-                return
-            yield (total, j, n)
-            n += 1
+        return _floor_stream(self._ratio_triples[j - 1], self._d, j, limit)
 
 
 def tamura_element(weights, j, n):
@@ -107,9 +115,9 @@ class PartitionReport:
     Uspensky scanner read it as "no witness <= limit"); "collision" and
     "gap" carry the smallest violating value.  For collisions, `first` and
     `second` are the two producing (set label, n) pairs.  `owners` maps each
-    covered value to its set label (index 0 unused) and is materialized for
-    limits up to OWNER_TABLE_LIMIT; `counts` tallies elements per set over
-    the scanned range.
+    covered value to its set label (index 0 unused); it is only built when
+    the scan is asked for it (collect_owners=True) and ends in "partition".
+    `counts` tallies elements per set over the scanned range.
     """
 
     limit: int
@@ -157,7 +165,7 @@ def _scan_cover(streams, limit, collect_owners):
         limit=limit, verdict="partition", owners=owners, counts=counts)
 
 
-def verify_partition(weights, limit, collect_owners=None):
+def verify_partition(weights, limit, collect_owners=False):
     """Scan the Tamura sets of `weights` against [1..limit].
 
     Enumeration per set stops at the first element past the limit, which is
@@ -168,8 +176,6 @@ def verify_partition(weights, limit, collect_owners=None):
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     family = TamuraFamily(weights)
-    if collect_owners is None:
-        collect_owners = limit <= OWNER_TABLE_LIMIT
     streams = [family.generator(j, limit) for j in range(1, family.m + 1)]
     return _scan_cover(streams, limit, collect_owners)
 
@@ -182,14 +188,9 @@ def _require_beatty_slope(alpha):
         raise HypothesisViolation(f"alpha = {alpha} is not > 1")
 
 
-def _beatty_generator(alpha, label, limit):
-    n = 1
-    while True:
-        value = floor_product(n, alpha)
-        if value > limit:
-            return
-        yield (value, label, n)
-        n += 1
+def _beatty_generator(a, label, limit):
+    """The set {floor(n*a) : n >= 1} within [1..limit], ascending."""
+    return _floor_stream([a.scaled_triple()], a.d, label, limit)
 
 
 def beatty_set(alpha, limit):
@@ -205,31 +206,14 @@ def rayleigh_conjugate(alpha):
     return alpha / (alpha - 1)
 
 
-def rayleigh_pair(alpha, limit, collect_owners=None):
+def rayleigh_pair(alpha, limit, collect_owners=False):
     """Scan the Beatty pair (alpha, alpha/(alpha-1)) against [1..limit]."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     beta = rayleigh_conjugate(alpha)
-    if collect_owners is None:
-        collect_owners = limit <= OWNER_TABLE_LIMIT
     streams = [_beatty_generator(alpha, 1, limit),
                _beatty_generator(beta, 2, limit)]
     return _scan_cover(streams, limit, collect_owners)
-
-
-def _naive_beatty_generator(a, label, limit):
-    # floor(n*a) is only nondecreasing when a < 1: skip values below 1 and
-    # collapse repeats, since a set contains each value once
-    last = None
-    n = 1
-    while True:
-        value = floor_product(n, a)
-        if value > limit:
-            return
-        if value >= 1 and value != last:
-            yield (value, label, n)
-            last = value
-        n += 1
 
 
 def uspensky_scan(weights, limit):
@@ -249,7 +233,7 @@ def uspensky_scan(weights, limit):
         if w.sign() <= 0:
             raise ValueError(f"weights must be positive, got {w}")
     streams = [
-        _naive_beatty_generator(a, i + 1, limit)
+        _beatty_generator(a, i + 1, limit)
         for i, a in enumerate(weights)
     ]
     return _scan_cover(streams, limit, collect_owners=False)

@@ -47,6 +47,18 @@ def test_cz_negative_duration_is_usage_error(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("freqs, duration", [
+    ("inf", "1"),
+    ("1", "inf"),
+    ("1e308", "1e308"),  # both finite, but duration*freq/(2*pi) is not
+])
+def test_cz_non_finite_input_is_usage_error(capsys, freqs, duration):
+    code, out, err = run(capsys, "cz", "--freqs", freqs, "--duration", duration)
+    assert code == 64
+    assert out == ""
+    assert "finite" in err
+
+
 def test_cz_numeric_inconclusive(capsys):
     # rotation stops just short of a crossing: ambiguous for the engine
     duration = 2 * math.pi * 0.99998

@@ -148,6 +148,13 @@ def test_analytic_values():
     assert cz_rotation_analytic([1.0], TWO_PI) == 2
 
 
+def test_analytic_rejects_non_finite_turns():
+    with pytest.raises(ValueError, match="not finite"):
+        cz_rotation_analytic([1.0], math.inf)
+    with pytest.raises(ValueError, match="not finite"):
+        cz_rotation_analytic([1e308], 1e308)
+
+
 def test_numeric_matches_analytic_on_random_rotations():
     rng = random.Random(1729)
     for _ in range(40):

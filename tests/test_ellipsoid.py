@@ -15,6 +15,7 @@ from reebspec import (
     spectrum,
 )
 from reebspec.errors import FlatCrossingError
+from reebspec.partitions import TamuraFamily
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +36,21 @@ def test_hypothesis_flag(e2, ctx2):
     with pytest.raises(HypothesisViolation) as info:
         orbit_index(rational, 1, 1)
     assert info.value.ratio == ctx2.element(Fraction(1, 2))
+
+
+def test_violation_matches_tamura_family(ctx2, ctx5):
+    # the deferred violation carries the pair and ratio TamuraFamily reports
+    for weights in ([ctx2.element(1), ctx2.element(2)],
+                    [ctx2.element(1, 1), ctx2.sqrt_d(), ctx2.element(2, 2)],
+                    [ctx5.sqrt_d(), ctx5.element(3), ctx5.element(0, Fraction(2, 3))]):
+        with pytest.raises(HypothesisViolation) as expected:
+            TamuraFamily(weights)
+        e = Ellipsoid(weights)
+        for _ in range(2):
+            with pytest.raises(HypothesisViolation) as info:
+                e.require_hypothesis()
+            got, want = info.value, expected.value
+            assert (got.j, got.k, got.ratio) == (want.j, want.k, want.ratio)
 
 
 def test_index_formula_refused_without_hypothesis(ctx2):
@@ -126,6 +142,26 @@ def test_spectrum_sorted_and_complete(e3):
                 break
             assert (j, n, cz) in [(o.j, o.n, o.cz) for o in orbits]
             n += 1
+
+
+def test_spectrum_matches_brute_force():
+    # every (j, n) that can reach the bound (cz >= m - 1 + 2n, since the
+    # k = j floor alone is n), indexed one by one, filtered and sorted
+    rng = random.Random(34)
+    for m in range(1, 5):
+        for _ in range(3):
+            e = Ellipsoid(random_weights(rng, rng.choice((2, 5)), m))
+            for k_max in (m - 1, m, m + 1, 2 * m + 7):
+                expected = []
+                for j in range(1, m + 1):
+                    for n in range(1, (k_max - m + 1) // 2 + 1):
+                        cz = orbit_index(e, j, n)
+                        if cz <= k_max:
+                            expected.append((cz, j, n))
+                expected.sort()
+                orbits = spectrum(e, k_max)
+                assert [(o.cz, o.j, o.n) for o in orbits] == expected
+                assert all(o.weight == e.weights[o.j - 1] for o in orbits)
 
 
 def test_period_coefficient(e2):

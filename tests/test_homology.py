@@ -116,7 +116,7 @@ def test_bridge_degree_arithmetic(e3):
     # correspond exactly on the shared ladder
     n = 40
     vec = sh_dims_gutt(e3, e3.m - 1 + 2 * n)
-    report = verify_partition(list(e3.weights), n)
+    report = verify_partition(list(e3.weights), n, collect_owners=True)
     covered = {k for k, mult in vec.support() if mult == 1}
     expected = {e3.m - 1 + 2 * t for t in range(1, n + 1) if report.owners[t]}
     assert covered == expected

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import random_quad, random_weights
-from reebspec import HypothesisViolation
+from reebspec import HypothesisViolation, floor_product
 from reebspec.partitions import (
     TamuraFamily,
+    _beatty_generator,
     beatty_set,
     rayleigh_conjugate,
     rayleigh_pair,
@@ -47,14 +48,14 @@ def test_tamura_hypothesis_checked(ctx2):
 # ---------------------------------------------------------------------------
 
 def test_partition_small_two_weights(w2):
-    report = verify_partition(w2, 9)
+    report = verify_partition(w2, 9, collect_owners=True)
     assert report.ok
     assert report.members(1) == [1, 3, 5, 6, 8]
     assert report.members(2) == [2, 4, 7, 9]
 
 
 def test_partition_small_three_weights(w3):
-    report = verify_partition(w3, 4)
+    report = verify_partition(w3, 4, collect_owners=True)
     assert report.ok
     assert report.members(1) == [1, 3]
     assert report.members(2) == [2]
@@ -67,7 +68,8 @@ def test_partition_rational_ratio_raises(ctx2):
 
 
 def test_partition_m1_is_trivial(ctx5):
-    report = verify_partition([ctx5.element(Fraction(7, 3))], 50)
+    report = verify_partition([ctx5.element(Fraction(7, 3))], 50,
+                              collect_owners=True)
     assert report.ok
     assert report.members(1) == list(range(1, 51))
 
@@ -103,9 +105,9 @@ def test_partition_owner_table_vs_bitset(w3):
 
 
 def test_partition_scaling_invariance(w2):
-    report_a = verify_partition(w2, 500)
+    report_a = verify_partition(w2, 500, collect_owners=True)
     scaled = [w * Fraction(3, 7) for w in w2]
-    report_b = verify_partition(scaled, 500)
+    report_b = verify_partition(scaled, 500, collect_owners=True)
     assert report_a.ok and report_b.ok
     assert report_a.owners == report_b.owners
 
@@ -159,7 +161,7 @@ def test_rayleigh_conjugate_golden_ratio(ctx5):
 
 
 def test_rayleigh_pair_wythoff(ctx5):
-    report = rayleigh_pair(phi(ctx5), 10)
+    report = rayleigh_pair(phi(ctx5), 10, collect_owners=True)
     assert report.ok
     assert report.members(1) == [1, 3, 4, 6, 8, 9]
     assert report.members(2) == [2, 5, 7, 10]
@@ -168,8 +170,8 @@ def test_rayleigh_pair_wythoff(ctx5):
 def test_rayleigh_pair_matches_tamura(ctx2, w2):
     alpha = ctx2.element(1) + ctx2.element(1) / ctx2.sqrt_d()
     assert rayleigh_conjugate(alpha) == ctx2.element(1, 1)
-    pair = rayleigh_pair(alpha, 9)
-    tamura = verify_partition(w2, 9)
+    pair = rayleigh_pair(alpha, 9, collect_owners=True)
+    tamura = verify_partition(w2, 9, collect_owners=True)
     assert pair.ok and tamura.ok
     assert pair.owners == tamura.owners
 
@@ -226,6 +228,31 @@ def test_uspensky_small_weights_dedupe(ctx2):
           ctx2.element(1, 1)]
     report = uspensky_scan(ws, 200)
     assert report.verdict == "collision"
+
+
+def test_slopes_below_one_stream_each_value_once(ctx2, ctx5):
+    # the stream against {floor(n*a)} & [1..N], floored one n at a time
+    rng = random.Random(577)
+    slopes = [ctx2.element(0, Fraction(1, 2)), ctx5.element(Fraction(1, 3))]
+    while len(slopes) < 8:
+        a = random_quad(rng, rng.choice((2, 5)), positive=True)
+        if a < 1:
+            slopes.append(a)
+    limit = 300
+    for a in slopes:
+        expected = set()
+        n = 1
+        while (value := floor_product(n, a)) <= limit:
+            expected.add(value)
+            n += 1
+        expected.discard(0)
+        stream = list(_beatty_generator(a, 7, limit))
+        values = [v for v, _, _ in stream]
+        assert values == sorted(expected)
+        assert values[0] >= 1
+        assert all(y > x for x, y in zip(values, values[1:]))
+        assert all(label == 7 and floor_product(n, a) == v
+                   for v, label, n in stream)
 
 
 def test_uspensky_random_triples_find_witness():
