@@ -11,7 +11,6 @@ the positive integers.  Both sides are computed independently and compared.
 from .czindex import (
     Crossing,
     RotationPath,
-    SymplecticMatrix,
     SymplecticPath,
     crossing_form,
     cz_index,
@@ -55,7 +54,6 @@ from .partitions import (
     beatty_set,
     rayleigh_conjugate,
     rayleigh_pair,
-    tamura_element,
     uspensky_scan,
     verify_partition,
 )
@@ -63,7 +61,6 @@ from .quadfield import (
     FieldContext,
     QuadIrrational,
     floor_product,
-    is_rational,
     pairwise_rational_ratio,
     parse_expr,
     render,

@@ -11,7 +11,8 @@ Exit codes: 0 success (agreement / partition / equal), 1 mathematical
 violation found, 2 numeric engine inconclusive, 3 oracle disagreement,
 64 usage error, 65 hypothesis violation.  JSON output has sorted keys and
 no timestamps, so identical flags give byte-identical bytes; exact values
-are rendered as expression strings, never as decimals.
+are rendered as expression strings, never as decimals.  Each subcommand
+computes one JSON payload, and the csv and text formats are views of it.
 """
 
 from __future__ import annotations
@@ -55,17 +56,9 @@ def _fraction_json(fr):
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _emit_csv(rows):
-    for row in rows:
-        print(",".join(str(x) for x in row))
-
-
-def _parse_weights(text, context):
-    parts = [p.strip() for p in text.split(";")]
+def _parse_weights(args):
+    context = FieldContext(args.d)
+    parts = [p.strip() for p in args.weights.split(";")]
     parts = [p for p in parts if p]
     if not parts:
         raise _UsageError("no weight expressions given")
@@ -89,6 +82,11 @@ def _nonneg_int(text):
 def build_parser():
     parser = _Parser(prog="reebspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    field_args = _Parser(add_help=False)
+    field_args.add_argument("--d", required=True, type=int,
+                            help="radicand of Q(sqrt(d))")
+    field_args.add_argument("--weights", required=True,
+                            help="semicolon-separated weight expressions")
 
     p_cz = sub.add_parser("cz", help="Conley-Zehnder index of a rotation path")
     p_cz.add_argument("--freqs", required=True,
@@ -100,33 +98,26 @@ def build_parser():
     mode.add_argument("--both", action="store_true")
     p_cz.add_argument("--samples", type=_positive_int, default=4096,
                       help="grid size for the numeric engine")
-    p_cz.add_argument("--format", choices=("json", "text"), default="json")
 
-    p_sp = sub.add_parser("spectrum", help="Reeb orbits of an ellipsoid")
-    p_sp.add_argument("--d", required=True, type=int, help="radicand of Q(sqrt(d))")
-    p_sp.add_argument("--weights", required=True,
-                      help="semicolon-separated weight expressions")
+    p_sp = sub.add_parser("spectrum", parents=[field_args],
+                          help="Reeb orbits of an ellipsoid")
     p_sp.add_argument("--max-degree", required=True, type=_nonneg_int)
     p_sp.add_argument("--cross-check", action="store_true",
                       help="verify each index against the numeric engine")
     p_sp.add_argument("--samples", type=_positive_int, default=None,
                       help="override the cross-check grid size")
-    p_sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
-    p_pt = sub.add_parser("partition", help="partition scans in exact arithmetic")
-    p_pt.add_argument("--d", required=True, type=int)
-    p_pt.add_argument("--weights", required=True)
+    p_pt = sub.add_parser("partition", parents=[field_args],
+                          help="partition scans in exact arithmetic")
     p_pt.add_argument("--limit", required=True, type=_positive_int)
     p_pt.add_argument("--mode", choices=("tamura", "beatty-pair", "uspensky"),
                       default="tamura")
-    p_pt.add_argument("--format", choices=("json", "text"), default="json")
 
-    p_sh = sub.add_parser("sh", help="degree-dimension comparison")
-    p_sh.add_argument("--d", required=True, type=int)
-    p_sh.add_argument("--weights", required=True)
+    p_sh = sub.add_parser("sh", parents=[field_args], help="degree-dimension comparison")
     p_sh.add_argument("--max-degree", required=True, type=_nonneg_int)
-    p_sh.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
+    for command, p in sub.choices.items():
+        p.add_argument("--format", choices=("json", *_VIEWS[command]), default="json")
     return parser
 
 
@@ -162,29 +153,24 @@ def cmd_cz(args):
                 payload["agree"] = agree
                 if not agree:
                     status = EXIT_DISAGREEMENT
-
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        for key in ("analytic", "numeric", "agree", "error"):
-            if key in payload:
-                print(f"{key}: {payload[key]}")
-    return status
+    return status, payload
 
 
-def _orbit_rows(e, orbits, do_cross_check, sample_count):
+def cmd_spectrum(args):
+    weights = _parse_weights(args)
+    e = Ellipsoid(weights)
     rows = []
     status = EXIT_OK
     saw_inconclusive = False
-    for o in orbits:
+    for o in spectrum(e, args.max_degree):
         row = {
             "j": o.j,
             "n": o.n,
             "cz": o.cz,
             "period_coeff": f"{o.n}*pi*({render(o.weight)})",
         }
-        if do_cross_check:
-            check = cross_check_index(e, o.j, o.n, sample_count=sample_count)
+        if args.cross_check:
+            check = cross_check_index(e, o.j, o.n, sample_count=args.samples)
             if check.inconclusive:
                 row["numeric_cz"] = None
                 row["agree"] = None
@@ -198,49 +184,36 @@ def _orbit_rows(e, orbits, do_cross_check, sample_count):
         rows.append(row)
     if status == EXIT_OK and saw_inconclusive:
         status = EXIT_INCONCLUSIVE
-    return rows, status
+    return status, {
+        "command": "spectrum",
+        "d": args.d,
+        "weights": [render(w) for w in weights],
+        "max_degree": args.max_degree,
+        "orbits": rows,
+    }
 
 
-def cmd_spectrum(args):
-    context = FieldContext(args.d)
-    weights = _parse_weights(args.weights, context)
-    e = Ellipsoid(weights)
-    orbits = spectrum(e, args.max_degree)
-    rows, status = _orbit_rows(e, orbits, args.cross_check, args.samples)
-
-    if args.format == "json":
-        _emit_json({
-            "command": "spectrum",
-            "d": args.d,
-            "weights": [render(w) for w in weights],
-            "max_degree": args.max_degree,
-            "orbits": rows,
-        })
-    elif args.format == "csv":
-        header = ["j", "n", "cz", "period_coeff"]
-        if args.cross_check:
-            header += ["numeric_cz", "agree"]
-        out = [header]
-        for row in rows:
-            line = [row["j"], row["n"], row["cz"], row["period_coeff"]]
-            if args.cross_check:
-                line += [row["numeric_cz"], row["agree"]]
-            out.append(line)
-        _emit_csv(out)
+def cmd_partition(args):
+    weights = _parse_weights(args)
+    if args.mode == "tamura":
+        report = verify_partition(weights, args.limit)
+    elif args.mode == "beatty-pair":
+        if len(weights) != 1:
+            raise _UsageError("--mode beatty-pair takes exactly one weight (alpha)")
+        report = rayleigh_pair(weights[0], args.limit)
     else:
-        for row in rows:
-            extra = ""
-            if args.cross_check:
-                extra = f"  numeric={row['numeric_cz']} agree={row['agree']}"
-            print(f"gamma_{row['j']}^{row['n']}: cz={row['cz']} "
-                  f"period={row['period_coeff']}{extra}")
-    return status
+        if len(weights) < 3:
+            raise _UsageError("--mode uspensky needs at least three weights")
+        report = uspensky_scan(weights, args.limit)
 
-
-def _report_payload(report):
     payload = {
+        "command": "partition",
+        "mode": args.mode,
+        "d": args.d,
+        "weights": [render(w) for w in weights],
         "limit": report.limit,
-        "verdict": report.verdict,
+        "verdict": ("no-witness" if args.mode == "uspensky" and report.ok
+                    else report.verdict),
         "counts": {str(j): c for j, c in sorted(report.counts.items())},
         "collision": None,
         "gap": None,
@@ -253,85 +226,81 @@ def _report_payload(report):
         }
     elif report.verdict == "gap":
         payload["gap"] = report.value
-    return payload
-
-
-def cmd_partition(args):
-    context = FieldContext(args.d)
-    weights = _parse_weights(args.weights, context)
-    extra = {}
-    if args.mode == "tamura":
-        report = verify_partition(weights, args.limit)
-    elif args.mode == "beatty-pair":
-        if len(weights) != 1:
-            raise _UsageError("--mode beatty-pair takes exactly one weight (alpha)")
-        report = rayleigh_pair(weights[0], args.limit)
-        extra["beta"] = render(rayleigh_conjugate(weights[0]))
-    else:
-        if len(weights) < 3:
-            raise _UsageError("--mode uspensky needs at least three weights")
-        report = uspensky_scan(weights, args.limit)
-
-    payload = {
-        "command": "partition",
-        "mode": args.mode,
-        "d": args.d,
-        "weights": [render(w) for w in weights],
-        **_report_payload(report),
-        **extra,
-    }
-    if args.mode == "uspensky" and report.verdict == "partition":
-        payload["verdict"] = "no-witness"
-
-    if args.format == "json":
-        _emit_json(payload)
-    else:
-        print(f"verdict: {payload['verdict']}")
-        if payload["collision"] is not None:
-            c = payload["collision"]
-            print(f"collision at {c['value']}: "
-                  f"set {c['first']['j']} (n={c['first']['n']}) vs "
-                  f"set {c['second']['j']} (n={c['second']['n']})")
-        if payload["gap"] is not None:
-            print(f"gap at {payload['gap']}")
-        if "beta" in payload:
-            print(f"beta: {payload['beta']}")
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    if args.mode == "beatty-pair":
+        payload["beta"] = render(rayleigh_conjugate(weights[0]))
+    return (EXIT_OK if report.ok else EXIT_VIOLATION), payload
 
 
 def cmd_sh(args):
-    context = FieldContext(args.d)
-    weights = _parse_weights(args.weights, context)
-    e = Ellipsoid(weights)
-    result = compare(e, args.max_degree)
+    weights = _parse_weights(args)
+    result = compare(Ellipsoid(weights), args.max_degree)
+    diff = None
+    if result.first_difference is not None:
+        k, mf, mo = result.first_difference
+        diff = {"degree": k, "formula": mf, "orbits": mo}
+    return (EXIT_OK if result.equal else EXIT_VIOLATION), {
+        "command": "sh",
+        "d": args.d,
+        "weights": [render(w) for w in weights],
+        "max_degree": args.max_degree,
+        "verdict": "equal" if result.equal else "first-difference",
+        "first_difference": diff,
+        "formula_degrees": [list(p) for p in result.formula.support()],
+        "orbit_degrees": [list(p) for p in result.orbits.support()],
+    }
 
-    if args.format == "json":
-        diff = None
-        if result.first_difference is not None:
-            k, mf, mo = result.first_difference
-            diff = {"degree": k, "formula": mf, "orbits": mo}
-        _emit_json({
-            "command": "sh",
-            "d": args.d,
-            "weights": [render(w) for w in weights],
-            "max_degree": args.max_degree,
-            "verdict": "equal" if result.equal else "first-difference",
-            "first_difference": diff,
-            "formula_degrees": [list(p) for p in result.formula.support()],
-            "orbit_degrees": [list(p) for p in result.orbits.support()],
-        })
-    elif args.format == "csv":
-        out = [["degree", "formula", "orbits"]]
-        for k in range(args.max_degree + 1):
-            out.append([k, result.formula.multiplicity(k),
-                        result.orbits.multiplicity(k)])
-        _emit_csv(out)
-    else:
-        print(f"verdict: {'equal' if result.equal else 'first-difference'}")
-        if result.first_difference is not None:
-            k, mf, mo = result.first_difference
-            print(f"first difference at degree {k}: formula={mf} orbits={mo}")
-    return EXIT_OK if result.equal else EXIT_VIOLATION
+
+def _cz_text(args, payload):
+    for key in ("analytic", "numeric", "agree", "error"):
+        if key in payload:
+            yield f"{key}: {payload[key]}"
+
+
+def _spectrum_csv(args, payload):
+    columns = ["j", "n", "cz", "period_coeff"]
+    if args.cross_check:
+        columns += ["numeric_cz", "agree"]
+    yield ",".join(columns)
+    for row in payload["orbits"]:
+        yield ",".join(str(row[c]) for c in columns)
+
+
+def _spectrum_text(args, payload):
+    for row in payload["orbits"]:
+        extra = ""
+        if "numeric_cz" in row:
+            extra = f"  numeric={row['numeric_cz']} agree={row['agree']}"
+        yield (f"gamma_{row['j']}^{row['n']}: cz={row['cz']} "
+               f"period={row['period_coeff']}{extra}")
+
+
+def _partition_text(args, payload):
+    yield f"verdict: {payload['verdict']}"
+    c = payload["collision"]
+    if c is not None:
+        yield (f"collision at {c['value']}: "
+               f"set {c['first']['j']} (n={c['first']['n']}) vs "
+               f"set {c['second']['j']} (n={c['second']['n']})")
+    if payload["gap"] is not None:
+        yield f"gap at {payload['gap']}"
+    if "beta" in payload:
+        yield f"beta: {payload['beta']}"
+
+
+def _sh_csv(args, payload):
+    formula = dict(payload["formula_degrees"])
+    orbits = dict(payload["orbit_degrees"])
+    yield "degree,formula,orbits"
+    for k in range(payload["max_degree"] + 1):
+        yield f"{k},{formula.get(k, 0)},{orbits.get(k, 0)}"
+
+
+def _sh_text(args, payload):
+    yield f"verdict: {payload['verdict']}"
+    diff = payload["first_difference"]
+    if diff is not None:
+        yield (f"first difference at degree {diff['degree']}: "
+               f"formula={diff['formula']} orbits={diff['orbits']}")
 
 
 _HANDLERS = {
@@ -341,12 +310,30 @@ _HANDLERS = {
     "sh": cmd_sh,
 }
 
+# the formats besides json that each subcommand offers, in --format order
+_VIEWS = {
+    "cz": {"text": _cz_text},
+    "spectrum": {"csv": _spectrum_csv, "text": _spectrum_text},
+    "partition": {"text": _partition_text},
+    "sh": {"csv": _sh_csv, "text": _sh_text},
+}
+
+
+def _emit(args, payload):
+    if args.format == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return
+    for line in _VIEWS[args.command][args.format](args, payload):
+        print(line)
+
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        status, payload = _HANDLERS[args.command](args)
+        _emit(args, payload)
+        return status
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,7 +35,6 @@ from .errors import (
 __all__ = [
     "standard_j",
     "symplectic_defect",
-    "SymplecticMatrix",
     "SymplecticPath",
     "RotationPath",
     "Crossing",
@@ -76,28 +75,6 @@ def symplectic_defect(mat):
     return float(np.abs(mat.T @ j @ mat - j).max())
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """A validated element of Sp(2n)."""
-
-    entries: np.ndarray
-    tol: float = TOL_SYMPLECTIC
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        defect = symplectic_defect(entries)
-        if defect > self.tol:
-            raise ValueError(
-                f"matrix is not symplectic: ||Psi^T J Psi - J|| = {defect:.3e} "
-                f"> {self.tol:.1e}"
-            )
-
-    @property
-    def n(self):
-        return self.entries.shape[0] // 2
-
-
 class SymplecticPath:
     """A path t -> Psi_t in Sp(2n) on [a, b].
 
@@ -126,9 +103,6 @@ class SymplecticPath:
 
     def evaluate(self, t):
         return np.asarray(self._evaluator(t), dtype=float)
-
-    def matrix_at(self, t, tol=TOL_SYMPLECTIC):
-        return SymplecticMatrix(self.evaluate(t), tol)
 
     def evaluate_batch(self, ts):
         ts = np.asarray(ts, dtype=float)

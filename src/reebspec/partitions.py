@@ -23,7 +23,6 @@ from .quadfield import QuadIrrational, _floor_scaled, pairwise_rational_ratio
 __all__ = [
     "TamuraFamily",
     "PartitionReport",
-    "tamura_element",
     "verify_partition",
     "beatty_set",
     "rayleigh_conjugate",
@@ -90,21 +89,21 @@ class TamuraFamily:
     def m(self):
         return len(self.weights)
 
-    def element(self, j, n):
+    def _triples(self, j):
         if not 1 <= j <= self.m:
             raise ValueError(f"set label j must be in 1..{self.m}, got {j}")
+        return self._ratio_triples[j - 1]
+
+    def element(self, j, n):
+        """The n-th element of A_j, exactly."""
+        triples = self._triples(j)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return _floor_sum(self._ratio_triples[j - 1], self._d, n)
+        return _floor_sum(triples, self._d, n)
 
     def generator(self, j, limit):
         """Yield (value, j, n) with value ascending, stopping past limit."""
-        return _floor_stream(self._ratio_triples[j - 1], self._d, j, limit)
-
-
-def tamura_element(weights, j, n):
-    """The n-th element of A_j, exactly."""
-    return TamuraFamily(weights).element(j, n)
+        return _floor_stream(self._triples(j), self._d, j, limit)
 
 
 @dataclass

@@ -23,9 +23,7 @@ from .errors import ExprSyntaxError, RadicandError
 __all__ = [
     "FieldContext",
     "QuadIrrational",
-    "compare",
     "floor_product",
-    "is_rational",
     "pairwise_rational_ratio",
     "parse_expr",
     "render",
@@ -216,11 +214,8 @@ class QuadIrrational:
             c,
         )
 
-    def floor(self):
-        P, Q, C = self.scaled_triple()
-        return _floor_scaled(P, Q, C, self.d)
-
     def is_rational(self):
+        """True iff there is no sqrt(d) component (decidable: d is non-square)."""
         return self.q == 0
 
     def __float__(self):
@@ -234,19 +229,6 @@ class QuadIrrational:
 
     def __repr__(self):
         return f"QuadIrrational({render(self)!r}, d={self.d})"
-
-
-def compare(x, y):
-    """Exact three-way comparison: -1, 0, or 1 as x <, ==, > y."""
-    c = x._cmp(y)
-    if c is NotImplemented:
-        raise TypeError(f"cannot compare QuadIrrational with {type(y).__name__}")
-    return c
-
-
-def is_rational(x):
-    """True iff x has no sqrt(d) component (decidable: d is non-square)."""
-    return x.is_rational()
 
 
 def floor_product(n, x):

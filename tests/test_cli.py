@@ -5,6 +5,7 @@ import pytest
 
 import reebspec.cli as cli
 from reebspec.cli import main
+from reebspec.homology import ShComparison, compare, first_difference
 
 
 def run(capsys, *argv):
@@ -85,6 +86,13 @@ def test_cz_text_format(capsys):
     assert "analytic: 3" in out
 
 
+def test_cz_csv_not_offered(capsys):
+    code, out, _ = run(capsys, "cz", "--freqs", "1", "--duration", "1",
+                       "--format", "csv")
+    assert code == 64
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -131,6 +139,29 @@ def test_spectrum_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "j,n,cz,period_coeff"
     assert lines[1] == "1,1,3,1*pi*(1)"
+
+
+def test_spectrum_text(capsys):
+    argv = ("spectrum", "--d", "2", "--weights", "1;sqrt(2)",
+            "--max-degree", "7", "--format", "text")
+    lines = ["gamma_1^1: cz=3 period=1*pi*(1)",
+             "gamma_2^1: cz=5 period=1*pi*(sqrt(2))",
+             "gamma_1^2: cz=7 period=2*pi*(1)"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == lines
+    code, out, _ = run(capsys, *argv, "--cross-check")
+    assert code == 0
+    assert out.splitlines() == [f"{line}  numeric={cz} agree=True"
+                                for line, cz in zip(lines, (3, 5, 7))]
+
+
+def test_spectrum_csv_cross_check_header_without_orbits(capsys):
+    code, out, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                       "1;sqrt(2)", "--max-degree", "2", "--cross-check",
+                       "--format", "csv")
+    assert code == 0
+    assert out == "j,n,cz,period_coeff,numeric_cz,agree\n"
 
 
 def test_spectrum_parse_error_is_usage(capsys):
@@ -182,6 +213,22 @@ def test_partition_uspensky_needs_three(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv, code, lines", [
+    (("--d", "2", "--weights", "1;sqrt(2);5", "--mode", "uspensky"), 1,
+     ["verdict: collision", "collision at 1: set 1 (n=1) vs set 2 (n=1)"]),
+    (("--d", "2", "--weights", "2+sqrt(2);3+sqrt(2);4+sqrt(2)",
+      "--mode", "uspensky"), 1,
+     ["verdict: gap", "gap at 1"]),
+    (("--d", "5", "--weights", "1/2+1/2*sqrt(5)", "--mode", "beatty-pair"), 0,
+     ["verdict: partition", "beta: 3/2+1/2*sqrt(5)"]),
+])
+def test_partition_text(capsys, argv, code, lines):
+    got, out, _ = run(capsys, "partition", *argv, "--limit", "1000",
+                      "--format", "text")
+    assert got == code
+    assert out.splitlines() == lines
+
+
 def test_partition_csv_not_offered(capsys):
     code, _, _ = run(capsys, "partition", "--d", "2", "--weights", "1;sqrt(2)",
                      "--limit", "10", "--format", "csv")
@@ -220,6 +267,27 @@ def test_sh_csv(capsys):
     assert lines[4] == "3,1,1"
 
 
+def _compare_with_extra_orbit(e, k_max):
+    """The real comparison with one more orbit counted in degree 7."""
+    result = compare(e, k_max)
+    result.orbits.add(7)
+    return ShComparison(result.m, result.k_max, result.formula, result.orbits,
+                        first_difference(result.formula, result.orbits))
+
+
+def test_sh_views_report_first_difference(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compare", _compare_with_extra_orbit)
+    argv = ("sh", "--d", "2", "--weights", "1;sqrt(2)", "--max-degree", "9")
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 1
+    assert out.splitlines() == [
+        "verdict: first-difference",
+        "first difference at degree 7: formula=1 orbits=2"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 1
+    assert out.splitlines()[8] == "7,1,2"
+
+
 def test_sh_missing_weights_is_usage(capsys):
     code, _, _ = run(capsys, "sh", "--d", "2", "--max-degree", "9")
     assert code == 64
@@ -234,6 +302,17 @@ def test_sh_missing_weights_is_usage(capsys):
     ("partition", "--d", "2", "--weights", "1;sqrt(2)", "--limit", "500"),
     ("sh", "--d", "2", "--weights", "1;sqrt(2)", "--max-degree", "41"),
     ("cz", "--freqs", "1", "--duration", "9.42477796"),
+    ("spectrum", "--d", "2", "--weights", "1;sqrt(2)", "--max-degree", "21",
+     "--format", "csv"),
+    ("spectrum", "--d", "2", "--weights", "1;sqrt(2)", "--max-degree", "21",
+     "--format", "text"),
+    ("partition", "--d", "2", "--weights", "1;sqrt(2)", "--limit", "500",
+     "--format", "text"),
+    ("sh", "--d", "2", "--weights", "1;sqrt(2)", "--max-degree", "41",
+     "--format", "csv"),
+    ("sh", "--d", "2", "--weights", "1;sqrt(2)", "--max-degree", "41",
+     "--format", "text"),
+    ("cz", "--freqs", "1", "--duration", "9.42477796", "--format", "text"),
 ])
 def test_output_is_byte_identical(capsys, argv):
     code1, out1, _ = run(capsys, *argv)

@@ -11,7 +11,6 @@ from reebspec.partitions import (
     beatty_set,
     rayleigh_conjugate,
     rayleigh_pair,
-    tamura_element,
     uspensky_scan,
     verify_partition,
 )
@@ -26,9 +25,16 @@ def phi(ctx5):
 # ---------------------------------------------------------------------------
 
 def test_tamura_element_examples(w2, w3):
-    assert tamura_element(w2, 1, 3) == 5       # 3 + floor(3/sqrt2)
-    assert tamura_element(w2, 2, 2) == 4       # floor(2*sqrt2) + 2
-    assert tamura_element(w3, 3, 1) == 4       # 2 + 1 + 1
+    assert TamuraFamily(w2).element(1, 3) == 5       # 3 + floor(3/sqrt2)
+    assert TamuraFamily(w2).element(2, 2) == 4       # floor(2*sqrt2) + 2
+    assert TamuraFamily(w3).element(3, 1) == 4       # 2 + 1 + 1
+
+
+def test_generator_rejects_bad_label(w3):
+    fam = TamuraFamily(w3)
+    for j in (0, -1, 4):
+        with pytest.raises(ValueError):
+            fam.generator(j, 10)
 
 
 def test_tamura_generators_strictly_increasing(w3):
