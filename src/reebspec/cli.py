@@ -9,10 +9,13 @@ Four subcommands wrap the library pipelines with deterministic output:
 
 Exit codes: 0 success (agreement / partition / equal), 1 mathematical
 violation found, 2 numeric engine inconclusive, 3 oracle disagreement,
-64 usage error, 65 hypothesis violation.  JSON output has sorted keys and
-no timestamps, so identical flags give byte-identical bytes; exact values
-are rendered as expression strings, never as decimals.  Each subcommand
-computes one JSON payload, and the csv and text formats are views of it.
+64 usage error, 65 hypothesis violation.  `--samples` is capped at
+MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
+block, plus 16; both limits exit 64 before any grid is built.  JSON output
+has sorted keys and no timestamps, so identical flags give byte-identical
+bytes; exact values are rendered as expression strings, never as
+decimals.  Each subcommand computes one JSON payload, and the csv and text
+formats are views of it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .czindex import RotationPath, cz_index, cz_rotation_analytic
+from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
 from .ellipsoid import Ellipsoid, cross_check_index, spectrum
 from .errors import CrossingError, ExprSyntaxError, HypothesisViolation, RadicandError
 from .homology import compare
@@ -36,6 +39,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_USAGE = 64
 EXIT_HYPOTHESIS = 65
+
+# a grid of 2**20 samples of a 6 x 6 path is already about 300 MB of matrices
+MAX_SAMPLES = 1 << 20
 
 
 class _UsageError(Exception):
@@ -72,6 +78,13 @@ def _positive_int(text):
     return value
 
 
+def _sample_count(text):
+    value = _positive_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
+    return value
+
+
 def _nonneg_int(text):
     value = int(text)
     if value < 0:
@@ -96,16 +109,17 @@ def build_parser():
     mode.add_argument("--analytic", action="store_true")
     mode.add_argument("--numeric", action="store_true")
     mode.add_argument("--both", action="store_true")
-    p_cz.add_argument("--samples", type=_positive_int, default=4096,
-                      help="grid size for the numeric engine")
+    p_cz.add_argument("--samples", type=_sample_count, default=4096,
+                      help="grid size for the numeric engine (at most "
+                           f"{MAX_SAMPLES}, at least 8 per turn + 16)")
 
     p_sp = sub.add_parser("spectrum", parents=[field_args],
                           help="Reeb orbits of an ellipsoid")
     p_sp.add_argument("--max-degree", required=True, type=_nonneg_int)
     p_sp.add_argument("--cross-check", action="store_true",
                       help="verify each index against the numeric engine")
-    p_sp.add_argument("--samples", type=_positive_int, default=None,
-                      help="override the cross-check grid size")
+    p_sp.add_argument("--samples", type=_sample_count, default=None,
+                      help=f"override the cross-check grid size (at most {MAX_SAMPLES})")
 
     p_pt = sub.add_parser("partition", parents=[field_args],
                           help="partition scans in exact arithmetic")
@@ -139,6 +153,12 @@ def cmd_cz(args):
     if want_analytic:
         payload["analytic"] = cz_rotation_analytic(freqs, args.duration)
     if want_numeric:
+        needed = min_rotation_samples(freqs, args.duration)
+        if args.samples < needed:
+            raise _UsageError(
+                f"--samples {args.samples} is too coarse for this path: "
+                f"need --samples {needed} or more"
+                + (f", above the cap {MAX_SAMPLES}" if needed > MAX_SAMPLES else ""))
         path = RotationPath(freqs, args.duration, sample_count=args.samples)
         try:
             numeric = cz_index(path)

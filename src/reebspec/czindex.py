@@ -37,6 +37,7 @@ __all__ = [
     "symplectic_defect",
     "SymplecticPath",
     "RotationPath",
+    "min_rotation_samples",
     "Crossing",
     "find_crossings",
     "crossing_form",
@@ -53,6 +54,7 @@ ISOLATION_FACTOR = 1e-6
 REFINE_FACTOR = 1e-12
 MAX_CANDIDATES = 256
 INTEGER_TOL = 1e-9
+SAMPLES_PER_TURN = 8
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -127,8 +129,24 @@ class SymplecticPath:
         return (self.evaluate(t + h) - self.evaluate(t - h)) / (2 * h)
 
 
+def min_rotation_samples(freqs, duration):
+    """Smallest grid that resolves a rotation path: SAMPLES_PER_TURN samples
+    per turn of its fastest block, plus 16.
+
+    Coarser grids alias the fastest block's dips, and the engine can then
+    miss crossings and return a wrong index without raising.
+    """
+    turns = duration * max(freqs) / (2.0 * math.pi)
+    if not math.isfinite(turns):
+        raise ValueError(f"turn count duration*alpha/(2*pi) is not finite: {turns}")
+    return math.ceil(SAMPLES_PER_TURN * turns) + 16
+
+
 class RotationPath(SymplecticPath):
-    """t -> direct sum of rotations R(alpha_l t) on [0, duration]."""
+    """t -> direct sum of rotations R(alpha_l t) on [0, duration].
+
+    Raises ValueError when sample_count is below min_rotation_samples.
+    """
 
     def __init__(self, freqs, duration, sample_count=4096):
         freqs = [float(f) for f in freqs]
@@ -138,6 +156,12 @@ class RotationPath(SymplecticPath):
             raise ValueError(f"frequencies must be positive, got {freqs}")
         if not duration > 0:
             raise ValueError(f"duration must be positive, got {duration}")
+        needed = min_rotation_samples(freqs, duration)
+        if sample_count < needed:
+            raise ValueError(
+                f"sample_count {sample_count} is too coarse for this path: "
+                f"need at least {needed} ({SAMPLES_PER_TURN} per turn of the "
+                f"fastest block, plus 16)")
         self.freqs = freqs
         super().__init__(
             0.0, float(duration),

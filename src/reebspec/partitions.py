@@ -3,13 +3,15 @@
 Tamura's composite sets A_j = { sum_k floor(n * a_j / a_k) : n >= 1 } tile
 the positive integers whenever the weight ratios are pairwise irrational;
 for m = 2 they reduce to the classical Rayleigh pair of Beatty sequences
-with 1/alpha + 1/beta = 1.  Every floor here is certified in exact
-arithmetic, so a "partition" verdict up to N is a proof, not a
+with 1/alpha + 1/beta = 1.  Every floor here comes from one block kernel,
+in which a float may propose a floor but only an exact integer sign test
+decides it, so a "partition" verdict up to N is a proof, not a
 floating-point impression.  Tamura sets, Beatty sets and the naive sets
 {floor(n * a)} are all one kind of stream: the sum of certified floors of
-n times a fixed list of slopes, for n = 1, 2, ...  The scanners merge the
-streams k-way, which needs no table and reports the smallest violating
-value together with both producing (set, n) witnesses.
+n times a fixed list of slopes, for n = 1, 2, ..., computed a block of n
+at a time.  The scanners merge the streams k-way, which needs no table and
+reports the smallest violating value together with both producing (set, n)
+witnesses.
 """
 
 from __future__ import annotations
@@ -31,32 +33,40 @@ __all__ = [
 ]
 
 
-def _floor_sum(triples, d, n):
-    """sum of floor(n * x) over slopes x = (P + Q*sqrt(d)) / C, exact."""
-    total = 0
-    for p, q, c in triples:
-        total += _floor_scaled(n * p, n * q, c, d)
-    return total
+# The first block of a stream is small, so short scans stay cheap; later
+# blocks double up to the cap, which bounds the memory a stream holds.
+_BLOCK_FIRST = 64
+_BLOCK_MAX = 1024
+
+
+def _floor_sum(triples, d, n_lo, n_hi):
+    """Array of sum_k floor(n * x_k) for n in [n_lo, n_hi), over slopes
+    x_k = (p + q*sqrt(d)) / c, each floor certified by the block kernel."""
+    return sum(_floor_scaled(p, q, c, d, n_lo, n_hi) for p, q, c in triples)
 
 
 def _floor_stream(triples, d, label, limit):
-    """Yield (value, label, n) for value = _floor_sum(triples, d, n) up to
-    limit, skipping every value <= the last one yielded.
+    """Yield (value, label, n) for value = the floor sum at n, up to limit,
+    skipping every value <= the last one yielded.
 
+    The floors are computed a block of n at a time and yielded one by one.
     The sum never decreases in n.  For Tamura and Beatty sets it strictly
     increases, so the skip is a no-op; for slopes below 1 it drops the
     zeros and the repeats, since a set contains each value once.
     """
     last = 0
-    n = 1
+    n_lo = 1
+    size = _BLOCK_FIRST
     while True:
-        value = _floor_sum(triples, d, n)
-        if value > limit:
-            return
-        if value > last:
-            yield (value, label, n)
-            last = value
-        n += 1
+        values = _floor_sum(triples, d, n_lo, n_lo + size).tolist()
+        for n, value in enumerate(values, n_lo):
+            if value > limit:
+                return
+            if value > last:
+                yield (value, label, n)
+                last = value
+        n_lo += size
+        size = min(2 * size, _BLOCK_MAX)
 
 
 class TamuraFamily:
@@ -99,7 +109,7 @@ class TamuraFamily:
         triples = self._triples(j)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return _floor_sum(triples, self._d, n)
+        return int(_floor_sum(triples, self._d, n, n + 1)[0])
 
     def generator(self, j, limit):
         """Yield (value, j, n) with value ascending, stopping past limit."""

@@ -5,9 +5,12 @@ terms, positive denominator) and d a fixed non-square integer >= 2.  Because
 sqrt(d) is irrational, two elements are equal iff their (p, q) pairs are,
 and the sign of p + q*sqrt(d) is decidable by comparing p^2 against q^2*d
 when p and q differ in sign.  That exact sign test is the substrate for
-certified comparisons and certified floors: no floating point value is ever
-trusted, floors are seeded from integer square roots and then verified by
-exact comparison.
+certified comparisons and certified floors.  Floors come in blocks: a
+float64 product proposes each floor, and only exact integer sign tests
+decide it, in int64 where a guard computed on Python ints proves that no
+product can overflow, and on Python ints everywhere else.  A proposal the
+tests reject is recomputed from integer square roots, so no floating point
+value ever decides a floor.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+import numpy as np
 
 from .errors import ExprSyntaxError, RadicandError
 
@@ -56,7 +61,7 @@ def _sign_int(a, b, d):
     return 1 if rhs > lhs else -1
 
 
-def _floor_scaled(P, Q, C, d):
+def _floor_exact(P, Q, C, d):
     """floor((P + Q*sqrt(d)) / C) for integers P, Q, C > 0, d non-square.
 
     Seed candidate from isqrt bounds on Q*sqrt(d) (exact to within 1), then
@@ -73,6 +78,57 @@ def _floor_scaled(P, Q, C, d):
         f -= 1
     while _sign_int(P - (f + 1) * C, Q, d) >= 0:
         f += 1
+    return f
+
+
+_INT64_LIMIT = 1 << 63
+
+
+def _int64_bound(p, q, c, d, n_lo, n_hi):
+    """F with |floor(n*x)| <= F for x = (p + q*sqrt(d))/c and n in
+    [n_lo, n_hi), when the certificate's products for any f in [-F, F] stay
+    below 2**63 in magnitude; None otherwise.  Python ints only."""
+    big_n = max(abs(n_lo), abs(n_hi - 1), 1)
+    bound = big_n * (abs(p) + abs(q) * (isqrt(d) + 1)) // c + 2
+    a_max = big_n * abs(p) + (bound + 1) * c    # |n*p - f*c|, |n*p - (f+1)*c|
+    b_max = max(big_n * abs(q), 1)              # |n*q|, and d itself
+    if a_max * a_max < _INT64_LIMIT and b_max * b_max * d < _INT64_LIMIT:
+        return bound
+    return None
+
+
+def _propose_floors(p, q, c, d, n):
+    """float64 guesses of floor(n * (p + q*sqrt(d)) / c); never trusted."""
+    return np.floor(n * ((p + q * math.sqrt(d)) / c))
+
+
+def _floor_scaled(p, q, c, d, n_lo, n_hi):
+    """floor(n * (p + q*sqrt(d)) / c) for each n in [n_lo, n_hi), as an array.
+
+    p, q, c are integers with c > 0 and d is non-square.  Where the int64
+    guard holds, float64 proposes each floor f and exact int64 sign tests
+    check f <= n*x < f+1, using sign(a + b*sqrt(d)) = sign(a) if
+    a^2 > b^2*d, else sign(b); entries that fail are recomputed by
+    _floor_exact.  A block outside the guard is computed by _floor_exact
+    whole, as an object array of Python ints.
+    """
+    bound = _int64_bound(p, q, c, d, n_lo, n_hi)
+    if bound is None:
+        return np.array([_floor_exact(n * p, n * q, c, d)
+                         for n in range(n_lo, n_hi)], dtype=object)
+    n = np.arange(n_lo, n_hi, dtype=np.int64)
+    # fmax/fmin also map NaN into [-bound, bound], so every product below
+    # stays inside the guard whatever the proposal is
+    f = np.fmin(np.fmax(_propose_floors(p, q, c, d, n), -bound), bound)
+    f = f.astype(np.int64)
+    a = n * p - f * c       # n*x - f has the sign of a + b*sqrt(d)
+    b = n * q
+    b2d = b * b * d
+    e = a - c               # n*x - (f+1) has the sign of e + b*sqrt(d)
+    certified = (np.where(a * a > b2d, a > 0, b >= 0)
+                 & np.where(e * e > b2d, e < 0, b < 0))
+    for i in np.flatnonzero(~certified).tolist():
+        f[i] = _floor_exact((n_lo + i) * p, (n_lo + i) * q, c, d)
     return f
 
 
@@ -240,8 +296,8 @@ def floor_product(n, x):
         raise ValueError(f"n must be a positive integer, got {n}")
     if x.sign() <= 0:
         raise ValueError(f"x must be positive, got {x}")
-    P, Q, C = x.scaled_triple()
-    return _floor_scaled(n * P, n * Q, C, x.d)
+    p, q, c = x.scaled_triple()
+    return int(_floor_scaled(p, q, c, x.d, n, n + 1)[0])
 
 
 def pairwise_rational_ratio(weights):

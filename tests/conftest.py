@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from reebspec import Ellipsoid, FieldContext
+
+# Property tests draw the same examples on every run, and a slow shared host
+# cannot fail them on time alone.
+settings.register_profile("reebspec", derandomize=True, deadline=None)
+settings.load_profile("reebspec")
 
 
 @pytest.fixture(scope="session")

@@ -51,8 +51,11 @@ def interval_floor_product(n, x, prec=256):
         iv.prec = prec
         try:
             val = _interval(x, prec) * n
-            lo = int(mpmath.floor(val.a))
-            hi = int(mpmath.floor(val.b))
+            # floor the endpoints at the working precision: at mpmath's
+            # default 53 bits they would round first above 2**53
+            with mpmath.workprec(prec):
+                lo = int(mpmath.floor(val.a))
+                hi = int(mpmath.floor(val.b))
         finally:
             iv.prec = old
         if lo == hi:

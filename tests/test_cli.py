@@ -4,6 +4,7 @@ import math
 import pytest
 
 import reebspec.cli as cli
+import reebspec.ellipsoid
 from reebspec.cli import main
 from reebspec.homology import ShComparison, compare, first_difference
 
@@ -91,6 +92,41 @@ def test_cz_csv_not_offered(capsys):
                        "--format", "csv")
     assert code == 64
     assert out == ""
+
+
+@pytest.mark.parametrize("mode", ["--numeric", "--both"])
+def test_cz_under_resolved_grid_is_usage_error(capsys, mode):
+    # at the default 4096 samples --numeric printed 301 for a true 31831
+    code, out, err = run(capsys, "cz", "--freqs", "1", "--duration", "100000",
+                         mode)
+    assert code == 64
+    assert out == ""
+    assert "need --samples 127340 or more" in err
+
+
+def test_cz_grid_above_the_cap_is_usage_error(capsys):
+    code, out, err = run(capsys, "cz", "--freqs", "1", "--duration", "1e7")
+    assert code == 64
+    assert out == ""
+    assert f"above the cap {cli.MAX_SAMPLES}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cz", "--freqs", "1", "--duration", "1"),
+    ("spectrum", "--d", "2", "--weights", "1; sqrt(2)", "--max-degree", "5",
+     "--cross-check"),
+])
+def test_samples_above_the_cap_exit_before_any_grid(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "RotationPath", refuse)
+    monkeypatch.setattr(reebspec.ellipsoid, "RotationPath", refuse)
+    for samples in (cli.MAX_SAMPLES + 1, 10**12):
+        code, out, err = run(capsys, *argv, "--samples", str(samples))
+        assert code == 64
+        assert out == ""
+        assert f"must be at most {cli.MAX_SAMPLES}" in err
 
 
 # ---------------------------------------------------------------------------

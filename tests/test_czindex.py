@@ -13,6 +13,7 @@ from reebspec.czindex import (
     cz_rotation_analytic,
     direct_sum,
     find_crossings,
+    min_rotation_samples,
     standard_j,
     symplectic_defect,
 )
@@ -150,6 +151,20 @@ def test_analytic_rejects_non_finite_turns():
         cz_rotation_analytic([1.0], math.inf)
     with pytest.raises(ValueError, match="not finite"):
         cz_rotation_analytic([1e308], 1e308)
+
+
+def test_rotation_path_rejects_an_under_resolved_grid():
+    # 1000/(2*pi) = 159.2 turns need ceil(8 * 159.2) + 16 = 1290 samples
+    assert min_rotation_samples([1.0], 1000.0) == 1290
+    assert min_rotation_samples([0.25, 1.0], 1000.0) == 1290
+    with pytest.raises(ValueError, match="need at least 1290"):
+        RotationPath([1.0], 1000.0, sample_count=1289)
+    # at the default 4096 samples the engine returned 301 here, not 31831
+    with pytest.raises(ValueError, match="need at least 127340"):
+        RotationPath([1.0], 100000.0)
+    assert cz_index(RotationPath([1.0], 1000.0, sample_count=1290)) == 319
+    with pytest.raises(ValueError, match="not finite"):
+        min_rotation_samples([1e308], 1e308)
 
 
 def test_numeric_matches_analytic_on_random_rotations():

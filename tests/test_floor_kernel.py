@@ -1,0 +1,302 @@
+"""Adversarial checks of the block floor kernel quadfield._floor_scaled.
+
+Every block is compared entry by entry with the scalar exact routine
+quadfield._floor_exact, and with the interval oracle, which shares no code
+with either.  The blocks are drawn where a float proposal is most likely to
+be wrong: slopes with negative parts, Pell convergents that sit next to
+integers, proposals forced off by one, blocks at the edge of the int64
+guard, and streams that end at a block boundary.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+
+from interval_oracle import interval_floor_product
+from reebspec import quadfield
+from reebspec.cli import main
+from reebspec.partitions import TamuraFamily, _floor_stream, verify_partition
+from reebspec.quadfield import (
+    FieldContext,
+    QuadIrrational,
+    _floor_exact,
+    _floor_scaled,
+    _int64_bound,
+    floor_product,
+)
+
+NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
+# 321 digits; (10**160)**2 < HUGE_D < (10**160 + 1)**2, so not a square
+HUGE_D = 10**320 + 1
+INT64_LIMIT = 2**63
+
+
+def exact_block(p, q, c, d, n_lo, n_hi):
+    return [_floor_exact(n * p, n * q, c, d) for n in range(n_lo, n_hi)]
+
+
+def oracle_block(p, q, c, d, n_lo, n_hi):
+    if q == 0:      # a rational n*x can be an integer, which no interval decides
+        return [n * p // c for n in range(n_lo, n_hi)]
+    x = QuadIrrational(Fraction(p, c), Fraction(q, c), d)
+    return [interval_floor_product(n, x) for n in range(n_lo, n_hi)]
+
+
+def pell_convergents(q_max):
+    """(p_k, q_k) with p_k/q_k -> sqrt(2) and q_k <= q_max."""
+    p, q = 1, 1
+    out = []
+    while q <= q_max:
+        out.append((p, q))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+def reference_stream(triples, d, label, limit):
+    """The stream _floor_stream should yield, one scalar exact floor at a time."""
+    out, last, n = [], 0, 1
+    while True:
+        value = sum(_floor_exact(n * p, n * q, c, d) for p, q, c in triples)
+        if value > limit:
+            return out
+        if value > last:
+            out.append((value, label, n))
+            last = value
+        n += 1
+
+
+def count_exact_calls(monkeypatch):
+    calls = []
+
+    def counting(P, Q, C, d):
+        calls.append((P, Q, C, d))
+        return _floor_exact(P, Q, C, d)
+
+    monkeypatch.setattr(quadfield, "_floor_exact", counting)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# drawn blocks
+# ---------------------------------------------------------------------------
+
+starts = st.one_of(st.integers(0, 10**7), st.integers(2**28, 2**40))
+
+
+@given(p=st.integers(-10**6, 10**6), q=st.integers(-10**4, 10**4),
+       c=st.integers(1, 10**4), d=st.sampled_from(NON_SQUARES),
+       n_lo=starts, length=st.integers(0, 24))
+@example(p=-1, q=1, c=1, d=2, n_lo=1, length=24)       # sqrt(2) - 1 in W3
+@example(p=-1, q=-1, c=1, d=2, n_lo=1, length=24)      # a negative slope
+@example(p=5, q=0, c=3, d=2, n_lo=0, length=24)        # a rational slope
+def test_block_matches_exact_and_oracle(p, q, c, d, n_lo, length):
+    got = _floor_scaled(p, q, c, d, n_lo, n_lo + length)
+    assert len(got) == length
+    assert got.tolist() == exact_block(p, q, c, d, n_lo, n_lo + length)
+    assert got.tolist() == oracle_block(p, q, c, d, n_lo, n_lo + length)
+
+
+# ---------------------------------------------------------------------------
+# Pell convergents: slopes and products next to integers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pk, qk", pell_convergents(2**40))
+def test_pell_convergent_blocks(pk, qk):
+    triples = [
+        (pk, -qk, 1),      # p_k - q_k*sqrt(2) = +-1/(p_k + q_k*sqrt(2))
+        (-pk, qk, 1),
+        (pk, qk, 1),       # p_k + q_k*sqrt(2), next to 2*p_k
+        (pk, qk, 2),
+        (pk, qk, 7),
+    ]
+    for p, q, c in triples:
+        assert (_floor_scaled(p, q, c, 2, 1, 40).tolist()
+                == oracle_block(p, q, c, 2, 1, 40))
+    # n*sqrt(2) is within 1/(2*q_k) of p_k at n = q_k
+    lo, hi = max(qk - 3, 0), qk + 3
+    got = _floor_scaled(0, 1, 1, 2, lo, hi).tolist()
+    assert got == exact_block(0, 1, 1, 2, lo, hi)
+    assert got == oracle_block(0, 1, 1, 2, lo, hi)
+
+
+def test_float_proposal_is_wrong_next_to_pell_convergents(monkeypatch):
+    # 93222358*sqrt(2) lies 2.7e-10 below an integer, but float64 rounds
+    # sqrt(2) up by 5e-17, enough to propose the integer itself
+    pk, qk = 131836323, 93222358
+    assert pk * pk - 2 * qk * qk == 1
+    calls = count_exact_calls(monkeypatch)
+    got = _floor_scaled(0, 1, 1, 2, qk - 2, qk + 3).tolist()
+    assert calls == [(0, qk, 1, 2)]
+    assert got[2] == pk - 1
+    assert got == oracle_block(0, 1, 1, 2, qk - 2, qk + 3)
+
+
+# ---------------------------------------------------------------------------
+# forced fallback: a float may propose a floor, but never decide it
+# ---------------------------------------------------------------------------
+
+def off_by_one(propose):
+    def wrong(p, q, c, d, n):
+        guess = propose(p, q, c, d, n)
+        return guess + np.where(n % 2 == 0, 1.0, -1.0)
+    return wrong
+
+
+@pytest.mark.parametrize("p, q, c, d, n_lo, n_hi", [
+    (-1, 1, 1, 2, 1, 300),
+    (1, 1, 1, 2, 1, 300),
+    (1, 3, 2, 5, 10**6, 10**6 + 300),
+    (-7, 2, 3, 13, 0, 300),
+    (5, 0, 3, 2, 1, 300),
+])
+def test_forced_off_by_one_proposals_are_all_caught(monkeypatch, p, q, c, d, n_lo, n_hi):
+    expected = exact_block(p, q, c, d, n_lo, n_hi)
+    monkeypatch.setattr(quadfield, "_propose_floors",
+                        off_by_one(quadfield._propose_floors))
+    calls = count_exact_calls(monkeypatch)
+    got = _floor_scaled(p, q, c, d, n_lo, n_hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected
+    assert len(calls) == n_hi - n_lo
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300, -1e300])
+def test_non_finite_and_huge_proposals_are_caught(monkeypatch, value):
+    expected = exact_block(-1, 1, 1, 2, 1, 100)
+    monkeypatch.setattr(quadfield, "_propose_floors",
+                        lambda p, q, c, d, n: np.full(len(n), value))
+    assert _floor_scaled(-1, 1, 1, 2, 1, 100).tolist() == expected
+
+
+def test_forced_fallback_leaves_scans_unchanged(monkeypatch, w3):
+    before = verify_partition(w3, 3000, collect_owners=True)
+    monkeypatch.setattr(quadfield, "_propose_floors",
+                        off_by_one(quadfield._propose_floors))
+    calls = count_exact_calls(monkeypatch)
+    after = verify_partition(w3, 3000, collect_owners=True)
+    assert after == before
+    assert len(calls) >= 3 * 3000
+
+
+# ---------------------------------------------------------------------------
+# the int64 guard
+# ---------------------------------------------------------------------------
+
+@given(p=st.integers(-2**40, 2**40), q=st.integers(-2**40, 2**40),
+       c=st.integers(1, 2**40), d=st.sampled_from(NON_SQUARES + [2**61 - 1]),
+       n_lo=st.integers(0, 2**40), length=st.integers(1, 2048))
+def test_guard_keeps_every_certificate_product_in_int64(p, q, c, d, n_lo, length):
+    bound = _int64_bound(p, q, c, d, n_lo, n_lo + length)
+    if bound is None:
+        return
+    for n in (n_lo, n_lo + length - 1):
+        true_floor = _floor_exact(n * p, n * q, c, d)
+        assert abs(true_floor) <= bound
+        assert n * q * n * q * d < INT64_LIMIT
+        for f in (-bound, true_floor, bound):
+            for a in (n * p - f * c, n * p - (f + 1) * c):
+                assert abs(n * p) < INT64_LIMIT and abs(f * c) < INT64_LIMIT
+                assert a * a < INT64_LIMIT
+
+
+def last_guarded_end(p, q, c, d, length):
+    """Largest n_hi with the block [n_hi - length, n_hi) inside the guard."""
+    lo, hi = length, 2**40      # inside, outside
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _int64_bound(p, q, c, d, mid - length, mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("p, q, c, d", [
+    (0, 1, 1, 2), (-1, 1, 1, 2), (1, 3, 2, 5), (7, -2, 3, 13), (5, 0, 3, 2),
+])
+def test_blocks_either_side_of_the_guard(p, q, c, d):
+    end = last_guarded_end(p, q, c, d, 8)
+    inside = _floor_scaled(p, q, c, d, end - 8, end)
+    outside = _floor_scaled(p, q, c, d, end - 7, end + 1)
+    assert inside.dtype == np.int64
+    assert outside.dtype == object
+    assert inside.tolist() == exact_block(p, q, c, d, end - 8, end)
+    assert outside.tolist() == exact_block(p, q, c, d, end - 7, end + 1)
+    assert inside.tolist()[-3:] == oracle_block(p, q, c, d, end - 3, end)
+    assert outside.tolist()[-3:] == oracle_block(p, q, c, d, end - 2, end + 1)
+
+
+def test_n_beyond_int64(ctx2):
+    n = 2**64 + 3
+    assert floor_product(n, ctx2.sqrt_d()) == interval_floor_product(n, ctx2.sqrt_d())
+    lo, hi = 2**63 - 2, 2**63 + 2
+    got = _floor_scaled(-1, 1, 1, 2, lo, hi)
+    assert got.tolist() == exact_block(-1, 1, 1, 2, lo, hi)
+    assert got.tolist() == oracle_block(-1, 1, 1, 2, lo, hi)
+
+
+def test_radicand_too_big_for_a_float():
+    ctx = FieldContext(HUGE_D)
+    for n in (1, 2, 1000):
+        assert floor_product(n, ctx.sqrt_d()) == math.isqrt(n * n * HUGE_D)
+    # a rational slope never needs sqrt(d), but d alone is past the guard
+    got = _floor_scaled(5, 0, 3, HUGE_D, 1, 50)
+    assert got.tolist() == [5 * n // 3 for n in range(1, 50)]
+
+
+def test_partition_with_a_320_digit_radicand(capsys):
+    weights = f"1; sqrt({HUGE_D}); 1+sqrt({HUGE_D})"
+    code = main(["partition", "--d", str(HUGE_D), "--weights", weights,
+                 "--limit", "500"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "partition"
+
+
+# ---------------------------------------------------------------------------
+# stream edges
+# ---------------------------------------------------------------------------
+
+# the stream's blocks end at n = 64, 192, 448, 960, 1984, ...
+BLOCK_ENDS = (64, 192, 448, 960, 1984)
+
+
+@pytest.mark.parametrize("end", BLOCK_ENDS)
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_beatty_stream_limit_at_a_block_boundary(end, offset):
+    triples = [(0, 1, 1)]
+    for n in (end, end + 1):
+        limit = _floor_exact(n, n, 1, 2) + offset
+        assert (list(_floor_stream(triples, 2, 1, limit))
+                == reference_stream(triples, 2, 1, limit))
+
+
+@pytest.mark.parametrize("end", BLOCK_ENDS)
+def test_tamura_stream_limit_at_a_block_boundary(w3, end):
+    family = TamuraFamily(w3)
+    for j in (1, 2, 3):
+        for limit in (family.element(j, end) + k for k in (-1, 0, 1)):
+            assert (list(family.generator(j, limit))
+                    == reference_stream(family._triples(j), 2, j, limit))
+
+
+def test_limit_below_the_first_value():
+    triples = [(1, 1, 1)]      # 1 + sqrt(2): first value 2
+    assert list(_floor_stream(triples, 2, 1, 0)) == []
+    assert list(_floor_stream(triples, 2, 1, 1)) == []
+    assert list(_floor_stream(triples, 2, 1, 2)) == [(2, 1, 1)]
+
+
+@pytest.mark.parametrize("triple, limit", [
+    ((-1, 1, 1), 1000),        # sqrt(2) - 1 = 0.414...
+    ((99, -70, 1), 12),        # 99 - 70*sqrt(2) = 0.00505...
+    ((1, 1, 7), 700),          # (1 + sqrt(2))/7 = 0.345...
+])
+def test_slopes_below_one_span_many_blocks(triple, limit):
+    got = list(_floor_stream([triple], 2, 1, limit))
+    assert got == reference_stream([triple], 2, 1, limit)
+    assert [value for value, _, _ in got] == list(range(1, limit + 1))
+    assert got[-1][2] > BLOCK_ENDS[2]
