@@ -9,8 +9,11 @@ Four subcommands wrap the library pipelines with deterministic output:
 
 Exit codes: 0 success (agreement / partition / equal), 1 mathematical
 violation found, 2 numeric engine inconclusive, 3 oracle disagreement,
-64 usage error, 65 hypothesis violation.  `--samples` is capped at
-MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
+64 usage error, 65 hypothesis violation, 70 internal error (any other
+exception, reported as one `internal error: <Type>: <message>` line on
+stderr), 74 output error (stdout closed before all output was written,
+e.g. by `| head`).  No exit comes with a traceback.  `--samples` is capped
+at MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
 block, plus 16; both limits exit 64 before any grid is built.  JSON output
 has sorted keys and no timestamps, so identical flags give byte-identical
 bytes; exact values are rendered as expression strings, never as
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -39,6 +43,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_DISAGREEMENT = 3
 EXIT_USAGE = 64
 EXIT_HYPOTHESIS = 65
+EXIT_SOFTWARE = 70
+EXIT_IO = 74
 
 # a grid of 2**20 samples of a 6 x 6 path is already about 300 MB of matrices
 MAX_SAMPLES = 1 << 20
@@ -353,6 +359,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         status, payload = _HANDLERS[args.command](args)
         _emit(args, payload)
+        sys.stdout.flush()
         return status
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -369,6 +376,15 @@ def main(argv=None):
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the flush at exit, to
+        # devnull, so that Python does not report the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_IO
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def entry_point():

@@ -1,11 +1,27 @@
 """Conley-Zehnder indices of paths of symplectic matrices.
 
 The index is computed from crossings: times t where Psi_t - id is singular.
-Crossings are located as dips of sigma_min(Psi_t - id) on a sample grid,
-bracketed, refined by golden-section search, and classified against a kernel
-tolerance.  Sign changes of det(Psi_t - id) are useless here: for a rotation
-block the determinant is 2 - 2cos(alpha t) >= 0, which touches zero without
-changing sign, so a sign-based root finder misses every crossing.
+Crossings are located as dips of sigma_min(Psi_t - id).  Sign changes of
+det(Psi_t - id) are useless here: for a rotation block the determinant is
+2 - 2cos(alpha t) >= 0, which touches zero without changing sign, so a
+sign-based root finder misses every crossing.
+
+The search runs in array stages, each of which evaluates sigma_min on a
+stack of times, SIGMA_CHUNK at a time, and never one time point at a time:
+
+1. the grid: sample_count times on [a, b], checked to stay in Sp(2n);
+2. the rescan: every candidate window of a recursion level is resampled at
+   once, until each dip sits in a narrow unimodal piece;
+3. golden-section refinement of every piece in lockstep, each piece along
+   its own iterate sequence;
+4. the probe ladder that tells a genuine shallow minimum from a wall point.
+
+On a stack whose entries outside the 2x2 diagonal blocks are exactly 0 (a
+direct sum of 2x2 blocks, such as every RotationPath), sigma_min comes from
+a closed form per block; any other stack goes to LAPACK.  The closed form
+only steers the search.  LAPACK decides: every verdict against TOL_KERNEL
+or TOL_ACCEPT reads one stacked LAPACK SVD at the refined times and the
+path endpoints, and each crossing's kernel comes from a full LAPACK SVD.
 
 At each crossing the form (zeta, eta) -> zeta^T S_t eta with
 S_t = J (d/dt Psi_t) Psi_t^{-1} is restricted to an orthonormal basis of
@@ -19,6 +35,7 @@ symplectic without any reindexing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,6 +72,7 @@ REFINE_FACTOR = 1e-12
 MAX_CANDIDATES = 256
 INTEGER_TOL = 1e-9
 SAMPLES_PER_TURN = 8
+SIGMA_CHUNK = 4096  # most path samples held in one stacked evaluation
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -255,43 +273,92 @@ class Crossing:
         return self.kernel_basis.shape[1]
 
 
-def _sigma_min_stack(mats, n):
-    return np.linalg.svd(mats - np.eye(2 * n), compute_uv=False)[:, -1]
+def _lapack_sigma_min(mats):
+    return np.linalg.svd(mats - np.eye(mats.shape[-1]), compute_uv=False)[:, -1]
 
 
-def _sigma_min_grid(path, ts):
-    mats = path.evaluate_batch(ts)
-    j = standard_j(path.n)
-    defect = np.abs(np.swapaxes(mats, -1, -2) @ j @ mats - j).max()
-    if defect > TOL_SYMPLECTIC:
-        raise ValueError(
-            f"path leaves Sp(2n): max ||Psi^T J Psi - J|| = {defect:.3e} "
-            f"on the sample grid"
-        )
-    return _sigma_min_stack(mats, path.n)
+@functools.lru_cache(maxsize=None)
+def _off_block_mask(n):
+    """True at the entries of a 2n x 2n matrix outside its 2x2 diagonal blocks."""
+    return np.kron(np.eye(n), np.ones((2, 2))) == 0
 
 
-def _sigma_min_at(path, t):
-    mat = path.evaluate(t)
-    return float(np.linalg.svd(mat - np.eye(mat.shape[0]), compute_uv=False)[-1])
+def _sigma_min_stack(mats):
+    """sigma_min(Psi - id) for each matrix of a (k, 2n, 2n) stack.
+
+    When every entry outside the 2x2 diagonal blocks is exactly 0, each
+    block M = [[a, b], [c, d]] of Psi - id has sigma_max =
+    (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2 and sigma_min =
+    |ad - bc| / sigma_max, and the stack's value is the smallest over its
+    blocks.  Any other stack, and any stack on which the closed form is not
+    finite, goes to LAPACK.
+    """
+    dim = mats.shape[-1]
+    if dim > 2 and np.any(mats[:, _off_block_mask(dim // 2)]):
+        return _lapack_sigma_min(mats)
+    a = np.diagonal(mats[:, 0::2, 0::2], axis1=1, axis2=2) - 1.0
+    b = np.diagonal(mats[:, 0::2, 1::2], axis1=1, axis2=2)
+    c = np.diagonal(mats[:, 1::2, 0::2], axis1=1, axis2=2)
+    d = np.diagonal(mats[:, 1::2, 1::2], axis1=1, axis2=2) - 1.0
+    s_max = (np.hypot(a + d, c - b) + np.hypot(a - d, c + b)) / 2.0
+    det = np.abs(a * d - b * c)
+    if not (np.isfinite(s_max).all() and np.isfinite(det).all()):
+        return _lapack_sigma_min(mats)
+    s_min = np.divide(det, s_max, out=np.zeros_like(det), where=s_max > 0)
+    return s_min.min(axis=1)
 
 
-def _golden_refine(f, lo, hi, xatol):
-    """Golden-section minimization; returns (argmin, min) to |t| accuracy xatol."""
-    a_, b_ = lo, hi
+def _sigma_min_many(path, ts, lapack=False, check_symplectic=False):
+    """sigma_min(Psi_t - id) at every t of ts, SIGMA_CHUNK times per stack.
+
+    The values steer the search; with `lapack` they come from LAPACK alone
+    and may decide a verdict.  With `check_symplectic`, raises ValueError
+    when a sample leaves Sp(2n).
+    """
+    stack_sigma = _lapack_sigma_min if lapack else _sigma_min_stack
+    j = standard_j(path.n) if check_symplectic else None
+    out = np.empty(len(ts))
+    for lo in range(0, len(ts), SIGMA_CHUNK):
+        mats = path.evaluate_batch(ts[lo:lo + SIGMA_CHUNK])
+        if check_symplectic:
+            defect = np.abs(np.swapaxes(mats, -1, -2) @ j @ mats - j).max()
+            if not defect <= TOL_SYMPLECTIC:
+                raise ValueError(
+                    f"path leaves Sp(2n): max ||Psi^T J Psi - J|| = {defect:.3e} "
+                    f"on the sample grid"
+                )
+        out[lo:lo + SIGMA_CHUNK] = stack_sigma(mats)
+    return out
+
+
+def _three_in_a_row(flags):
+    return bool(np.any(flags[:-2] & flags[1:-1] & flags[2:]))
+
+
+def _golden_lockstep(path, lo, hi, xatol):
+    """Golden-section minimization of sigma_min on every window [lo_i, hi_i].
+
+    Each window follows the iterate sequence of a scalar search to |t|
+    accuracy xatol; one stacked evaluation per iteration serves every window
+    still wider than xatol.  Returns the argmins.
+    """
+    a_, b_ = lo.copy(), hi.copy()
     c_ = b_ - _GOLDEN * (b_ - a_)
     d_ = a_ + _GOLDEN * (b_ - a_)
-    fc, fd = f(c_), f(d_)
-    while b_ - a_ > xatol:
-        if fc < fd:
-            b_, d_, fd = d_, c_, fc
-            c_ = b_ - _GOLDEN * (b_ - a_)
-            fc = f(c_)
-        else:
-            a_, c_, fc = c_, d_, fd
-            d_ = a_ + _GOLDEN * (b_ - a_)
-            fd = f(d_)
-    return (c_, fc) if fc < fd else (d_, fd)
+    f = _sigma_min_many(path, np.concatenate((c_, d_)))
+    fc, fd = f[:len(c_)], f[len(c_):]
+    live = np.nonzero(b_ - a_ > xatol)[0]
+    while live.size:
+        left = fc[live] < fd[live]
+        i, k = live[left], live[~left]
+        b_[i], d_[i], fd[i] = d_[i], c_[i], fc[i]
+        c_[i] = b_[i] - _GOLDEN * (b_[i] - a_[i])
+        a_[k], c_[k], fc[k] = c_[k], d_[k], fd[k]
+        d_[k] = a_[k] + _GOLDEN * (b_[k] - a_[k])
+        f = _sigma_min_many(path, np.concatenate((c_[i], d_[k])))
+        fc[i], fd[k] = f[:i.size], f[i.size:]
+        live = live[b_[live] - a_[live] > xatol]
+    return np.where(fc < fd, c_, d_)
 
 
 def _candidate_runs(sigma, gate):
@@ -320,18 +387,15 @@ def _split_at_peaks(sigma, start, end):
     Each returned piece is unimodal at the current resolution, so it holds
     at most one visible dip; pieces share their peak sample as a boundary.
     """
-    parts = []
-    s = start
-    for i in range(start + 1, end):
-        if sigma[i] > sigma[i - 1] and sigma[i] >= sigma[i + 1]:
-            parts.append((s, i))
-            s = i
-    parts.append((s, end))
-    return parts
+    run = sigma[start:end + 1]
+    peaks = (start + 1 + np.nonzero((run[1:-1] > run[:-2])
+                                    & (run[1:-1] >= run[2:]))[0]).tolist()
+    return list(zip([start] + peaks, peaks + [end]))
 
 
-def _window_minima(path, t_lo, t_hi, slope, xatol, width_floor):
-    """Refine every dip inside [t_lo, t_hi] to golden-section accuracy.
+def _window_minima(path, windows, slope, xatol, width_floor):
+    """Refine every dip inside each window (t_lo, t_hi) to golden-section
+    accuracy; returns the candidate times, window by window.
 
     Windows are rescanned at 16x finer resolution per level; candidate runs
     are split at interior peaks, so near-coincident crossings separate as
@@ -339,73 +403,104 @@ def _window_minima(path, t_lo, t_hi, slope, xatol, width_floor):
     golden-section search once it is unimodal at a step below half the
     width floor (further structure below that scale is inside the
     isolation-gap contract), or once its width drops below the floor.
-    """
-    out = []
 
-    def refine(lo, hi):
-        t, val = _golden_refine(lambda t: _sigma_min_at(path, t), lo, hi, xatol)
-        # a genuine minimum never hugs an interior window edge: the gate
-        # guarantees real zeros are strictly inside some piece, so a result
-        # pinned to an edge is a wall point of a dip owned by a neighboring
-        # piece (the path endpoints themselves are legitimate, though)
-        if t - lo <= 4.0 * xatol and lo != path.a:
-            return
-        if hi - t <= 4.0 * xatol and hi != path.b:
-            return
-        out.append((t, val))
-        if len(out) > MAX_CANDIDATES:
+    Every window of one recursion level is rescanned in one stacked
+    evaluation, and every piece is refined in lockstep.  Each piece carries
+    a key that sorts the candidates in the order a depth-first rescan of its
+    window alone would find them: a node's own pieces first, then the
+    subtrees of its rescanned pieces, last-found first.
+    """
+    level = [(lo, hi, 0, 65, (w,)) for w, (lo, hi) in enumerate(windows)]
+    pieces = []  # (key, lo, hi)
+    while level:
+        scans = []
+        for lo, hi, depth, hint, key in level:
+            width = hi - lo
+            if width <= width_floor or depth >= 24:
+                pieces.append((key, lo, hi))
+                continue
+            if width > 16.0 * width_floor:
+                count = hint
+            else:
+                # resolution endgame: sample densely enough that unimodal
+                # pieces are trustworthy down to the width floor
+                count = int(max(hint, min(4097, max(65, 16.0 * width / width_floor + 1))))
+            scans.append((np.linspace(lo, hi, count), width, depth, key))
+        level = []
+        if not scans:
+            break
+        sigmas = np.split(_sigma_min_many(path, np.concatenate([s[0] for s in scans])),
+                          np.cumsum([len(s[0]) for s in scans[:-1]]))
+        for (ts, width, depth, key), sigma in zip(scans, sigmas):
+            count = len(ts)
+            step = float(ts[1] - ts[0])
+            gate = 2.0 * slope * step + TOL_ACCEPT
+            resolved = step <= width_floor / 2.0
+            found = 0
+            for start, end in _candidate_runs(sigma, gate):
+                for s, e in _split_at_peaks(sigma, start, end):
+                    found += 1
+                    w_lo = float(ts[max(s - 1, 0)])
+                    w_hi = float(ts[min(e + 1, count - 1)])
+                    if resolved or (w_hi - w_lo) <= width_floor:
+                        pieces.append((key + (0, found), w_lo, w_hi))
+                    elif w_hi - w_lo > 0.7 * width:
+                        # the run spans the window with no visible structure: a
+                        # narrow dip may hide between samples in a uniformly low
+                        # region, so rescan at geometrically growing resolution
+                        level.append((w_lo, w_hi, depth + 1,
+                                      int(min(65537, 4 * count)), key + (1, -found)))
+                    else:
+                        level.append((w_lo, w_hi, depth + 1, 65, key + (1, -found)))
+    if not pieces:
+        return []
+    keys, lo, hi = zip(*sorted(pieces))  # keys are unique
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ts = _golden_lockstep(path, lo, hi, xatol)
+    # a genuine minimum never hugs an interior window edge: the gate
+    # guarantees real zeros are strictly inside some piece, so a result
+    # pinned to an edge is a wall point of a dip owned by a neighboring
+    # piece (the path endpoints themselves are legitimate, though)
+    wall = (((ts - lo <= 4.0 * xatol) & (lo != path.a))
+            | ((hi - ts <= 4.0 * xatol) & (hi != path.b)))
+    out = []
+    per_window = [0] * len(windows)
+    for key, t, drop in zip(keys, ts.tolist(), wall.tolist()):
+        if not drop:
+            out.append(t)
+            per_window[key[0]] += 1
+    for (t_lo, t_hi), count in zip(windows, per_window):
+        if count > MAX_CANDIDATES:
             raise NonIsolatedCrossingError(
                 f"more than {MAX_CANDIDATES} near-singular minima inside "
                 f"[{t_lo}, {t_hi}]; crossings are not isolated"
             )
-
-    stack = [(t_lo, t_hi, 0, 65)]
-    while stack:
-        lo, hi, depth, hint = stack.pop()
-        width = hi - lo
-        if width <= width_floor or depth >= 24:
-            refine(lo, hi)
-            continue
-        if width > 16.0 * width_floor:
-            count = hint
-        else:
-            # resolution endgame: sample densely enough that unimodal
-            # pieces are trustworthy down to the width floor
-            count = int(max(hint, min(4097, max(65, 16.0 * width / width_floor + 1))))
-        ts = np.linspace(lo, hi, count)
-        sigma = _sigma_min_stack(path.evaluate_batch(ts), path.n)
-        step = float(ts[1] - ts[0])
-        gate = 2.0 * slope * step + TOL_ACCEPT
-        resolved = step <= width_floor / 2.0
-        for start, end in _candidate_runs(sigma, gate):
-            for s, e in _split_at_peaks(sigma, start, end):
-                w_lo = float(ts[max(s - 1, 0)])
-                w_hi = float(ts[min(e + 1, count - 1)])
-                if resolved or (w_hi - w_lo) <= width_floor:
-                    refine(w_lo, w_hi)
-                elif w_hi - w_lo > 0.7 * width:
-                    # the run spans the window with no visible structure: a
-                    # narrow dip may hide between samples in a uniformly low
-                    # region, so rescan at geometrically growing resolution
-                    stack.append((w_lo, w_hi, depth + 1,
-                                  int(min(65537, 4 * count))))
-                else:
-                    stack.append((w_lo, w_hi, depth + 1, 65))
     return out
 
 
-def _is_genuine_minimum(path, t, val, probe_max, probe_min, a, b, atol=1e-12):
-    """Reject wall-point artifacts: sigma must not descend below val at any
-    probed scale on either side.  The geometric ladder of probe distances
-    catches a nearby zero whatever its distance down to probe_min."""
+def _genuine_minima(path, points, probe_max, probe_min, a, b, atol=1e-12):
+    """Reject wall-point artifacts: for each (t, val), True unless sigma
+    descends below val at some probed scale on either side.  The geometric
+    ladder of probe distances catches a nearby zero whatever its distance
+    down to probe_min; every probe of every point is one stacked evaluation."""
+    rungs = []
     probe = probe_max
     while probe >= probe_min:
-        if t - probe >= a and _sigma_min_at(path, t - probe) < val - atol:
-            return False
-        if t + probe <= b and _sigma_min_at(path, t + probe) < val - atol:
-            return False
+        rungs.append(probe)
         probe /= 4.0
-    return True
+    ts, owner = [], []
+    for i, (t, _) in enumerate(points):
+        for r in rungs:
+            for s in (t - r, t + r):
+                if a <= s <= b:
+                    ts.append(s)
+                    owner.append(i)
+    genuine = [True] * len(points)
+    if ts:
+        for i, s in zip(owner, _sigma_min_many(path, np.array(ts)).tolist()):
+            if s < points[i][1] - atol:
+                genuine[i] = False
+    return genuine
 
 
 def _kernel_and_form(path, t):
@@ -461,12 +556,15 @@ def find_crossings(path):
     isolation_gap = ISOLATION_FACTOR * span
     probe = max(isolation_gap / 2.0, 64.0 * xatol)
     ts = np.linspace(a, b, path.sample_count)
-    sigma = _sigma_min_grid(path, ts)
+    sigma = _sigma_min_many(path, ts, check_symplectic=True)
 
-    run = 0
-    for flag in sigma < TOL_KERNEL:
-        run = run + 1 if flag else 0
-        if run >= 3:
+    # LAPACK re-examines every low sample once the steering values show
+    # three in a row below twice the kernel tolerance
+    low = sigma < 2.0 * TOL_KERNEL
+    if _three_in_a_row(low):
+        confirmed = np.full_like(sigma, np.inf)
+        confirmed[low] = _sigma_min_many(path, ts[low], lapack=True)
+        if _three_in_a_row(confirmed < TOL_KERNEL):
             raise NonIsolatedCrossingError(
                 "singular plateau: sigma_min stays below the kernel tolerance "
                 "over consecutive grid samples (crossings are not isolated)"
@@ -476,19 +574,17 @@ def find_crossings(path):
     step = float(ts[1] - ts[0])
     slope = float(np.abs(np.diff(sigma)).max()) / step
     gate = 2.0 * slope * step + TOL_ACCEPT
-    candidates = []
-    for start, end in _candidate_runs(sigma, gate):
-        lo = max(start - 1, 0)
-        hi = min(end + 1, path.sample_count - 1)
-        candidates.extend(_window_minima(
-            path, ts[lo], ts[hi], slope, xatol, width_floor))
-
+    windows = [(ts[max(start - 1, 0)], ts[min(end + 1, path.sample_count - 1)])
+               for start, end in _candidate_runs(sigma, gate)]
+    times = _window_minima(path, windows, slope, xatol, width_floor)
     # endpoints are examined explicitly, never via bracketing
-    candidates.append((a, float(sigma[0])))
-    candidates.append((b, float(sigma[-1])))
+    times += [a, b]
 
+    # one LAPACK stack decides every verdict
+    vals = _sigma_min_many(path, np.array(times), lapack=True).tolist()
     accepted = []  # (t, sigma) pairs
-    for t, val in candidates:
+    flat = []
+    for t, val in zip(times, vals):
         if val < TOL_KERNEL:
             if t - a < 10 * xatol:
                 t = a
@@ -496,11 +592,14 @@ def find_crossings(path):
                 t = b
             accepted.append((float(t), val))
         elif val < TOL_ACCEPT:
-            if _is_genuine_minimum(path, t, val, probe, 16.0 * xatol, a, b):
-                raise FlatCrossingError(
-                    f"ambiguous near-crossing at t = {t}: sigma_min = "
-                    f"{val:.3e} lies in [{TOL_KERNEL:.1e}, {TOL_ACCEPT:.1e})"
-                )
+            flat.append((t, val))
+    for (t, val), genuine in zip(flat, _genuine_minima(
+            path, flat, probe, 16.0 * xatol, a, b)):
+        if genuine:
+            raise FlatCrossingError(
+                f"ambiguous near-crossing at t = {t}: sigma_min = "
+                f"{val:.3e} lies in [{TOL_KERNEL:.1e}, {TOL_ACCEPT:.1e})"
+            )
 
     accepted.sort()
     merged = []

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import reebspec
 import reebspec.cli as cli
 import reebspec.ellipsoid
 from reebspec.cli import main
@@ -355,3 +359,36 @@ def test_output_is_byte_identical(capsys, argv):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# exits without a traceback
+# ---------------------------------------------------------------------------
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "sh", broken)
+    code, out, err = run(capsys, "sh", "--d", "2", "--weights", "1; sqrt(2)",
+                         "--max-degree", "10")
+    assert code == cli.EXIT_SOFTWARE == 70
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_closed_stdout_is_an_output_error():
+    # 20001 csv rows overfill the pipe, so the writer meets the closed end
+    src = os.path.dirname(os.path.dirname(reebspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reebspec.cli", "sh", "--d", "2",
+         "--weights", "1; sqrt(2)", "--max-degree", "20000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"degree,formula,orbits\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == cli.EXIT_IO == 74
+    assert "Traceback" not in err
+    assert err == ""

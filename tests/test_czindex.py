@@ -1,10 +1,14 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from reebspec import czindex
 from reebspec.czindex import (
     RotationPath,
     SymplecticPath,
@@ -319,3 +323,222 @@ def test_near_endpoint_interior_crossing_is_clean():
     # endpoint sigma must not be mistaken for an ambiguous crossing
     path = RotationPath([1.0], TWO_PI * 1.00002)
     assert cz_index(path) == 3
+
+
+# ---------------------------------------------------------------------------
+# closed-form sigma_min of block-diagonal stacks
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def oracle_sigma_min(mat):
+    """sigma_min(mat - id) of a block-diagonal matrix at 40 digits.
+
+    Works on the float entries of mat - id, the matrix both routes see.  Per
+    2x2 block M = [[a, b], [c, d]], sigma_max = (|z_1| + |z_2|) / 2 with
+    z_1 = (a + d) + i(c - b), z_2 = (a - d) + i(c + b), and
+    sigma_min = |det M| / sigma_max; the smallest block value is returned.
+    """
+    shifted = mat - np.eye(mat.shape[0])
+    values = []
+    with mpmath.workdps(40):
+        for l in range(0, mat.shape[0], 2):
+            a, b, c, d = (mpmath.mpf(x) for x in
+                          shifted[l:l + 2, l:l + 2].ravel().tolist())
+            total = mpmath.hypot(a + d, c - b) + mpmath.hypot(a - d, c + b)
+            values.append(2 * abs(a * d - b * c) / total if total else mpmath.mpf(0))
+        return float(min(values))
+
+
+def _magnitude(draw):
+    return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+@st.composite
+def sp2_blocks(draw):
+    """A 2x2 symplectic block of one of four kinds, at scales 1e-3 to 1e3."""
+    kind = draw(st.sampled_from(["rotation", "hyperbolic", "shear", "random"]))
+    if kind == "rotation":
+        # near-identity turn, possibly after whole turns
+        theta = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-14.0, -2.0))
+        return rot(2.0 * math.pi * draw(st.integers(0, 5)) + theta)
+    if kind == "hyperbolic":
+        k = 10.0 ** draw(st.floats(-3.0, 3.0))
+        phi = draw(st.floats(0.0, math.pi))
+        return rot(phi) @ np.diag([k, 1.0 / k]) @ rot(-phi)
+    if kind == "shear":
+        shear = np.array([[1.0, _magnitude(draw)], [0.0, 1.0]])
+        return shear.T if draw(st.booleans()) else shear
+    p, q, r = (_magnitude(draw) for _ in range(3))
+    return np.array([[p, q], [r, (1.0 + q * r) / p]])
+
+
+@st.composite
+def block_diagonal_stacks(draw):
+    n = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        mat = np.zeros((2 * n, 2 * n))
+        for l in range(n):
+            mat[2 * l:2 * l + 2, 2 * l:2 * l + 2] = draw(sp2_blocks())
+        mats.append(mat)
+    return np.array(mats)
+
+
+@given(block_diagonal_stacks())
+def test_closed_form_sigma_min_matches_lapack_and_oracle(mats):
+    closed = czindex._sigma_min_stack(mats)
+    singular = np.linalg.svd(mats - np.eye(mats.shape[-1]), compute_uv=False)
+    for value, s, mat in zip(closed, singular, mats):
+        scale = EPS * s[0]
+        assert abs(value - s[-1]) <= 4.0 * scale
+        # LAPACK itself is off by up to about 1.9 * scale on such blocks
+        assert abs(value - oracle_sigma_min(mat)) <= 3.0 * scale
+
+
+def test_any_off_block_entry_takes_the_lapack_branch(monkeypatch):
+    mats = RotationPath([1.0, 2.0, 3.0], 7.0).evaluate_batch(np.linspace(0.0, 7.0, 64))
+    mats[17, 0, 5] = 1e-300
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    got = czindex._sigma_min_stack(mats)
+    assert calls == [(64, 6, 6)]
+    want = svd(mats - np.eye(6), compute_uv=False)[:, -1]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_closed_form_of_identity_blocks_is_zero_without_warning():
+    one_block = np.array([np.eye(2), rot(1.0)])
+    two_blocks = np.zeros((1, 4, 4))
+    two_blocks[0, :2, :2] = rot(0.5)
+    two_blocks[0, 2:, 2:] = np.eye(2)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        single = czindex._sigma_min_stack(one_block)
+        pair = czindex._sigma_min_stack(two_blocks)
+    assert single[0] == 0.0
+    assert single[1] == pytest.approx(2.0 * math.sin(0.5), rel=1e-15)
+    assert pair.tolist() == [0.0]
+
+
+def test_verdicts_read_lapack_not_the_steering_values(monkeypatch):
+    # steering values that never fall below TOL_KERNEL would make every
+    # crossing look flat, were they read for a verdict
+    closed = czindex._sigma_min_stack
+    monkeypatch.setattr(czindex, "_sigma_min_stack",
+                        lambda mats: closed(mats) + 2.0 * czindex.TOL_KERNEL)
+    duration = TWO_PI * 1.3
+    assert cz_index(RotationPath([1.0, 2.0], duration)) == \
+        cz_rotation_analytic([1.0, 2.0], duration)
+
+
+# ---------------------------------------------------------------------------
+# naturality: conjugation by a non-orthogonal symplectic matrix
+# ---------------------------------------------------------------------------
+
+def random_sp4(rng):
+    """shear * squeeze * [[I, S], [0, I]] coupling with cond <= 10, in the
+    (x_1, y_1, x_2, y_2) order of standard_j(2)."""
+    while True:
+        shear = np.eye(4)
+        shear[0, 1] = rng.uniform(-1.0, 1.0)
+        mu = rng.uniform(-0.5, 0.5)
+        squeeze = np.diag([1.0, 1.0, math.exp(mu), math.exp(-mu)])
+        s11, s12, s22 = (rng.uniform(-0.5, 0.5) for _ in range(3))
+        coupling = np.eye(4)
+        # x_l += sum_k S_lk y_k with S symmetric
+        coupling[0, 1], coupling[0, 3] = s11, s12
+        coupling[2, 1], coupling[2, 3] = s12, s22
+        a = shear @ squeeze @ coupling
+        if np.linalg.cond(a) <= 10.0:
+            return a
+
+
+def conjugated(path, a):
+    a_inv = np.linalg.inv(a)
+    return SymplecticPath(
+        path.a, path.b,
+        lambda t: a @ path.evaluate(t) @ a_inv,
+        derivative=lambda t: a @ path.derivative_at(t) @ a_inv,
+        sample_count=path.sample_count,
+        batch_evaluator=lambda ts: a @ path.evaluate_batch(ts) @ a_inv,
+    )
+
+
+def test_index_is_invariant_under_symplectic_conjugation():
+    rng = random.Random(2718)
+    for _ in range(15):
+        a1, a2, duration = random_rotation_pair(rng, margin=0.05)
+        a = random_sp4(rng)
+        assert symplectic_defect(a) < 1e-12
+        assert np.abs(a - np.round(a)).max() > 0  # not a permutation
+        path = conjugated(RotationPath([a1, a2], duration), a)
+        assert cz_index(path) == cz_rotation_analytic([a1, a2], duration)
+
+
+# ---------------------------------------------------------------------------
+# batching
+# ---------------------------------------------------------------------------
+
+def counted(path):
+    calls = {"evaluate": 0, "evaluate_batch": 0}
+    evaluate, evaluate_batch = path.evaluate, path.evaluate_batch
+
+    def one(t):
+        calls["evaluate"] += 1
+        return evaluate(t)
+
+    def many(ts):
+        calls["evaluate_batch"] += 1
+        return evaluate_batch(ts)
+
+    path.evaluate, path.evaluate_batch = one, many
+    return calls
+
+
+@pytest.mark.parametrize("turns", [15.3, 31.3])
+def test_stacked_evaluations_do_not_grow_with_crossings(turns):
+    freqs = [1.0, math.sqrt(2.0), math.sqrt(3.0)]
+    duration = TWO_PI * turns
+    path = RotationPath(freqs, duration)
+    calls = counted(path)
+    crossings = find_crossings(path)
+    assert len(crossings) >= 40
+    assert cz_index(RotationPath(freqs, duration)) == cz_rotation_analytic(freqs, duration)
+    # the scalar evaluation is classification's, one per accepted crossing
+    assert calls["evaluate"] == len(crossings)
+    # one stacked evaluation per grid chunk, recursion level and golden
+    # iteration, whatever the number of crossings
+    assert calls["evaluate_batch"] <= 64
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5, 1.0])
+def test_crossing_at_a_chunk_boundary(offset):
+    # the first turn ends `offset` steps after the last sample of the first
+    # SIGMA_CHUNK-time chunk of a 10000-sample grid
+    samples = 10000
+    last = czindex.SIGMA_CHUNK - 1
+    duration = TWO_PI * (samples - 1) / (last + offset)
+    path = RotationPath([1.0], duration, sample_count=samples)
+    assert samples > czindex.SIGMA_CHUNK
+    step = duration / (samples - 1)
+    times = [c.t for c in find_crossings(path)]
+    assert any(abs(t - TWO_PI) < step for t in times)
+    assert abs(TWO_PI / step - (last + offset)) < 1e-6
+    assert cz_index(path) == cz_rotation_analytic([1.0], duration)
+
+
+@pytest.mark.parametrize("alpha, turns", [(1.0, 3.7), (2.5, 12.2), (7.3, 40.45)])
+def test_crossing_times_are_accurate(alpha, turns):
+    duration = TWO_PI * turns / alpha
+    crossings = find_crossings(RotationPath([alpha], duration))
+    assert len(crossings) == math.floor(turns) + 1
+    for k, c in enumerate(crossings):
+        assert abs(c.t - TWO_PI * k / alpha) <= 1e-9 * duration
