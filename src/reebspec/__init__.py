@@ -26,6 +26,7 @@ from .ellipsoid import (
     GoodnessReport,
     ReebOrbit,
     check_goodness_and_lacunarity,
+    cross_check_family,
     cross_check_index,
     orbit_index,
     spectrum,

@@ -14,11 +14,13 @@ exception, reported as one `internal error: <Type>: <message>` line on
 stderr), 74 output error (stdout closed before all output was written,
 e.g. by `| head`).  No exit comes with a traceback.  `--samples` is capped
 at MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
-block, plus 16; both limits exit 64 before any grid is built.  JSON output
-has sorted keys and no timestamps, so identical flags give byte-identical
-bytes; exact values are rendered as expression strings, never as
-decimals.  Each subcommand computes one JSON payload, and the csv and text
-formats are views of it.
+block, plus 16; both limits exit 64 before any grid is built.
+`partition --limit` has no cap: without the owner table the scan's memory
+stays bounded whatever the limit, and its time grows linearly with it.
+JSON output has sorted keys and no timestamps, so identical flags give
+byte-identical bytes; exact values are rendered as expression strings,
+never as decimals.  Each subcommand computes one JSON payload, and the csv
+and text formats are views of it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 from fractions import Fraction
 
 from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
-from .ellipsoid import Ellipsoid, cross_check_index, spectrum
+from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, spectrum
 from .errors import CrossingError, ExprSyntaxError, HypothesisViolation, RadicandError
 from .homology import compare
 from .partitions import rayleigh_conjugate, rayleigh_pair, uspensky_scan, verify_partition
@@ -125,7 +127,10 @@ def build_parser():
     p_sp.add_argument("--cross-check", action="store_true",
                       help="verify each index against the numeric engine")
     p_sp.add_argument("--samples", type=_sample_count, default=None,
-                      help=f"override the cross-check grid size (at most {MAX_SAMPLES})")
+                      help="cross-check each orbit on its own path with this "
+                           "grid size over [0, n*pi*a_j] (at most "
+                           f"{MAX_SAMPLES}); by default every iterate of a "
+                           "simple orbit is read from one crossing search")
 
     p_pt = sub.add_parser("partition", parents=[field_args],
                           help="partition scans in exact arithmetic")
@@ -185,10 +190,20 @@ def cmd_cz(args):
 def cmd_spectrum(args):
     weights = _parse_weights(args)
     e = Ellipsoid(weights)
+    orbits = spectrum(e, args.max_degree)
+    # --samples N means N samples on each orbit's own path, so it takes the
+    # per-orbit route; otherwise one crossing search serves every iterate
+    checks = {}
+    if args.cross_check and args.samples is None:
+        n_max = {}
+        for o in orbits:
+            n_max[o.j] = max(n_max.get(o.j, 0), o.n)
+        for j, n in sorted(n_max.items()):
+            checks.update(((j, c.n), c) for c in cross_check_family(e, j, n))
     rows = []
     status = EXIT_OK
     saw_inconclusive = False
-    for o in spectrum(e, args.max_degree):
+    for o in orbits:
         row = {
             "j": o.j,
             "n": o.n,
@@ -196,7 +211,8 @@ def cmd_spectrum(args):
             "period_coeff": f"{o.n}*pi*({render(o.weight)})",
         }
         if args.cross_check:
-            check = cross_check_index(e, o.j, o.n, sample_count=args.samples)
+            check = (checks[(o.j, o.n)] if args.samples is None
+                     else cross_check_index(e, o.j, o.n, sample_count=args.samples))
             if check.inconclusive:
                 row["numeric_cz"] = None
                 row["agree"] = None

@@ -10,23 +10,31 @@ index
 where A_j(n) is the n-th element of the j-th Tamura set of the weights.  So
 an Ellipsoid is a view of the TamuraFamily of its weights: orbit indices
 are its certified elements and the spectrum is its merged streams mapped
-to degrees.  The linearized return map is a
-direct sum of rotations with frequencies 2/a_l, so the same index is also
-reachable through the numeric crossing-form engine; cross_check_index runs
-both routes and records agreement.  Exact weights are converted to doubles
-only at that numeric boundary.
+to degrees.
+
+The linearized Reeb flow is Psi_t = (+)_l R(2t/a_l), a direct sum of
+rotations, so the same index is also reachable through the numeric
+crossing-form engine.  Psi_t does not depend on the duration: the path of
+gamma_j^n is the prefix [0, n*pi*a_j] of the path of any later iterate.
+cross_check_family therefore searches the crossings of the longest path of
+each j once and reads every iterate's index from that one crossing list by
+the catenation axiom of the Maslov index (Robbin-Salamon, Topology 32,
+1993).  cross_check_index runs one orbit on its own path; it is the
+independent oracle of the family route and its fallback.  Exact weights
+are converted to doubles only at that numeric boundary.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .czindex import RotationPath, cz_index
+from .czindex import ISOLATION_FACTOR, RotationPath, cz_index, find_crossings
 from .errors import CrossingError, HypothesisViolation
 from .partitions import TamuraFamily
 from .quadfield import QuadIrrational
@@ -38,6 +46,7 @@ __all__ = [
     "spectrum",
     "check_goodness_and_lacunarity",
     "cross_check_index",
+    "cross_check_family",
     "GoodnessReport",
     "CrossCheck",
 ]
@@ -197,24 +206,42 @@ class CrossCheck:
     note: str = ""
 
 
+def _reeb_flow(e, j, ns):
+    """Frequencies 2/a_l of the linearized Reeb flow and the periods
+    n*pi*a_j, n in ns, rounded to double from a 30-digit evaluation."""
+    with mpmath.workdps(_MP_DPS):
+        a_vals = [_as_mpf(w) for w in e.weights]
+        freqs = [float(2 / av) for av in a_vals]
+        periods = [float(n * mpmath.pi * a_vals[j - 1]) for n in ns]
+    return freqs, periods
+
+
+def _default_samples(freqs, duration):
+    """Cross-check grid on [0, duration]: 128 samples per turn summed over
+    the blocks, plus 16, and never fewer than 4096: about 16 times the 8
+    per turn of the fastest block that min_rotation_samples requires."""
+    turns = sum(duration * f / (2.0 * math.pi) for f in freqs)
+    return max(4096, int(128 * turns) + 16)
+
+
 def cross_check_index(e, j, n, sample_count=None):
     """Recompute cz(gamma_j^n) from the linearized Reeb flow numerically.
 
     Builds the rotation path with frequencies 2/a_l over [0, n*pi*a_j]
     (weights rounded to double from a 30-digit evaluation) and runs the
-    crossing-form engine.  The j-th block turns exactly n times and
-    contributes 2n; the others contribute 1 + 2*floor(n*a_j/a_l).  Engine
-    failures (e.g. an ambiguous near-crossing) are reported as inconclusive,
-    not as disagreement.
+    crossing-form engine on it alone, with sample_count grid samples on
+    [0, n*pi*a_j] (default: _default_samples).  The j-th block turns exactly
+    n times and contributes 2n; the others contribute
+    1 + 2*floor(n*a_j/a_l).  Engine failures (e.g. an ambiguous
+    near-crossing) are reported as inconclusive, not as disagreement.
+
+    This is the independent oracle of cross_check_family and the route it
+    falls back to.
     """
     formula = orbit_index(e, j, n)
-    with mpmath.workdps(_MP_DPS):
-        a_vals = [_as_mpf(w) for w in e.weights]
-        freqs = [float(2 / av) for av in a_vals]
-        duration = float(n * mpmath.pi * a_vals[j - 1])
+    freqs, (duration,) = _reeb_flow(e, j, [n])
     if sample_count is None:
-        turns = sum(duration * f / (2.0 * math.pi) for f in freqs)
-        sample_count = max(4096, int(128 * turns) + 16)
+        sample_count = _default_samples(freqs, duration)
     path = RotationPath(freqs, duration, sample_count=sample_count)
     try:
         numeric = cz_index(path)
@@ -223,3 +250,63 @@ def cross_check_index(e, j, n, sample_count=None):
                           agree=None, inconclusive=True, note=str(err))
     return CrossCheck(j=j, n=n, formula=formula, numeric=numeric,
                       agree=(numeric == formula), inconclusive=False)
+
+
+def _catenated_twice(crossings, ends, gap):
+    """Twice the index of each prefix [0, T] of a path, T in ends, read from
+    the crossings of the whole path: the signatures in (0, T) count twice,
+    those at 0 and at T's crossing once.  None when some T does not have
+    exactly one crossing past 0 within gap of it, or when a crossing is
+    degenerate.
+    """
+    if any(c.degenerate for c in crossings):
+        return None
+    times = [c.t for c in crossings]
+    before = [0]  # before[k]: the sum over the crossings before times[k]
+    for c in crossings:
+        before.append(before[-1] + (1 if c.t == 0.0 else 2) * c.signature)
+    out = []
+    for t in ends:
+        k = bisect_right(times, t - gap)
+        if bisect_left(times, t + gap) != k + 1 or times[k] == 0.0:
+            return None
+        out.append(before[k] + crossings[k].signature)
+    return out
+
+
+def cross_check_family(e, j, n_max):
+    """CrossCheck records of gamma_j^n for n = 1, ..., n_max, in order of n,
+    from one crossing search.
+
+    Runs find_crossings once on the rotation path over [0, T_max], T_max =
+    n_max*pi*a_j, with the _default_samples grid of that path.  Each T_n =
+    n*pi*a_j, rounded as cross_check_index rounds its duration, is matched
+    to the crossing within the isolation gap ISOLATION_FACTOR*T_max of it,
+    and cz(gamma_j^n) is the sum of the signatures in (0, T_n) plus half
+    the signatures at 0 and at T_n.
+
+    The whole family goes through cross_check_index instead, one orbit at a
+    time, when the long search raises CrossingError, when some T_n has no
+    crossing within the gap (or more than one), or when a crossing is
+    degenerate.  So an index is never guessed, and each inconclusive record
+    names its own orbit's failure.
+    """
+    orbit_index(e, j, n_max)  # checks j, n_max and the hypothesis before the search
+    freqs, ends = _reeb_flow(e, j, range(1, n_max + 1))
+    t_max = ends[-1]
+    path = RotationPath(freqs, t_max, sample_count=_default_samples(freqs, t_max))
+    try:
+        crossings = find_crossings(path)
+    except CrossingError:
+        twice = None
+    else:
+        twice = _catenated_twice(crossings, ends, ISOLATION_FACTOR * t_max)
+    if twice is None:
+        return [cross_check_index(e, j, n) for n in range(1, n_max + 1)]
+    out = []
+    for n, tw in enumerate(twice, start=1):
+        formula = orbit_index(e, j, n)
+        numeric = Fraction(tw, 2)
+        out.append(CrossCheck(j=j, n=n, formula=formula, numeric=numeric,
+                              agree=(numeric == formula), inconclusive=False))
+    return out

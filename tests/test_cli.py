@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -170,6 +171,42 @@ def test_spectrum_cross_check(capsys):
     payload = json.loads(out)
     assert all(o["agree"] for o in payload["orbits"])
     assert all(o["numeric_cz"] == o["cz"] for o in payload["orbits"])
+
+
+def test_spectrum_cross_check_is_pinned(capsys):
+    # W3 to degree 160, every iterate read from one crossing search per
+    # simple orbit: the same bytes the per-orbit route printed
+    code, out, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                       "1; sqrt(2); 1+sqrt(2)", "--max-degree", "160",
+                       "--cross-check")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2b5907c87a989a58775ba804f93e9545a0f9a5409b1a51a7adab7fcfc48ecb6e")
+
+
+def test_spectrum_samples_selects_the_per_orbit_route(capsys, monkeypatch):
+    # --samples N means N samples on each orbit's own path: one
+    # cross_check_index per row, in row order, and never the family route
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family route ran")
+
+    calls, records = [], []
+
+    def per_orbit(e, j, n, sample_count=None):
+        calls.append((j, n, sample_count))
+        records.append(reebspec.cross_check_index(e, j, n, sample_count=sample_count))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "cross_check_family", refuse)
+    monkeypatch.setattr(cli, "cross_check_index", per_orbit)
+    code, out, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                       "1; sqrt(2); 1+sqrt(2)", "--max-degree", "30",
+                       "--cross-check", "--samples", "8192")
+    assert code == 0
+    rows = json.loads(out)["orbits"]
+    assert calls == [(r["j"], r["n"], 8192) for r in rows]
+    assert [(r["numeric_cz"], r["agree"]) for r in rows] == [
+        (c.numeric, c.agree) for c in records]
 
 
 def test_spectrum_csv(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +12,12 @@ from reebspec import (
     FieldContext,
     HypothesisViolation,
     check_goodness_and_lacunarity,
+    cross_check_family,
     cross_check_index,
     orbit_index,
     spectrum,
 )
-from reebspec.errors import FlatCrossingError
+from reebspec.errors import FlatCrossingError, NonIsolatedCrossingError
 from reebspec.partitions import TamuraFamily
 
 
@@ -214,3 +217,138 @@ def test_cross_check_inconclusive_is_reported(e2, monkeypatch):
     assert record.inconclusive
     assert record.numeric is None and record.agree is None
     assert "synthetic" in record.note
+
+
+# ---------------------------------------------------------------------------
+# the family route: one crossing search per simple orbit (catenation)
+# ---------------------------------------------------------------------------
+
+# W3 and the held-out benchmark family (1; (1+sqrt 5)/2; (1+3 sqrt 5)/2)
+FAMILIES = {
+    "W3": (2, ("1", "sqrt(2)", "1+sqrt(2)")),
+    "seed1": (5, ("1", "1/2+1/2*sqrt(5)", "1/2+3/2*sqrt(5)")),
+}
+
+
+def family_ellipsoid(name):
+    d, exprs = FAMILIES[name]
+    context = FieldContext(d)
+    return Ellipsoid([context.parse(x) for x in exprs])
+
+
+def iterates(e, max_degree):
+    """j -> the largest n with gamma_j^n in the spectrum to max_degree."""
+    n_max = {}
+    for o in spectrum(e, max_degree):
+        n_max[o.j] = max(n_max.get(o.j, 0), o.n)
+    return sorted(n_max.items())
+
+
+def per_orbit(e, j, n_max):
+    return [cross_check_index(e, j, n) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_route_equals_the_per_orbit_oracle(name):
+    # catenation: every prefix index read from the longest path's crossings
+    # is the index the engine computes on the prefix path alone
+    e = family_ellipsoid(name)
+    orbits = 0
+    for j, n_max in iterates(e, 160):
+        family = cross_check_family(e, j, n_max)
+        assert family == per_orbit(e, j, n_max)
+        assert all(c.agree for c in family)
+        orbits += n_max
+    assert orbits == 79
+
+
+def test_family_route_matches_the_formula_to_degree_1000():
+    e = family_ellipsoid("W3")
+    orbits = 0
+    for j, n_max in iterates(e, 1000):
+        for n, check in enumerate(cross_check_family(e, j, n_max), start=1):
+            assert (check.j, check.n) == (j, n)
+            assert not check.inconclusive
+            assert check.numeric == check.formula == orbit_index(e, j, n)
+        orbits += n_max
+    assert orbits == 499
+
+
+def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
+    def refuse(path):
+        raise NonIsolatedCrossingError("synthetic: the long path is refused")
+
+    monkeypatch.setattr(ell, "find_crossings", refuse)
+    for j in (1, 3):
+        assert cross_check_family(e3, j, 4) == per_orbit(e3, j, 4)
+
+    # every orbit is then run on its own path, so each note names its own
+    # duration n*pi*a_j
+    def flat(path):
+        raise FlatCrossingError(repr(path.b))
+
+    monkeypatch.setattr(ell, "cz_index", flat)
+    for j, a_j in ((1, 1.0), (3, 1.0 + math.sqrt(2.0))):
+        checks = cross_check_family(e3, j, 4)
+        assert [c.n for c in checks] == [1, 2, 3, 4]
+        for n, c in enumerate(checks, start=1):
+            assert c.inconclusive and c.numeric is None and c.agree is None
+            assert float(c.note) == pytest.approx(n * math.pi * a_j, rel=1e-12)
+
+
+def test_family_checks_its_input_before_the_search(e3, ctx2, monkeypatch):
+    def refuse(path):
+        raise AssertionError("a crossing search ran")
+
+    monkeypatch.setattr(ell, "find_crossings", refuse)
+    for j, n_max in ((0, 3), (4, 3), (1, 0)):
+        with pytest.raises(ValueError):
+            cross_check_family(e3, j, n_max)
+    with pytest.raises(HypothesisViolation):
+        cross_check_family(Ellipsoid([ctx2.element(1), ctx2.element(2)]), 1, 3)
+
+
+def _near(crossings, t):
+    return min(range(len(crossings)), key=lambda k: abs(crossings[k].t - t))
+
+
+def _drop(crossings, t):
+    out = list(crossings)
+    del out[_near(out, t)]
+    return out
+
+
+def _double(crossings, t):
+    # a second crossing within the isolation gap of the first
+    k = _near(crossings, t)
+    twin = dataclasses.replace(crossings[k], t=crossings[k].t + 1e-7 * t)
+    return crossings[:k + 1] + [twin] + crossings[k + 1:]
+
+
+def _degenerate(crossings, t):
+    k = _near(crossings, t)
+    return (crossings[:k] + [dataclasses.replace(crossings[k], degenerate=True)]
+            + crossings[k + 1:])
+
+
+@pytest.mark.parametrize("edit", [_drop, _double, _degenerate])
+def test_family_never_guesses_an_unmatched_end(e3, monkeypatch, edit):
+    # T_2 = 2*pi*a_1 of gamma_1^2 loses its crossing, shares the gap with a
+    # second one, or its crossing turns degenerate: the family falls back to
+    # one cross_check_index per orbit, and every record is the oracle's
+    real_find, real_check = ell.find_crossings, ell.cross_check_index
+    calls = []
+
+    def edited(path):
+        return edit(real_find(path), 2 * math.pi)
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(ell, "find_crossings", edited)
+    monkeypatch.setattr(ell, "cross_check_index", counted)
+    checks = cross_check_family(e3, 1, 5)
+    assert calls == [(1, n) for n in range(1, 6)]
+    monkeypatch.undo()
+    assert checks == per_orbit(e3, 1, 5)
