@@ -15,12 +15,19 @@ stderr), 74 output error (stdout closed before all output was written,
 e.g. by `| head`).  No exit comes with a traceback.  `--samples` is capped
 at MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
 block, plus 16; both limits exit 64 before any grid is built.
+`--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
+exits 64 above it, before any array is allocated.  `sh` holds dense degree
+vectors over the whole window and one JSON row per ladder degree: at the
+cap it peaks at about 0.9 GB resident and runs about 19 s (W3, one core of
+a 2-vCPU x86_64 host).
 `partition --limit` has no cap: without the owner table the scan's memory
 stays bounded whatever the limit, and its time grows linearly with it.
 JSON output has sorted keys and no timestamps, so identical flags give
 byte-identical bytes; exact values are rendered as expression strings,
 never as decimals.  Each subcommand computes one JSON payload, and the csv
-and text formats are views of it.
+and text formats are views of it.  The JSON renderer _json writes exactly
+the bytes of json.dumps(payload, sort_keys=True, indent=2), without the
+pure-Python encoder that indent selects in json.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ EXIT_IO = 74
 
 # a grid of 2**20 samples of a 6 x 6 path is already about 300 MB of matrices
 MAX_SAMPLES = 1 << 20
+# sh allocates int64 degree vectors over [0, max_degree]; see the docstring
+MAX_DEGREE = 1 << 22
 
 
 class _UsageError(Exception):
@@ -100,6 +109,13 @@ def _nonneg_int(text):
     return value
 
 
+def _max_degree(text):
+    value = _nonneg_int(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="reebspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,7 +139,8 @@ def build_parser():
 
     p_sp = sub.add_parser("spectrum", parents=[field_args],
                           help="Reeb orbits of an ellipsoid")
-    p_sp.add_argument("--max-degree", required=True, type=_nonneg_int)
+    p_sp.add_argument("--max-degree", required=True, type=_max_degree,
+                      help=f"at most {MAX_DEGREE}")
     p_sp.add_argument("--cross-check", action="store_true",
                       help="verify each index against the numeric engine")
     p_sp.add_argument("--samples", type=_sample_count, default=None,
@@ -139,7 +156,8 @@ def build_parser():
                       default="tamura")
 
     p_sh = sub.add_parser("sh", parents=[field_args], help="degree-dimension comparison")
-    p_sh.add_argument("--max-degree", required=True, type=_nonneg_int)
+    p_sh.add_argument("--max-degree", required=True, type=_max_degree,
+                      help=f"at most {MAX_DEGREE}")
 
     for command, p in sub.choices.items():
         p.add_argument("--format", choices=("json", *_VIEWS[command]), default="json")
@@ -287,8 +305,9 @@ def cmd_sh(args):
         "max_degree": args.max_degree,
         "verdict": "equal" if result.equal else "first-difference",
         "first_difference": diff,
-        "formula_degrees": [list(p) for p in result.formula.support()],
-        "orbit_degrees": [list(p) for p in result.orbits.support()],
+        # (degree, multiplicity) tuples: JSON arrays, like lists
+        "formula_degrees": result.formula.support(),
+        "orbit_degrees": result.orbits.support(),
     }
 
 
@@ -361,9 +380,65 @@ _VIEWS = {
 }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent=2):
+    """json.dumps(value, sort_keys=True, indent=indent), byte for byte.
+
+    Strings, ints, bools and None are written here, lists and str-keyed
+    dicts are joined here, and a list of equally long rows of plain ints is
+    written with one row template.  Every other value (floats, NaN and the
+    infinities, dicts with other keys, unserializable objects) goes to
+    json.dumps itself and is re-indented.
+    """
+    return _render(value, "\n", " " * indent)
+
+
+def _render(value, newline, step):
+    # newline is "\n" followed by the indentation of value's first line
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + step
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + _join_items(value, inner, step) + newline + "]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        members = (_encode_str(k) + ": " + _render(v, inner, step)
+                   for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    # a JSON string never holds a raw newline, so this re-indents safely
+    return json.dumps(value, sort_keys=True, indent=len(step)).replace("\n", newline)
+
+
+def _join_items(items, inner, step):
+    # bools are ints to "%d", so a row with True or False takes the slow path
+    sep = "," + inner
+    width = len(items[0]) if type(items[0]) in (list, tuple) else 0
+    if (width and set(map(type, items)) <= {list, tuple}
+            and set(map(len, items)) == {width}):
+        flat = [x for row in items for x in row]
+        if set(map(type, flat)) == {int}:
+            deeper = inner + step
+            row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+            return sep.join([row] * len(items)) % tuple(flat)
+    return sep.join(_render(x, inner, step) for x in items)
+
+
 def _emit(args, payload):
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_json(payload))
         return
     for line in _VIEWS[args.command][args.format](args, payload):
         print(line)

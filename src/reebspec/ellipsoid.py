@@ -9,8 +9,8 @@ index
 
 where A_j(n) is the n-th element of the j-th Tamura set of the weights.  So
 an Ellipsoid is a view of the TamuraFamily of its weights: orbit indices
-are its certified elements and the spectrum is its merged streams mapped
-to degrees.
+are its certified elements, and the spectrum is the m element arrays
+concatenated in j order, sorted stably by element and mapped to degrees.
 
 The linearized Reeb flow is Psi_t = (+)_l R(2t/a_l), a direct sum of
 rotations, so the same index is also reachable through the numeric
@@ -26,13 +26,14 @@ are converted to doubles only at that numeric boundary.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
+import numpy as np
 
 from .czindex import ISOLATION_FACTOR, RotationPath, cz_index, find_crossings
 from .errors import CrossingError, HypothesisViolation
@@ -98,8 +99,7 @@ class Ellipsoid:
         return f"Ellipsoid({inner})"
 
 
-@dataclass(frozen=True)
-class ReebOrbit:
+class ReebOrbit(NamedTuple):
     """The n-th iterate of the j-th simple orbit.
 
     The period is n*pi*a_j; pi stays symbolic, so the period is stored as
@@ -129,16 +129,25 @@ def orbit_index(e, j, n):
 def spectrum(e, max_degree):
     """All orbits (j, n) with cz <= max_degree, sorted by (cz, j, n).
 
-    cz = m - 1 + 2a rises with the Tamura element a, so the k-way merge of
-    the Tamura streams up to a = (max_degree - m + 1) // 2, ordered by
-    (a, j, n), is already in (cz, j, n) order and complete.
+    cz = m - 1 + 2a rises with the Tamura element a, so the elements up to
+    a = (max_degree - m + 1) // 2 of every set, concatenated in j order
+    (n ascending within each set) and sorted stably by a, are already in
+    (cz, j, n) order and complete.
     """
     e.require_hypothesis()
     m = e.m
     limit = (max_degree - m + 1) // 2
-    streams = [e.family.generator(j, limit) for j in range(1, m + 1)]
-    return [ReebOrbit(j=j, n=n, weight=e.weights[j - 1], cz=m - 1 + 2 * a)
-            for a, j, n in heapq.merge(*streams)]
+    sets = [e.family.elements(j, limit) for j in range(1, m + 1)]
+    a = np.concatenate(sets)
+    order = np.argsort(a, kind="stable")
+    j = np.repeat(np.arange(1, m + 1), [len(s) for s in sets])[order].tolist()
+    n = np.concatenate([np.arange(1, len(s) + 1) for s in sets])[order].tolist()
+    # an int64 element is a sum of m floors, each below 2**32 in magnitude
+    # by the kernel's guard, so its degree cannot overflow; object arrays
+    # compute in Python ints
+    cz = (m - 1 + 2 * a[order]).tolist()
+    weights = [e.weights[k - 1] for k in j]
+    return list(map(ReebOrbit._make, zip(j, n, weights, cz)))
 
 
 @dataclass
@@ -158,6 +167,15 @@ class GoodnessReport:
         return self.all_good and self.lacunary
 
 
+def _int_column(values):
+    """values as an int64 array, or as an object array of Python ints when
+    one of them does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def check_goodness_and_lacunarity(e, max_degree):
     """Check every enumerated iterate is good and the index set is lacunary.
 
@@ -165,29 +183,29 @@ def check_goodness_and_lacunarity(e, max_degree):
     consecutive integers occur among the indices up to max_degree.
     """
     orbits = spectrum(e, max_degree)
-    simple_parity = {}
-    bad = []
-    for o in orbits:
-        if o.n == 1:
-            simple_parity[o.j] = o.cz % 2
-    for j in range(1, e.m + 1):
-        if j not in simple_parity:
-            simple_parity[j] = orbit_index(e, j, 1) % 2
-    for o in orbits:
-        if o.cz % 2 != simple_parity[o.j]:
-            bad.append((o.j, o.n))
-    indices = sorted({o.cz for o in orbits})
+    j = _int_column([o.j for o in orbits])
+    n = _int_column([o.n for o in orbits])
+    cz = _int_column([o.cz for o in orbits])
+    simple = np.flatnonzero(n == 1)
+    simple_parity = dict(zip(j[simple].tolist(), (cz[simple] % 2).tolist()))
+    parity = np.full(e.m + 1, -1)   # parity[j] = cz(gamma_j) mod 2
+    for k in range(1, e.m + 1):
+        parity[k] = (simple_parity[k] if k in simple_parity
+                     else orbit_index(e, k, 1) % 2)
+    is_bad = cz % 2 != parity[j]
+    bad = list(zip(j[is_bad].tolist(), n[is_bad].tolist()))
+    indices = np.unique(cz)
+    steps = np.flatnonzero(np.diff(indices) == 1)
     pair = None
-    for x, y in zip(indices, indices[1:]):
-        if y == x + 1:
-            pair = (x, y)
-            break
+    if steps.size:
+        x = int(indices[steps[0]])
+        pair = (x, x + 1)
     return GoodnessReport(
         max_degree=max_degree,
         all_good=not bad,
         lacunary=pair is None,
         orbit_count=len(orbits),
-        indices=indices,
+        indices=indices.tolist(),
         bad_orbits=bad,
         consecutive_pair=pair,
     )

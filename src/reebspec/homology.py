@@ -11,12 +11,17 @@ Two independent routes to the same degree pattern:
 
 Their agreement on [0, m - 1 + 2N] is equivalent to the Tamura sets of the
 same weights tiling [1..N]; `compare` reports equality or the first
-differing degree.
+differing degree.  A DegreeVector is an int64 array of multiplicities over
+its whole window: the formula fills every other slot, orbit counting is a
+bincount of the indices, and the first difference is the first slot where
+the two arrays differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .ellipsoid import check_goodness_and_lacunarity, spectrum
 
@@ -34,26 +39,42 @@ __all__ = [
 class DegreeVector:
     """Multiplicities per degree over the closed window [0, k_max].
 
-    Degrees outside the window are undefined, not zero; comparisons must
-    use matching windows.
+    counts[k] is the multiplicity in degree k, an int64 array of length
+    k_max + 1 (zeros when not given).  Degrees outside the window are
+    undefined, not zero; comparisons must use matching windows.
     """
 
     k_max: int
-    counts: dict = field(default_factory=dict)
+    counts: np.ndarray = None
 
-    def multiplicity(self, k):
+    def __post_init__(self):
+        if self.counts is None:
+            self.counts = np.zeros(self.k_max + 1, dtype=np.int64)
+        if self.counts.shape != (self.k_max + 1,):
+            raise ValueError(
+                f"{self.counts.shape[0]} counts for the window [0, {self.k_max}]")
+
+    def __eq__(self, other):
+        if not isinstance(other, DegreeVector):
+            return NotImplemented
+        return self.k_max == other.k_max and np.array_equal(self.counts, other.counts)
+
+    def _check(self, k):
         if not 0 <= k <= self.k_max:
             raise ValueError(f"degree {k} outside window [0, {self.k_max}]")
-        return self.counts.get(k, 0)
+
+    def multiplicity(self, k):
+        self._check(k)
+        return int(self.counts[k])
 
     def support(self):
         """Sorted (degree, multiplicity) pairs with nonzero multiplicity."""
-        return sorted((k, v) for k, v in self.counts.items() if v)
+        degrees = np.flatnonzero(self.counts)
+        return list(zip(degrees.tolist(), self.counts[degrees].tolist()))
 
     def add(self, k, mult=1):
-        if not 0 <= k <= self.k_max:
-            raise ValueError(f"degree {k} outside window [0, {self.k_max}]")
-        self.counts[k] = self.counts.get(k, 0) + mult
+        self._check(k)
+        self.counts[k] += mult
 
 
 def sh_dims_formula(m, k_max):
@@ -63,10 +84,7 @@ def sh_dims_formula(m, k_max):
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     vec = DegreeVector(k_max)
-    k = m + 1
-    while k <= k_max:
-        vec.add(k)
-        k += 2
+    vec.counts[m + 1::2] = 1
     return vec
 
 
@@ -81,10 +99,8 @@ def sh_dims_gutt(e, k_max):
             f"orbit counting not licensed: good={guard.all_good}, "
             f"lacunary={guard.lacunary}"
         )
-    vec = DegreeVector(k_max)
-    for orbit in spectrum(e, k_max):
-        vec.add(orbit.cz)
-    return vec
+    degrees = np.array([o.cz for o in spectrum(e, k_max)], dtype=np.int64)
+    return DegreeVector(k_max, np.bincount(degrees, minlength=k_max + 1))
 
 
 def first_difference(v1, v2):
@@ -92,11 +108,11 @@ def first_difference(v1, v2):
     if v1.k_max != v2.k_max:
         raise ValueError(
             f"window mismatch: [0, {v1.k_max}] vs [0, {v2.k_max}]")
-    for k in range(v1.k_max + 1):
-        m1, m2 = v1.multiplicity(k), v2.multiplicity(k)
-        if m1 != m2:
-            return (k, m1, m2)
-    return None
+    differ = np.flatnonzero(v1.counts != v2.counts)
+    if not differ.size:
+        return None
+    k = int(differ[0])
+    return (k, int(v1.counts[k]), int(v2.counts[k]))
 
 
 @dataclass

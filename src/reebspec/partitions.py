@@ -9,7 +9,9 @@ decides it, so a "partition" verdict up to N is a proof, not a
 floating-point impression.  Tamura sets, Beatty sets and the naive sets
 {floor(n * a)} are all one kind of stream: the sum of certified floors of
 n times a fixed list of slopes, for n = 1, 2, ..., computed a block of n
-at a time.  The scanners merge the streams k-way, which needs no table and
+at a time by _floor_blocks.  Array readers (TamuraFamily.elements, and so
+the Reeb spectrum) take the blocks whole.  The partition scanners read them
+one element at a time and merge the streams k-way, which needs no table and
 reports the smallest violating value together with both producing (set, n)
 witnesses.
 """
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import HypothesisViolation
 from .quadfield import QuadIrrational, _floor_scaled, pairwise_rational_ratio
@@ -45,28 +49,43 @@ def _floor_sum(triples, d, n_lo, n_hi):
     return sum(_floor_scaled(p, q, c, d, n_lo, n_hi) for p, q, c in triples)
 
 
+def _floor_blocks(triples, d, limit):
+    """Yield (n_lo, values): the floor sums at n = n_lo, n_lo + 1, ... of
+    one block, in blocks of 64 n that double up to 1024, stopping after the
+    first block whose last value passes limit.
+
+    The sum never decreases in n, so every block before the last lies
+    within the limit.  A block is an int64 array, or an object array of
+    Python ints where the kernel's int64 guard fails.
+    """
+    n_lo = 1
+    size = _BLOCK_FIRST
+    while True:
+        values = _floor_sum(triples, d, n_lo, n_lo + size)
+        yield n_lo, values
+        if values[-1] > limit:
+            return
+        n_lo += size
+        size = min(2 * size, _BLOCK_MAX)
+
+
 def _floor_stream(triples, d, label, limit):
     """Yield (value, label, n) for value = the floor sum at n, up to limit,
     skipping every value <= the last one yielded.
 
-    The floors are computed a block of n at a time and yielded one by one.
-    The sum never decreases in n.  For Tamura and Beatty sets it strictly
-    increases, so the skip is a no-op; for slopes below 1 it drops the
-    zeros and the repeats, since a set contains each value once.
+    The floors come a block at a time from _floor_blocks and are yielded
+    one by one.  For Tamura and Beatty sets the sum strictly increases, so
+    the skip is a no-op; for slopes below 1 it drops the zeros and the
+    repeats, since a set contains each value once.
     """
     last = 0
-    n_lo = 1
-    size = _BLOCK_FIRST
-    while True:
-        values = _floor_sum(triples, d, n_lo, n_lo + size).tolist()
-        for n, value in enumerate(values, n_lo):
+    for n_lo, values in _floor_blocks(triples, d, limit):
+        for n, value in enumerate(values.tolist(), n_lo):
             if value > limit:
                 return
             if value > last:
                 yield (value, label, n)
                 last = value
-        n_lo += size
-        size = min(2 * size, _BLOCK_MAX)
 
 
 class TamuraFamily:
@@ -114,6 +133,15 @@ class TamuraFamily:
     def generator(self, j, limit):
         """Yield (value, j, n) with value ascending, stopping past limit."""
         return _floor_stream(self._triples(j), self._d, j, limit)
+
+    def elements(self, j, limit):
+        """Array of A_j(n) <= limit for n = 1, 2, ...; A_j(n) sits at index
+        n - 1.  Its dtype is object when a block fell outside the kernel's
+        int64 guard."""
+        blocks = [values for _, values in
+                  _floor_blocks(self._triples(j), self._d, limit)]
+        values = np.concatenate(blocks)
+        return values[:np.searchsorted(values, limit, side="right")]
 
 
 @dataclass

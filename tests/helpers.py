@@ -1,8 +1,11 @@
-"""Shared random generators for property tests (seeded by each caller)."""
+"""Shared random generators for property tests (seeded by each caller),
+and the loop references that the array routes are checked against."""
 
+import heapq
 import math
 from fractions import Fraction
 
+from reebspec.ellipsoid import GoodnessReport, orbit_index
 from reebspec.quadfield import QuadIrrational, pairwise_rational_ratio
 
 TWO_PI = 2.0 * math.pi
@@ -58,3 +61,32 @@ def random_weights(rng, d, m, num_bound=12, den_bound=7):
               for _ in range(m)]
         if pairwise_rational_ratio(ws) is None:
             return ws
+
+
+def merged_spectrum(e, max_degree):
+    """(j, n, cz) of every orbit with cz <= max_degree, in (cz, j, n) order:
+    the k-way heapq.merge of the Tamura generators, one element at a time."""
+    m = e.m
+    limit = (max_degree - m + 1) // 2
+    streams = [e.family.generator(j, limit) for j in range(1, m + 1)]
+    return [(j, n, m - 1 + 2 * a) for a, j, n in heapq.merge(*streams)]
+
+
+def goodness_by_dicts(e, orbits, max_degree):
+    """The goodness/lacunarity report of `orbits`, one orbit at a time with
+    a dict of simple-orbit parities and a set of indices."""
+    simple_parity = {}
+    for o in orbits:
+        if o.n == 1:
+            simple_parity[o.j] = o.cz % 2
+    for j in range(1, e.m + 1):
+        if j not in simple_parity:
+            simple_parity[j] = orbit_index(e, j, 1) % 2
+    bad = [(o.j, o.n) for o in orbits if o.cz % 2 != simple_parity[o.j]]
+    indices = sorted({o.cz for o in orbits})
+    pair = next(((x, y) for x, y in zip(indices, indices[1:]) if y == x + 1),
+                None)
+    return GoodnessReport(
+        max_degree=max_degree, all_good=not bad, lacunary=pair is None,
+        orbit_count=len(orbits), indices=indices, bad_orbits=bad,
+        consecutive_pair=pair)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reebspec
 import reebspec.cli as cli
@@ -368,6 +369,71 @@ def test_sh_views_report_first_difference(capsys, monkeypatch):
 def test_sh_missing_weights_is_usage(capsys):
     code, _, _ = run(capsys, "sh", "--d", "2", "--max-degree", "9")
     assert code == 64
+
+
+@pytest.mark.parametrize("weights, digest", [
+    # W3 and the held-out benchmark family, 100,000 ladder degrees each
+    ("1; sqrt(2); 1+sqrt(2)",
+     "3848006cb6dd42560f322f656acf4d8d05e22ca83fabe7e7f0c3cfe51b647c08"),
+    ("1; 1/2+1/2*sqrt(5); 1/2+3/2*sqrt(5)",
+     "79461311fccf6ae8e22376c1dd7e469699a5747b7ea98941f048a753c27b6e51"),
+], ids=["W3", "seed1"])
+def test_sh_ladder_is_pinned(capsys, weights, digest):
+    d = "2" if "sqrt(2)" in weights else "5"
+    code, out, _ = run(capsys, "sh", "--d", d, "--weights", weights,
+                       "--max-degree", "200002")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["sh", "spectrum"])
+def test_max_degree_above_the_cap_exits_before_any_work(capsys, monkeypatch, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "compare", refuse)
+    monkeypatch.setattr(cli, "spectrum", refuse)
+    argv = (command, "--d", "2", "--weights", "1; sqrt(2)", "--max-degree")
+    for degree in (cli.MAX_DEGREE + 1, 10**12):
+        code, out, err = run(capsys, *argv, str(degree))
+        assert code == 64
+        assert out == ""
+        assert f"must be at most {cli.MAX_DEGREE}" in err
+    args = cli.build_parser().parse_args([*argv, str(cli.MAX_DEGREE)])
+    assert args.max_degree == cli.MAX_DEGREE
+
+
+# ---------------------------------------------------------------------------
+# the JSON renderer against json.dumps
+# ---------------------------------------------------------------------------
+
+_keys = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n", "\x00", "\x1f", "\u2028", "\ud800", "é", "😀", "a b"])
+_leaves = (st.none() | st.booleans() | st.integers()
+           | st.integers(2**63 - 2, 2**70) | st.integers(-(2**70), -(2**63))
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf])
+           | st.text())
+# rows of one width, some with a bool among the ints, and ragged rows
+_rows = (st.integers(1, 3).flatmap(lambda w: st.lists(
+            st.lists(st.integers() | st.booleans(), min_size=w, max_size=w)))
+         | st.lists(st.lists(st.integers(), max_size=3)))
+
+
+def _containers(children):
+    return (st.lists(children) | st.lists(children).map(tuple)
+            | st.dictionaries(_keys, children)
+            | st.dictionaries(st.integers(), children) | _rows)
+
+
+@settings(max_examples=200)
+@given(st.recursive(_leaves | _rows, _containers, max_leaves=40))
+@example({"a": [], "b": {}, "c": [[], {}], "d": [[1, 2], [3, 4]]})
+@example([[1, True], [2, False]])
+@example([[1, 2], [3]])
+@example({"x": [[2**64, -(2**70)]], "y": [-0.0, 1e300, math.nan, math.inf]})
+def test_json_renderer_equals_json_dumps(value):
+    assert cli._json(value, 2) == json.dumps(value, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

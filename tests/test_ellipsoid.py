@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reebspec.ellipsoid as ell
-from helpers import random_weights
+from helpers import goodness_by_dicts, merged_spectrum, random_weights
 from reebspec import (
     Ellipsoid,
     FieldContext,
@@ -167,6 +168,47 @@ def test_spectrum_matches_brute_force():
                 assert all(o.weight == e.weights[o.j - 1] for o in orbits)
 
 
+# Coefficients near 10**12 put every ratio to the big weight outside the
+# kernel's int64 guard, so the element arrays of sets 1 and 2 are object
+# arrays, and set 3 has no element below any degree bound used here.
+BIG_WEIGHTS = (2, ("1", "sqrt(2)", "1000000000000+sqrt(2)"))
+
+
+def big_ellipsoid():
+    d, exprs = BIG_WEIGHTS
+    context = FieldContext(d)
+    return Ellipsoid([context.parse(x) for x in exprs])
+
+
+def test_big_coefficients_give_object_element_arrays():
+    family = big_ellipsoid().family
+    assert family.elements(1, 1000).dtype == object
+    assert family.elements(2, 1000).dtype == object
+    assert family.elements(3, 1000).size == 0
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+       d=st.sampled_from((2, 3, 5)), max_degree=st.integers(0, 3000))
+@example(seed=0, m=4, d=3, max_degree=3000)
+def test_spectrum_equals_the_merge_reference(seed, m, d, max_degree):
+    e = Ellipsoid(random_weights(random.Random(seed), d, m))
+    orbits = spectrum(e, max_degree)
+    assert [(o.j, o.n, o.cz) for o in orbits] == merged_spectrum(e, max_degree)
+    assert all(o.weight == e.weights[o.j - 1] for o in orbits)
+    assert all(type(x) is int for o in orbits for x in (o.j, o.n, o.cz))
+    report = check_goodness_and_lacunarity(e, max_degree)
+    assert repr(report) == repr(goodness_by_dicts(e, orbits, max_degree))
+
+
+@pytest.mark.parametrize("max_degree", [0, 3, 4, 5, 77, 3000])
+def test_object_array_spectrum_equals_the_merge_reference(max_degree):
+    e = big_ellipsoid()
+    orbits = spectrum(e, max_degree)
+    assert [(o.j, o.n, o.cz) for o in orbits] == merged_spectrum(e, max_degree)
+    assert all(type(o.cz) is int for o in orbits)
+
+
 def test_period_coefficient(e2):
     orbit = [o for o in spectrum(e2, 7) if (o.j, o.n) == (1, 2)][0]
     assert orbit.period_coefficient() == e2.weights[0] * 2
@@ -188,6 +230,31 @@ def test_goodness_examples(e2, e3, ctx5):
     rep = check_goodness_and_lacunarity(Ellipsoid([ctx5.element(1)]), 10)
     assert rep.passed
     assert rep.indices == [2, 4, 6, 8, 10]
+
+
+# (j, n, cz) rows handed to the guard of e2, whose simple orbits have odd
+# indices 3 and 5, in place of its spectrum
+CRAFTED = {
+    "bad parity": [(1, 1, 3), (2, 1, 5), (1, 2, 7), (2, 2, 10)],
+    # gamma_2 claims an even index, so 3 and 4 are both good but consecutive
+    "consecutive": [(1, 1, 3), (2, 1, 4), (1, 2, 7), (2, 2, 8)],
+    # no simple orbit listed: the parities come from orbit_index
+    "no simple orbits": [(1, 2, 7), (2, 2, 12)],
+    "beyond int64": [(1, 1, 3), (2, 1, 2**70 + 1), (1, 2, 2**70 + 2)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_guard_equals_the_dict_reference(e2, monkeypatch, name):
+    orbits = [ell.ReebOrbit(j, n, e2.weights[j - 1], cz)
+              for j, n, cz in CRAFTED[name]]
+    monkeypatch.setattr(ell, "spectrum", lambda e, max_degree: orbits)
+    report = check_goodness_and_lacunarity(e2, 50)
+    reference = goodness_by_dicts(e2, orbits, 50)
+    # repr also tells a numpy scalar from a Python int
+    assert repr(report) == repr(reference)
+    assert report.passed == (name == "empty")
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,14 @@ def test_compare_equal(e2, e3):
     assert compare(e3, 202).equal
 
 
+def test_degree_vectors_compare_by_value(e2):
+    assert sh_dims_gutt(e2, 41) == sh_dims_formula(e2.m, 41)
+    assert sh_dims_formula(e2.m, 41) != sh_dims_formula(e2.m, 43)
+    shifted = sh_dims_formula(e2.m, 41)
+    shifted.add(4)
+    assert shifted != sh_dims_formula(e2.m, 41)
+
+
 def test_window_mismatch_rejected():
     with pytest.raises(ValueError):
         first_difference(sh_dims_formula(2, 9), sh_dims_formula(2, 11))
@@ -94,7 +102,7 @@ def test_fault_injection_reports_first_difference(e2):
 def test_fault_injection_detects_missing_degree(e2):
     formula = sh_dims_formula(e2.m, 41)
     broken = sh_dims_gutt(e2, 41)
-    broken.counts.pop(9)
+    broken.counts[9] = 0
     assert first_difference(formula, broken) == (9, 1, 0)
 
 

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_quad, random_weights
-from reebspec import HypothesisViolation, floor_product
+from reebspec import FieldContext, HypothesisViolation, floor_product
 from reebspec.partitions import (
     TamuraFamily,
     _beatty_generator,
+    _floor_blocks,
     beatty_set,
     rayleigh_conjugate,
     rayleigh_pair,
@@ -42,6 +44,42 @@ def test_tamura_generators_strictly_increasing(w3):
     for j in (1, 2, 3):
         values = [v for v, _, _ in fam.generator(j, 500)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_elements_reject_bad_label(w3):
+    for j in (0, 4):
+        with pytest.raises(ValueError):
+            TamuraFamily(w3).elements(j, 10)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+       d=st.sampled_from((2, 3, 5)), limit=st.integers(-2, 5000))
+def test_elements_equal_the_generator(seed, m, d, limit):
+    family = TamuraFamily(random_weights(random.Random(seed), d, m))
+    for j in range(1, m + 1):
+        values = family.elements(j, limit)
+        assert values.tolist() == [v for v, _, _ in family.generator(j, limit)]
+
+
+def test_object_elements_equal_the_generator():
+    # ratios to 10**12 + sqrt(2) leave the kernel's int64 guard
+    context = FieldContext(2)
+    family = TamuraFamily([context.element(1), context.element(10**12, 1)])
+    values = family.elements(1, 3000)
+    assert values.dtype == object
+    assert values.tolist() == [v for v, _, _ in family.generator(1, 3000)]
+    assert family.elements(2, 3000).size == 0
+
+
+def test_floor_blocks_stop_after_the_first_block_past_the_limit(w3):
+    triples = TamuraFamily(w3)._triples(1)
+    # A_1(n) is about 2.12 n, so 5000 is passed at n = 2358
+    blocks = list(_floor_blocks(triples, 2, 5000))
+    assert [n_lo for n_lo, _ in blocks] == [1, 65, 193, 449, 961, 1985]
+    assert [len(values) for _, values in blocks] == [64, 128, 256, 512, 1024, 1024]
+    assert all(values[-1] <= 5000 for _, values in blocks[:-1])
+    assert blocks[-1][1][-1] > 5000
 
 
 def test_tamura_hypothesis_checked(ctx2):
