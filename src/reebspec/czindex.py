@@ -6,8 +6,9 @@ det(Psi_t - id) are useless here: for a rotation block the determinant is
 2 - 2cos(alpha t) >= 0, which touches zero without changing sign, so a
 sign-based root finder misses every crossing.
 
-The search runs in array stages, each of which evaluates sigma_min on a
-stack of times, SIGMA_CHUNK at a time, and never one time point at a time:
+A path is evaluated only on stacks of times (see SymplecticPath), and the
+search runs in array stages, each of which evaluates sigma_min on a stack,
+SIGMA_CHUNK times at a time, and never one time point at a time:
 
 1. the grid: sample_count times on [a, b], checked to stay in Sp(2n);
 2. the rescan: every candidate window of a recursion level is resampled at
@@ -21,12 +22,14 @@ direct sum of 2x2 blocks, such as every RotationPath), sigma_min comes from
 a closed form per block; any other stack goes to LAPACK.  The closed form
 only steers the search.  LAPACK decides: every verdict against TOL_KERNEL
 or TOL_ACCEPT reads one stacked LAPACK SVD at the refined times and the
-path endpoints, and each crossing's kernel comes from a full LAPACK SVD.
+path endpoints.
 
-At each crossing the form (zeta, eta) -> zeta^T S_t eta with
-S_t = J (d/dt Psi_t) Psi_t^{-1} is restricted to an orthonormal basis of
-ker(Psi_t - id); the index is the sum of interior signatures plus half the
-signatures at the endpoints, kept exact as a Fraction with denominator <= 2.
+Classification is a stack as well.  At every crossing at once, the form
+(zeta, eta) -> zeta^T S_t eta with S_t = J (d/dt Psi_t) Psi_t^{-1} is
+restricted to an orthonormal basis of ker(Psi_t - id), and every kernel
+comes from one stacked full LAPACK SVD.  The index is the sum of interior
+signatures plus half the signatures at the endpoints, kept exact as a
+Fraction with denominator <= 2.
 
 Coordinates are ordered (x_1, y_1, ..., x_n, y_n), so J is the direct sum of
 n copies of [[0, 1], [-1, 0]] and a direct sum of symplectic blocks is again
@@ -96,16 +99,18 @@ def symplectic_defect(mat):
 
 
 class SymplecticPath:
-    """A path t -> Psi_t in Sp(2n) on [a, b].
+    """A path t -> Psi_t in Sp(2n) on [a, b], evaluated on stacks of times.
 
-    `evaluator` maps a time to a 2n x 2n array.  If `derivative` is absent,
-    d/dt Psi_t is taken by second-order finite differences with step
-    1e-6 * (b - a).  `batch_evaluator`, when given, maps an array of times to
-    a stacked (len, 2n, 2n) array and is used to vectorize grid sampling.
+    `evaluator` maps a 1-D array of times ts to the (len(ts), 2n, 2n) stack
+    of Psi_t, and `derivative`, when given, maps ts to the stack of
+    d/dt Psi_t.  Without `derivative`, d/dt Psi_t comes from second-order
+    finite differences with step h = 1e-6 * (b - a): central, or one-sided
+    within h of an endpoint, all from one stacked evaluation.  Every stack
+    is checked: a shape other than (len(ts), 2n, 2n) raises ValueError, so
+    an evaluator that ignores ts is refused rather than broadcast.
     """
 
-    def __init__(self, a, b, evaluator, derivative=None, sample_count=4096,
-                 batch_evaluator=None):
+    def __init__(self, a, b, evaluator, derivative=None, sample_count=4096):
         if not b > a:
             raise ValueError(f"empty domain [{a}, {b}]")
         if sample_count < 16:
@@ -113,38 +118,52 @@ class SymplecticPath:
         self.a = float(a)
         self.b = float(b)
         self._evaluator = evaluator
-        self._derivative = derivative
-        self._batch_evaluator = batch_evaluator
+        self._derivative = derivative or self._finite_differences
         self.sample_count = int(sample_count)
-        probe = np.asarray(evaluator(self.a), dtype=float)
-        if probe.ndim != 2 or probe.shape[0] != probe.shape[1] or probe.shape[0] % 2:
-            raise ValueError(f"evaluator returned shape {probe.shape}, expected 2n x 2n")
-        self.n = probe.shape[0] // 2
+        probe = np.asarray(evaluator(np.array([self.a])), dtype=float)
+        if (probe.ndim != 3 or probe.shape[0] != 1 or probe.shape[1] != probe.shape[2]
+                or probe.shape[1] % 2):
+            raise ValueError(
+                f"evaluator returned shape {probe.shape} for one time, expected (1, 2n, 2n)")
+        self.n = probe.shape[1] // 2
 
-    def evaluate(self, t):
-        return np.asarray(self._evaluator(t), dtype=float)
+    def _stack(self, fn, ts):
+        ts = np.asarray(ts, dtype=float)
+        mats = np.asarray(fn(ts), dtype=float)
+        dim = 2 * self.n
+        if mats.shape != (len(ts), dim, dim):
+            raise ValueError(
+                f"path stack has shape {mats.shape}, expected {(len(ts), dim, dim)}")
+        return mats
 
     def evaluate_batch(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if self._batch_evaluator is not None:
-            return np.asarray(self._batch_evaluator(ts), dtype=float)
-        return np.stack([self.evaluate(t) for t in ts])
+        return self._stack(self._evaluator, ts)
 
-    @property
-    def has_derivative(self):
-        return self._derivative is not None
+    def derivative_batch(self, ts):
+        return self._stack(self._derivative, ts)
+
+    def evaluate(self, t):
+        return self.evaluate_batch([t])[0]
 
     def derivative_at(self, t):
-        if self._derivative is not None:
-            return np.asarray(self._derivative(t), dtype=float)
+        return self.derivative_batch([t])[0]
+
+    def _finite_differences(self, ts):
         h = 1e-6 * (self.b - self.a)
-        if t - h < self.a:
-            return (-3.0 * self.evaluate(t) + 4.0 * self.evaluate(t + h)
-                    - self.evaluate(t + 2 * h)) / (2 * h)
-        if t + h > self.b:
-            return (3.0 * self.evaluate(t) - 4.0 * self.evaluate(t - h)
-                    + self.evaluate(t - 2 * h)) / (2 * h)
-        return (self.evaluate(t + h) - self.evaluate(t - h)) / (2 * h)
+        branch = np.where(ts - h < self.a, 0, np.where(ts + h > self.b, 2, 1))
+        offsets, weights = _FD_STENCILS[branch, 0], _FD_STENCILS[branch, 1]
+        mats = self.evaluate_batch((ts[:, None] + offsets * h).ravel())
+        mats = mats.reshape(len(ts), 3, 2 * self.n, 2 * self.n)
+        return np.einsum("kj,kjab->kab", weights, mats) / (2 * h)
+
+
+# (offsets in steps h, weights) of the forward, central and backward
+# second-order differences; the derivative is sum(weight * Psi) / (2h)
+_FD_STENCILS = np.array([
+    [[0.0, 1.0, 2.0], [-3.0, 4.0, -1.0]],
+    [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]],
+    [[0.0, -1.0, -2.0], [3.0, -4.0, 1.0]],
+])
 
 
 def min_rotation_samples(freqs, duration):
@@ -163,6 +182,7 @@ def min_rotation_samples(freqs, duration):
 class RotationPath(SymplecticPath):
     """t -> direct sum of rotations R(alpha_l t) on [0, duration].
 
+    d/dt Psi_t = Psi_t G, with G the direct sum of alpha_l [[0, -1], [1, 0]].
     Raises ValueError when sample_count is below min_rotation_samples.
     """
 
@@ -181,37 +201,15 @@ class RotationPath(SymplecticPath):
                 f"need at least {needed} ({SAMPLES_PER_TURN} per turn of the "
                 f"fastest block, plus 16)")
         self.freqs = freqs
+        generator = np.repeat(freqs, 2) * -standard_j(len(freqs))
         super().__init__(
             0.0, float(duration),
-            evaluator=self._eval_one,
-            derivative=self._deriv_one,
+            evaluator=self._rotations,
+            derivative=lambda ts: self._rotations(ts) @ generator,
             sample_count=sample_count,
-            batch_evaluator=self._eval_many,
         )
 
-    def _eval_one(self, t):
-        n = len(self.freqs)
-        out = np.zeros((2 * n, 2 * n))
-        for l, f in enumerate(self.freqs):
-            c, s = math.cos(f * t), math.sin(f * t)
-            out[2 * l, 2 * l] = c
-            out[2 * l, 2 * l + 1] = -s
-            out[2 * l + 1, 2 * l] = s
-            out[2 * l + 1, 2 * l + 1] = c
-        return out
-
-    def _deriv_one(self, t):
-        n = len(self.freqs)
-        out = np.zeros((2 * n, 2 * n))
-        for l, f in enumerate(self.freqs):
-            c, s = math.cos(f * t), math.sin(f * t)
-            out[2 * l, 2 * l] = -f * s
-            out[2 * l, 2 * l + 1] = -f * c
-            out[2 * l + 1, 2 * l] = f * c
-            out[2 * l + 1, 2 * l + 1] = -f * s
-        return out
-
-    def _eval_many(self, ts):
+    def _rotations(self, ts):
         n = len(self.freqs)
         out = np.zeros((len(ts), 2 * n, 2 * n))
         for l, f in enumerate(self.freqs):
@@ -232,30 +230,18 @@ def direct_sum(p1, p2):
     k = 2 * p1.n
     m = k + 2 * p2.n
 
-    def evaluator(t):
-        out = np.zeros((m, m))
-        out[:k, :k] = p1.evaluate(t)
-        out[k:, k:] = p2.evaluate(t)
-        return out
-
-    derivative = None
-    if p1.has_derivative and p2.has_derivative:
-        def derivative(t):
-            out = np.zeros((m, m))
-            out[:k, :k] = p1.derivative_at(t)
-            out[k:, k:] = p2.derivative_at(t)
+    def block_sum(stack1, stack2):
+        def stack(ts):
+            out = np.zeros((len(ts), m, m))
+            out[:, :k, :k] = stack1(ts)
+            out[:, k:, k:] = stack2(ts)
             return out
-
-    def batch(ts):
-        out = np.zeros((len(ts), m, m))
-        out[:, :k, :k] = p1.evaluate_batch(ts)
-        out[:, k:, k:] = p2.evaluate_batch(ts)
-        return out
+        return stack
 
     return SymplecticPath(
-        p1.a, p1.b, evaluator, derivative=derivative,
+        p1.a, p1.b, block_sum(p1.evaluate_batch, p2.evaluate_batch),
+        derivative=block_sum(p1.derivative_batch, p2.derivative_batch),
         sample_count=max(p1.sample_count, p2.sample_count),
-        batch_evaluator=batch,
     )
 
 
@@ -265,6 +251,7 @@ class Crossing:
 
     t: float
     kernel_basis: np.ndarray = field(repr=False)
+    form: np.ndarray = field(repr=False)
     signature: int
     degenerate: bool
 
@@ -503,20 +490,39 @@ def _genuine_minima(path, points, probe_max, probe_min, a, b, atol=1e-12):
     return genuine
 
 
-def _kernel_and_form(path, t):
-    mat = path.evaluate(t)
-    dim = mat.shape[0]
-    _, s, vh = np.linalg.svd(mat - np.eye(dim))
-    k = int(np.sum(s <= TOL_KERNEL))
-    if k == 0:
+def _classify(path, ts):
+    """The Crossing at every time of ts, in order, from one stack each of
+    Psi_t, d/dt Psi_t, full SVDs of Psi_t - id and inverses of Psi_t.
+
+    The kernel basis is the right singular vectors of the singular values
+    at or below TOL_KERNEL; the form and its eigenvalues are stacked per
+    kernel dimension.  Raises NotACrossingError at the first regular t.
+    """
+    ts = np.asarray(ts, dtype=float)
+    mats = path.evaluate_batch(ts)
+    dim = mats.shape[-1]
+    _, s, vh = np.linalg.svd(mats - np.eye(dim))
+    kernel_dims = np.sum(s <= TOL_KERNEL, axis=1)
+    if not kernel_dims.all():
+        i = int(np.argmin(kernel_dims))
         raise NotACrossingError(
-            f"t = {t} is not a crossing: sigma_min = {s[-1]:.3e} > {TOL_KERNEL:.1e}"
+            f"t = {ts[i]} is not a crossing: sigma_min = {s[i, -1]:.3e} > {TOL_KERNEL:.1e}"
         )
-    basis = vh[dim - k:].T  # orthonormal columns spanning ker(Psi_t - id)
-    s_mat = standard_j(dim // 2) @ path.derivative_at(t) @ np.linalg.inv(mat)
-    s_mat = 0.5 * (s_mat + s_mat.T)
-    form = basis.T @ s_mat @ basis
-    return form, basis
+    s_mats = standard_j(dim // 2) @ path.derivative_batch(ts) @ np.linalg.inv(mats)
+    s_mats = 0.5 * (s_mats + np.swapaxes(s_mats, -1, -2))
+    out = [None] * len(ts)
+    for k in sorted(set(kernel_dims.tolist())):  # np.unique imports numpy.ma, +1 MB
+        idx = np.nonzero(kernel_dims == k)[0]
+        bases = np.swapaxes(vh[idx, dim - k:], -1, -2)  # orthonormal columns
+        forms = np.swapaxes(bases, -1, -2) @ s_mats[idx] @ bases
+        eigs = np.linalg.eigvalsh(forms)
+        signatures = np.sum(eigs > TOL_EIG, axis=1) - np.sum(eigs < -TOL_EIG, axis=1)
+        degenerate = np.any(np.abs(eigs) < TOL_EIG, axis=1)
+        for i, basis, form, sig, deg in zip(idx.tolist(), bases, forms,
+                                            signatures.tolist(), degenerate.tolist()):
+            out[i] = Crossing(t=float(ts[i]), kernel_basis=basis, form=form,
+                              signature=sig, degenerate=deg)
+    return out
 
 
 def crossing_form(path, t):
@@ -526,18 +532,7 @@ def crossing_form(path, t):
     form matrix J (dPsi/dt) Psi^{-1} is symmetrized before restriction to
     absorb numerical asymmetry.
     """
-    form, _ = _kernel_and_form(path, t)
-    return form
-
-
-def _make_crossing(path, t):
-    form, basis = _kernel_and_form(path, t)
-    eigs = np.linalg.eigvalsh(form)
-    pos = int(np.sum(eigs > TOL_EIG))
-    neg = int(np.sum(eigs < -TOL_EIG))
-    degenerate = bool(np.any(np.abs(eigs) < TOL_EIG))
-    return Crossing(t=float(t), kernel_basis=basis, signature=pos - neg,
-                    degenerate=degenerate)
+    return _classify(path, [t])[0].form
 
 
 def find_crossings(path):
@@ -615,7 +610,7 @@ def find_crossings(path):
                 f"crossings at t = {t0} and t = {t1} are closer than the "
                 f"isolation gap {isolation_gap:.3e}"
             )
-    return [_make_crossing(path, t) for t, _ in merged]
+    return _classify(path, [t for t, _ in merged])
 
 
 def cz_index(path):

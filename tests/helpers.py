@@ -1,14 +1,46 @@
 """Shared random generators for property tests (seeded by each caller),
-and the loop references that the array routes are checked against."""
+stacked path evaluators, and the loop references that the array routes are
+checked against."""
 
 import heapq
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from reebspec.czindex import TOL_EIG, TOL_KERNEL, standard_j
 from reebspec.ellipsoid import GoodnessReport, orbit_index
 from reebspec.quadfield import QuadIrrational, pairwise_rational_ratio
 
 TWO_PI = 2.0 * math.pi
+
+
+def rots(thetas):
+    """The (len(thetas), 2, 2) stack of rotations R(theta)."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+
+
+def constant(mat):
+    """A stacked evaluator that returns mat at every time."""
+    mat = np.asarray(mat, dtype=float)
+    return lambda ts: np.repeat(mat[None], len(ts), axis=0)
+
+
+def reference_crossing(path, t):
+    """(kernel dimension, signature, degenerate, form eigenvalues) of the
+    crossing at t, one time at a time: one full SVD, one inverse and one
+    eigvalsh per call."""
+    mat = path.evaluate(t)
+    dim = mat.shape[0]
+    _, s, vh = np.linalg.svd(mat - np.eye(dim))
+    k = int(np.sum(s <= TOL_KERNEL))
+    basis = vh[dim - k:].T
+    s_mat = standard_j(dim // 2) @ path.derivative_at(t) @ np.linalg.inv(mat)
+    s_mat = 0.5 * (s_mat + s_mat.T)
+    eigs = np.linalg.eigvalsh(basis.T @ s_mat @ basis)
+    signature = int(np.sum(eigs > TOL_EIG)) - int(np.sum(eigs < -TOL_EIG))
+    return k, signature, bool(np.any(np.abs(eigs) < TOL_EIG)), eigs
 
 
 def min_crossing_separation(freqs, duration):

@@ -21,7 +21,7 @@ from reebspec.czindex import (
     standard_j,
     symplectic_defect,
 )
-from helpers import random_rotation_pair
+from helpers import constant, random_rotation_pair, reference_crossing, rots
 from reebspec.errors import (
     DegenerateCrossingError,
     FlatCrossingError,
@@ -72,9 +72,25 @@ def test_path_samples_are_symplectic():
 
 
 def test_non_symplectic_path_rejected():
-    bad = SymplecticPath(0.0, 1.0, lambda t: np.diag([1.0 + t, 1.0 + t]))
+    bad = SymplecticPath(0.0, 1.0, lambda ts: (1.0 + ts)[:, None, None] * np.eye(2))
     with pytest.raises(ValueError, match="leaves Sp"):
         find_crossings(bad)
+
+
+def test_evaluator_that_ignores_its_times_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="expected \\(1, 2n, 2n\\)"):
+        SymplecticPath(0.0, 1.0, lambda ts: np.eye(2))
+
+
+def test_fixed_length_stack_is_rejected_at_the_grid():
+    # one matrix fits the one-time probe, but would broadcast over a chunk
+    path = SymplecticPath(0.0, 1.0, lambda ts: np.diag([2.0, 0.5])[None])
+    with pytest.raises(ValueError, match="expected \\(4096, 2, 2\\)"):
+        find_crossings(path)
+    # the same holds for the derivative stack, read at the two crossings
+    path = SymplecticPath(0.0, TWO_PI, rots, derivative=lambda ts: np.eye(2)[None])
+    with pytest.raises(ValueError, match="expected \\(2, 2, 2\\)"):
+        find_crossings(path)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +111,7 @@ def test_half_turn_crosses_only_at_start():
 
 
 def test_identity_path_is_non_isolated():
-    ident = SymplecticPath(0.0, 1.0, lambda t: np.eye(2))
+    ident = SymplecticPath(0.0, 1.0, constant(np.eye(2)))
     with pytest.raises(NonIsolatedCrossingError):
         find_crossings(ident)
 
@@ -140,7 +156,7 @@ def test_form_requires_a_crossing():
 def test_index_basic_values():
     assert cz_index(RotationPath([1.0], TWO_PI * 1.5)) == 3
     assert cz_index(RotationPath([1.0], TWO_PI)) == 2
-    const = SymplecticPath(0.0, 1.0, lambda t: np.diag([2.0, 0.5]))
+    const = SymplecticPath(0.0, 1.0, constant(np.diag([2.0, 0.5])))
     assert cz_index(const) == 0
 
 
@@ -228,7 +244,7 @@ def test_direct_sum_additivity():
 
 def test_direct_sum_with_constant_factor_adds_zero():
     p = RotationPath([1.0], TWO_PI * 1.5)
-    const = SymplecticPath(p.a, p.b, lambda t: np.diag([2.0, 0.5]))
+    const = SymplecticPath(p.a, p.b, constant(np.diag([2.0, 0.5])))
     assert cz_index(direct_sum(p, const)) == cz_index(p) == 3
 
 
@@ -236,7 +252,7 @@ def test_direct_sum_with_identity_factor_is_non_isolated():
     # a constant identity block makes every t a crossing for the numeric
     # engine; the analytic engine handles the rotation factor alone
     p = RotationPath([1.0], TWO_PI * 1.5)
-    ident = SymplecticPath(p.a, p.b, lambda t: np.eye(2))
+    ident = SymplecticPath(p.a, p.b, constant(np.eye(2)))
     with pytest.raises(NonIsolatedCrossingError):
         cz_index(direct_sum(p, ident))
     assert cz_rotation_analytic([1.0], TWO_PI * 1.5) == 3
@@ -255,10 +271,10 @@ def reparametrized_rotation(alpha, duration, with_derivative):
         return duration * (2.0 * s + 1.0) / 2.0
 
     k = np.array([[0.0, -1.0], [1.0, 0.0]])
-    evaluator = lambda s: rot(alpha * phi(s))
+    evaluator = lambda s: rots(alpha * phi(s))
     derivative = None
     if with_derivative:
-        derivative = lambda s: alpha * dphi(s) * (k @ rot(alpha * phi(s)))
+        derivative = lambda s: (alpha * dphi(s))[:, None, None] * (k @ rots(alpha * phi(s)))
     return SymplecticPath(0.0, 1.0, evaluator, derivative=derivative)
 
 
@@ -273,18 +289,40 @@ def test_reparametrization_invariance(with_derivative):
         assert bent == straight
 
 
+def test_finite_differences_match_the_analytic_derivative():
+    # forward within h of a, central inside, backward within h of b
+    exact = reparametrized_rotation(1.3, TWO_PI * 1.7, with_derivative=True)
+
+    def inside(ts):
+        assert np.all((ts >= exact.a) & (ts <= exact.b)), "sampled outside [a, b]"
+        return exact.evaluate_batch(ts)
+
+    approx = SymplecticPath(exact.a, exact.b, inside)
+    h = 1e-6 * (approx.b - approx.a)
+    times = [approx.a, approx.a + h / 2, (approx.a + approx.b) / 2,
+             approx.b - h / 2, approx.b]
+    for t in times:
+        assert np.abs(approx.derivative_at(t) - exact.derivative_at(t)).max() <= 1e-5
+    assert np.abs(approx.derivative_batch(times)
+                  - exact.derivative_batch(times)).max() <= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
 
-def test_degenerate_crossing_raises():
-    # R(t^2) has zero derivative at its t = 0 crossing
+def squared_rotation():
+    """R(t^2) on [0, 1]: zero derivative at its t = 0 crossing."""
     k = np.array([[0.0, -1.0], [1.0, 0.0]])
-    path = SymplecticPath(
+    return SymplecticPath(
         0.0, 1.0,
-        lambda t: rot(t * t),
-        derivative=lambda t: 2.0 * t * (k @ rot(t * t)),
+        lambda ts: rots(ts * ts),
+        derivative=lambda ts: (2.0 * ts)[:, None, None] * (k @ rots(ts * ts)),
     )
+
+
+def test_degenerate_crossing_raises():
+    path = squared_rotation()
     crossings = find_crossings(path)
     assert len(crossings) == 1 and crossings[0].degenerate
     with pytest.raises(DegenerateCrossingError):
@@ -296,16 +334,16 @@ def test_flat_crossing_raises():
     delta = 2e-4
     k = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-    def f(t):
-        return (TWO_PI - delta) * math.sin(t)
+    def f(ts):
+        return (TWO_PI - delta) * np.sin(ts)
 
-    def df(t):
-        return (TWO_PI - delta) * math.cos(t)
+    def df(ts):
+        return (TWO_PI - delta) * np.cos(ts)
 
     path = SymplecticPath(
         0.0, math.pi,
-        lambda t: rot(f(t)),
-        derivative=lambda t: df(t) * (k @ rot(f(t))),
+        lambda ts: rots(f(ts)),
+        derivative=lambda ts: df(ts)[:, None, None] * (k @ rots(f(ts))),
     )
     with pytest.raises(FlatCrossingError):
         find_crossings(path)
@@ -465,10 +503,9 @@ def conjugated(path, a):
     a_inv = np.linalg.inv(a)
     return SymplecticPath(
         path.a, path.b,
-        lambda t: a @ path.evaluate(t) @ a_inv,
-        derivative=lambda t: a @ path.derivative_at(t) @ a_inv,
+        lambda ts: a @ path.evaluate_batch(ts) @ a_inv,
+        derivative=lambda ts: a @ path.derivative_batch(ts) @ a_inv,
         sample_count=path.sample_count,
-        batch_evaluator=lambda ts: a @ path.evaluate_batch(ts) @ a_inv,
     )
 
 
@@ -512,8 +549,8 @@ def test_stacked_evaluations_do_not_grow_with_crossings(turns):
     crossings = find_crossings(path)
     assert len(crossings) >= 40
     assert cz_index(RotationPath(freqs, duration)) == cz_rotation_analytic(freqs, duration)
-    # the scalar evaluation is classification's, one per accepted crossing
-    assert calls["evaluate"] == len(crossings)
+    # classification is stacked too: no scalar evaluation at all
+    assert calls["evaluate"] == 0
     # one stacked evaluation per grid chunk, recursion level and golden
     # iteration, whatever the number of crossings
     assert calls["evaluate_batch"] <= 64
@@ -542,3 +579,33 @@ def test_crossing_times_are_accurate(alpha, turns):
     assert len(crossings) == math.floor(turns) + 1
     for k, c in enumerate(crossings):
         assert abs(c.t - TWO_PI * k / alpha) <= 1e-9 * duration
+
+
+@pytest.mark.parametrize("name", [
+    "rotation", "conjugated", "constant factor", "finite differences", "degenerate"])
+def test_stacked_classification_equals_the_per_time_reference(name):
+    rng = random.Random(1234)
+    paths = {
+        "rotation": lambda: RotationPath(
+            [1.0, math.sqrt(2.0), math.sqrt(3.0)], TWO_PI * 30.0),
+        "conjugated": lambda: conjugated(
+            RotationPath([1.0, math.sqrt(3.0)], TWO_PI * 4.3), random_sp4(rng)),
+        "constant factor": lambda: direct_sum(
+            RotationPath([1.0], TWO_PI * 2.5),
+            SymplecticPath(0.0, TWO_PI * 2.5, constant(np.diag([2.0, 0.5])))),
+        "finite differences": lambda: reparametrized_rotation(
+            1.7, TWO_PI * 3.4, with_derivative=False),
+        "degenerate": squared_rotation,
+    }
+    path = paths[name]()
+    crossings = find_crossings(path)
+    assert crossings
+    assert all(c0.t < c1.t for c0, c1 in zip(crossings, crossings[1:]))
+    for c in crossings:
+        k, signature, degenerate, eigs = reference_crossing(path, c.t)
+        assert (c.kernel_dim, c.signature, c.degenerate) == (k, signature, degenerate)
+        assert np.allclose(np.linalg.eigvalsh(c.form), eigs, rtol=0.0, atol=1e-9)
+    assert any(c.degenerate for c in crossings) == (name == "degenerate")
+    after = crossings[1].t if len(crossings) > 1 else path.b
+    with pytest.raises(NotACrossingError):
+        crossing_form(path, (crossings[0].t + after) / 2)
