@@ -16,10 +16,9 @@ e.g. by `| head`).  No exit comes with a traceback.  `--samples` is capped
 at MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
 block, plus 16; both limits exit 64 before any grid is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
-exits 64 above it, before any array is allocated.  `sh` holds dense degree
-vectors over the whole window and one JSON row per ladder degree: at the
-cap it peaks at about 0.9 GB resident and runs about 19 s (W3, one core of
-a 2-vCPU x86_64 host).
+exits 64 above it, before any array is allocated.  At the cap `sh` peaks
+at about 0.54 GB resident, mostly its Reeb orbit tuples, and runs about
+12 s (W3, one core of a 2-vCPU x86_64 host).
 `partition --limit` has no cap: without the owner table the scan's memory
 stays bounded whatever the limit, and its time grows linearly with it.
 JSON output has sorted keys and no timestamps, so identical flags give
@@ -38,6 +37,8 @@ import math
 import os
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
 from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, spectrum
@@ -305,9 +306,8 @@ def cmd_sh(args):
         "max_degree": args.max_degree,
         "verdict": "equal" if result.equal else "first-difference",
         "first_difference": diff,
-        # (degree, multiplicity) tuples: JSON arrays, like lists
-        "formula_degrees": result.formula.support(),
-        "orbit_degrees": result.orbits.support(),
+        "formula_degrees": result.formula.support_rows(),
+        "orbit_degrees": result.orbits.support_rows(),
     }
 
 
@@ -349,11 +349,11 @@ def _partition_text(args, payload):
 
 
 def _sh_csv(args, payload):
-    formula = dict(payload["formula_degrees"])
-    orbits = dict(payload["orbit_degrees"])
+    dense = np.zeros((2, payload["max_degree"] + 1), dtype=np.int64)
+    for counts, key in zip(dense, ("formula_degrees", "orbit_degrees")):
+        counts[payload[key][:, 0]] = payload[key][:, 1]
     yield "degree,formula,orbits"
-    for k in range(payload["max_degree"] + 1):
-        yield f"{k},{formula.get(k, 0)},{orbits.get(k, 0)}"
+    yield from map("{},{},{}".format, range(dense.shape[1]), *dense.tolist())
 
 
 def _sh_text(args, payload):
@@ -387,10 +387,10 @@ def _json(value, indent=2):
     """json.dumps(value, sort_keys=True, indent=indent), byte for byte.
 
     Strings, ints, bools and None are written here, lists and str-keyed
-    dicts are joined here, and a list of equally long rows of plain ints is
-    written with one row template.  Every other value (floats, NaN and the
-    infinities, dicts with other keys, unserializable objects) goes to
-    json.dumps itself and is re-indented.
+    dicts are joined here, and a non-empty 2-D int64 ndarray is written as
+    the list of its rows with one row template.  Every other value (floats,
+    NaN and the infinities, dicts with other keys, unserializable objects)
+    goes to json.dumps itself and is re-indented.
     """
     return _render(value, "\n", " " * indent)
 
@@ -411,7 +411,15 @@ def _render(value, newline, step):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + _join_items(value, inner, step) + newline + "]"
+        items = ("," + inner).join(_render(x, inner, step) for x in value)
+        return "[" + inner + items + newline + "]"
+    if isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 2:
+        if not value.size:
+            return _render(value.tolist(), newline, step)
+        deeper = inner + step
+        row = "[" + deeper + ("," + deeper).join(["%d"] * value.shape[1]) + inner + "]"
+        rows = ("," + inner).join([row] * len(value)) % tuple(value.ravel().tolist())
+        return "[" + inner + rows + newline + "]"
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         if not value:
             return "{}"
@@ -420,20 +428,6 @@ def _render(value, newline, step):
         return "{" + inner + ("," + inner).join(members) + newline + "}"
     # a JSON string never holds a raw newline, so this re-indents safely
     return json.dumps(value, sort_keys=True, indent=len(step)).replace("\n", newline)
-
-
-def _join_items(items, inner, step):
-    # bools are ints to "%d", so a row with True or False takes the slow path
-    sep = "," + inner
-    width = len(items[0]) if type(items[0]) in (list, tuple) else 0
-    if (width and set(map(type, items)) <= {list, tuple}
-            and set(map(len, items)) == {width}):
-        flat = [x for row in items for x in row]
-        if set(map(type, flat)) == {int}:
-            deeper = inner + step
-            row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
-            return sep.join([row] * len(items)) % tuple(flat)
-    return sep.join(_render(x, inner, step) for x in items)
 
 
 def _emit(args, payload):

@@ -30,6 +30,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import mpmath
@@ -167,13 +169,15 @@ class GoodnessReport:
         return self.all_good and self.lacunary
 
 
-def _int_column(values):
-    """values as an int64 array, or as an object array of Python ints when
-    one of them does not fit int64."""
+def _orbit_columns(orbits):
+    """The j, n and cz columns of orbits as int64 arrays, read in one pass
+    (cz as an object array when one index does not fit int64)."""
+    rows = map(attrgetter("j", "n", "cz"), orbits)
     try:
-        return np.array(values, dtype=np.int64)
+        return np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(orbits)).reshape(-1, 3).T
     except OverflowError:
-        return np.array(values, dtype=object)
+        j, n, cz = np.array(list(map(attrgetter("j", "n", "cz"), orbits)), dtype=object).T
+        return j.astype(np.int64), n.astype(np.int64), cz
 
 
 def check_goodness_and_lacunarity(e, max_degree):
@@ -183,23 +187,18 @@ def check_goodness_and_lacunarity(e, max_degree):
     consecutive integers occur among the indices up to max_degree.
     """
     orbits = spectrum(e, max_degree)
-    j = _int_column([o.j for o in orbits])
-    n = _int_column([o.n for o in orbits])
-    cz = _int_column([o.cz for o in orbits])
-    simple = np.flatnonzero(n == 1)
-    simple_parity = dict(zip(j[simple].tolist(), (cz[simple] % 2).tolist()))
-    parity = np.full(e.m + 1, -1)   # parity[j] = cz(gamma_j) mod 2
-    for k in range(1, e.m + 1):
-        parity[k] = (simple_parity[k] if k in simple_parity
-                     else orbit_index(e, k, 1) % 2)
+    j, n, cz = _orbit_columns(orbits)
+    parity = np.full(e.m + 1, -1)   # parity[k] = cz(gamma_k) mod 2
+    simple = n == 1
+    parity[j[simple]] = cz[simple] % 2
+    for k in np.flatnonzero(parity[1:] < 0).tolist():  # no simple orbit listed
+        parity[k + 1] = orbit_index(e, k + 1, 1) % 2
     is_bad = cz % 2 != parity[j]
     bad = list(zip(j[is_bad].tolist(), n[is_bad].tolist()))
-    indices = np.unique(cz)
-    steps = np.flatnonzero(np.diff(indices) == 1)
-    pair = None
-    if steps.size:
-        x = int(indices[steps[0]])
-        pair = (x, x + 1)
+    # spectrum sorts by cz, so the distinct indices are the first of each run
+    indices = cz[np.diff(cz, prepend=cz[:1] - 1) != 0]
+    followed = indices[:-1][np.diff(indices) == 1].tolist()  # x with x + 1 an index too
+    pair = (followed[0], followed[0] + 1) if followed else None
     return GoodnessReport(
         max_degree=max_degree,
         all_good=not bad,
@@ -321,9 +320,10 @@ def cross_check_family(e, j, n_max):
         twice = _catenated_twice(crossings, ends, ISOLATION_FACTOR * t_max)
     if twice is None:
         return [cross_check_index(e, j, n) for n in range(1, n_max + 1)]
+    a = e.family.elements(j, e.family.element(j, n_max)).tolist()
     out = []
-    for n, tw in enumerate(twice, start=1):
-        formula = orbit_index(e, j, n)
+    for n, (tw, a_n) in enumerate(zip(twice, a, strict=True), start=1):
+        formula = e.m - 1 + 2 * a_n
         numeric = Fraction(tw, 2)
         out.append(CrossCheck(j=j, n=n, formula=formula, numeric=numeric,
                               agree=(numeric == formula), inconclusive=False))

@@ -67,10 +67,14 @@ class DegreeVector:
         self._check(k)
         return int(self.counts[k])
 
+    def support_rows(self):
+        """support() as a (k, 2) int64 array of (degree, multiplicity) rows."""
+        degrees = np.flatnonzero(self.counts)
+        return np.column_stack((degrees, self.counts[degrees]))
+
     def support(self):
         """Sorted (degree, multiplicity) pairs with nonzero multiplicity."""
-        degrees = np.flatnonzero(self.counts)
-        return list(zip(degrees.tolist(), self.counts[degrees].tolist()))
+        return list(map(tuple, self.support_rows().tolist()))
 
     def add(self, k, mult=1):
         self._check(k)
@@ -99,7 +103,9 @@ def sh_dims_gutt(e, k_max):
             f"orbit counting not licensed: good={guard.all_good}, "
             f"lacunary={guard.lacunary}"
         )
-    degrees = np.array([o.cz for o in spectrum(e, k_max)], dtype=np.int64)
+    del guard  # its index list holds one Python int per degree
+    orbits = spectrum(e, k_max)
+    degrees = np.fromiter((o.cz for o in orbits), np.int64, len(orbits))
     return DegreeVector(k_max, np.bincount(degrees, minlength=k_max + 1))
 
 

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reebspec
 import reebspec.cli as cli
@@ -386,6 +388,35 @@ def test_sh_ladder_is_pinned(capsys, weights, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("weights", [
+    "1; sqrt(2); 1+sqrt(2)", "1; 1/2+1/2*sqrt(5); 1/2+3/2*sqrt(5)",
+], ids=["W3", "seed1"])
+def test_sh_ladder_csv_is_pinned(capsys, weights):
+    # the csv view carries no weights, so both families print the same ladder
+    d = "2" if "sqrt(2)" in weights else "5"
+    code, out, _ = run(capsys, "sh", "--d", d, "--weights", weights,
+                       "--max-degree", "200002", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e60c2a37a67cc3ba223bd32b3bd0661602a548ac4520d0a2bb96849c66f89566")
+
+
+def test_sh_imports_no_numpy_ma():
+    # np.unique imports numpy.ma (1.2 MB, about 16 ms) on its first call
+    src = os.path.dirname(os.path.dirname(reebspec.__file__))
+    code = ("import contextlib, io, sys\n"
+            "from reebspec.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['sh', '--d', '2', '--weights', '1; sqrt(2); 1+sqrt(2)',\n"
+            "                   '--max-degree', '2002'])\n"
+            "print(status, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.stdout == "0 False\n", proc.stderr
+
+
 @pytest.mark.parametrize("command", ["sh", "spectrum"])
 def test_max_degree_above_the_cap_exits_before_any_work(capsys, monkeypatch, command):
     def refuse(*args, **kwargs):
@@ -434,6 +465,23 @@ def _containers(children):
 @example({"x": [[2**64, -(2**70)]], "y": [-0.0, 1e300, math.nan, math.inf]})
 def test_json_renderer_equals_json_dumps(value):
     assert cli._json(value, 2) == json.dumps(value, sort_keys=True, indent=2)
+
+
+_int64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200)
+@given(hnp.arrays(np.int64, st.tuples(st.integers(0, 20), st.integers(1, 3)),
+                  elements=_int64),
+       st.dictionaries(_keys, _leaves, max_size=3))
+@example(np.zeros((0, 2), dtype=np.int64), {})
+@example(np.array([[-(2**63), 2**63 - 1], [-1, 0]], dtype=np.int64), {"a": 1})
+def test_json_renderer_writes_int64_rows_as_json_dumps(rows, others):
+    expected = rows.tolist()
+    assert cli._json(rows, 2) == json.dumps(expected, sort_keys=True, indent=2)
+    nested = {**others, "rows": rows, "deeper": {"rows": rows}}
+    expected = {**others, "rows": expected, "deeper": {"rows": expected}}
+    assert cli._json(nested, 2) == json.dumps(expected, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,18 @@ def test_family_route_matches_the_formula_to_degree_1000():
     assert orbits == 499
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_formulas_equal_orbit_index(name):
+    # the family route reads A_j(1..n_max) in one block, not per orbit
+    e = family_ellipsoid(name)
+    for j, n_max in iterates(e, 300):
+        checks = cross_check_family(e, j, n_max)
+        assert [c.n for c in checks] == list(range(1, n_max + 1))
+        assert [c.formula for c in checks] == [
+            orbit_index(e, j, n) for n in range(1, n_max + 1)]
+        assert not any(c.inconclusive for c in checks)
+
+
 def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
     def refuse(path):
         raise NonIsolatedCrossingError("synthetic: the long path is refused")

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from helpers import random_weights
@@ -48,6 +49,17 @@ def test_degree_vector_window():
 def test_gutt_examples(e2, e3):
     assert sh_dims_gutt(e2, 9).support() == [(3, 1), (5, 1), (7, 1), (9, 1)]
     assert sh_dims_gutt(e3, 6).support() == [(4, 1), (6, 1)]
+
+
+def test_support_rows_are_the_support_as_an_array(e2):
+    vec = sh_dims_gutt(e2, 9)
+    vec.add(4, 2)
+    rows = vec.support_rows()
+    assert rows.dtype == np.int64 and rows.shape == (5, 2)
+    assert list(map(tuple, rows.tolist())) == vec.support() == [
+        (3, 1), (4, 2), (5, 1), (7, 1), (9, 1)]
+    empty = sh_dims_gutt(e2, e2.m).support_rows()
+    assert empty.dtype == np.int64 and empty.shape == (0, 2)
 
 
 def test_gutt_below_minimal_degree(e2, e3):
