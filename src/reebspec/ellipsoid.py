@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -142,14 +142,15 @@ def spectrum(e, max_degree):
     sets = [e.family.elements(j, limit) for j in range(1, m + 1)]
     a = np.concatenate(sets)
     order = np.argsort(a, kind="stable")
-    j = np.repeat(np.arange(1, m + 1), [len(s) for s in sets])[order].tolist()
+    label = np.repeat(np.arange(m), [len(s) for s in sets])[order]   # j - 1
+    j = (label + 1).tolist()
     n = np.concatenate([np.arange(1, len(s) + 1) for s in sets])[order].tolist()
     # an int64 element is a sum of m floors, each below 2**32 in magnitude
     # by the kernel's guard, so its degree cannot overflow; object arrays
     # compute in Python ints
     cz = (m - 1 + 2 * a[order]).tolist()
-    weights = [e.weights[k - 1] for k in j]
-    return list(map(ReebOrbit._make, zip(j, n, weights, cz)))
+    weights = map(e.weights.__getitem__, label.tolist())
+    return list(map(tuple.__new__, repeat(ReebOrbit), zip(j, n, weights, cz)))
 
 
 @dataclass

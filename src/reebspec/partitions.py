@@ -10,16 +10,17 @@ floating-point impression.  Tamura sets, Beatty sets and the naive sets
 {floor(n * a)} are all one kind of stream: the sum of certified floors of
 n times a fixed list of slopes, for n = 1, 2, ..., computed a block of n
 at a time by _floor_blocks.  Array readers (TamuraFamily.elements, and so
-the Reeb spectrum) take the blocks whole.  The partition scanners read them
-one element at a time and merge the streams k-way, which needs no table and
-reports the smallest violating value together with both producing (set, n)
-witnesses.
+the Reeb spectrum) take the blocks whole.  The partition scanners pull the
+streams' values in chunks and count them one window of values at a time
+with a bincount, which needs no table sized by the limit and reports the
+smallest violating value together with both producing (set, n) witnesses.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,13 +74,21 @@ def _floor_stream(triples, d, label, limit):
     """Yield (value, label, n) for value = the floor sum at n, up to limit,
     skipping every value <= the last one yielded.
 
-    The floors come a block at a time from _floor_blocks and are yielded
-    one by one.  For Tamura and Beatty sets the sum strictly increases, so
-    the skip is a no-op; for slopes below 1 it drops the zeros and the
-    repeats, since a set contains each value once.
+    The floors come a block at a time from _floor_blocks.  A block within
+    the limit that strictly increases past the last value is yielded whole;
+    only the block that crosses the limit, and blocks of slopes below 1, go
+    one element at a time.  For Tamura and Beatty sets the sum strictly
+    increases, so the skip is a no-op; for slopes below 1 it drops the
+    zeros and the repeats, since a set contains each value once.
     """
     last = 0
     for n_lo, values in _floor_blocks(triples, d, limit):
+        if (values[0] > last and values[-1] <= limit
+                and (values[1:] > values[:-1]).all()):
+            last = values[-1]
+            yield from zip(values.tolist(), repeat(label),
+                           range(n_lo, n_lo + len(values)))
+            continue
         for n, value in enumerate(values.tolist(), n_lo):
             if value > limit:
                 return
@@ -176,30 +185,92 @@ class PartitionReport:
         return [v for v in range(1, self.limit + 1) if self.owners[v] == j]
 
 
-def _scan_cover(streams, limit, collect_owners):
-    owners = [0] * (limit + 1) if collect_owners else None
-    counts = {}
-    expected = 1
-    prev = None
-    for item in heapq.merge(*streams):
-        value, j, n = item
-        counts[j] = counts.get(j, 0) + 1
-        if prev is not None and value == prev[0]:
-            return PartitionReport(
-                limit=limit, verdict="collision", value=value,
-                first=(prev[1], prev[2]), second=(j, n), counts=counts)
-        if value > expected:
-            return PartitionReport(
-                limit=limit, verdict="gap", value=expected, counts=counts)
-        if owners is not None:
-            owners[value] = j
-        expected += 1
-        prev = item
-    if expected <= limit:
-        return PartitionReport(
-            limit=limit, verdict="gap", value=expected, counts=counts)
+# The cover counts values a window at a time.  The first window is small,
+# so short scans stay cheap; later windows double up to the cap, and a
+# stream is pulled in chunks of the window's width only while its values
+# lag behind the window, so each stream holds at most two chunks.
+_WINDOW_FIRST = 64
+_WINDOW_MAX = 4096
+
+
+def _scan_cover(open_stream, m, limit, collect_owners):
+    """Cover [1..limit] with the streams open_stream(j), j = 1..m, and
+    report the smallest value not covered exactly once.
+
+    Values are counted one window [lo, hi] at a time.  Every stream whose
+    last pulled value is at most hi is pulled, values only, in chunks of
+    the window's width; one bincount of the window's values then finds the
+    smallest count other than 1, a collision or a gap.  Values past hi
+    wait for the next window.  A witness's (j, n) is read again from its
+    stream, since n is not a stream position where slopes below 1 skip.
+
+    The report is the one a k-way merge of the (value, j, n) items gives,
+    one item at a time, stopping at the first item that repeats a value or
+    passes one by: `first` and `second` in (value, j, n) order, `counts`
+    including the item that revealed the violation, and no key for a set
+    with no item merged.
+    """
+    # every value is at most limit, so int64 holds them below 2**63
+    dtype = np.int64 if limit < 2**63 else object
+    streams = [open_stream(j) for j in range(1, m + 1)]
+    pulled = [np.empty(0, dtype)] * m   # values past the last window
+    taken = [0] * m                     # values in finished windows
+    done = [False] * m
+    owners = np.zeros(limit + 1, np.int64) if collect_owners else None
+    lo, width = 1, _WINDOW_FIRST
+    while lo <= limit:
+        hi = min(lo + width - 1, limit)
+        parts = []
+        for s, stream in enumerate(streams):
+            values = pulled[s]
+            while not done[s] and (not len(values) or values[-1] <= hi):
+                chunk = np.fromiter(map(itemgetter(0), islice(stream, width)), dtype)
+                done[s] = len(chunk) < width
+                values = np.concatenate((values, chunk))
+            pulled[s] = values
+            parts.append(values[:np.searchsorted(values, hi, side="right")])
+        offsets = (np.concatenate(parts) - lo).astype(np.int64, copy=False)
+        bad = np.flatnonzero(np.bincount(offsets, minlength=hi - lo + 1) != 1)
+        if bad.size:
+            return _witness(open_stream, limit, lo + int(bad[0]), pulled, taken)
+        for s, part in enumerate(parts):
+            if owners is not None:
+                owners[part] = s + 1
+            taken[s] += len(part)
+            pulled[s] = pulled[s][len(part):]
+        lo = hi + 1
+        width = min(2 * width, _WINDOW_MAX)
     return PartitionReport(
-        limit=limit, verdict="partition", owners=owners, counts=counts)
+        limit=limit, verdict="partition",
+        owners=None if owners is None else owners.tolist(),
+        counts=_counts(taken))
+
+
+def _witness(open_stream, limit, value, pulled, taken):
+    """The report of the smallest violation, at `value`, from each
+    stream's pulled values (every value below `value` among them) and the
+    number it gave before them."""
+    below = [int(np.searchsorted(values, value)) for values in pulled]
+    # each stream's first value >= `value`, in the merge's (value, j) order
+    heads = sorted((values[i], s) for s, (values, i) in enumerate(zip(pulled, below))
+                   if i < len(values))
+    collision = len(heads) > 1 and heads[1][0] == value
+    # the merge stops after two items at `value`, or after the first past it
+    stop = [s for _, s in heads[:1 + collision]]
+    counts = _counts([t + b + (s in stop) for s, (t, b) in enumerate(zip(taken, below))])
+    if not collision:
+        return PartitionReport(limit=limit, verdict="gap", value=value,
+                               counts=counts)
+    # (j, n) of the item at that position of a fresh stream
+    first, second = (next(islice(open_stream(s + 1), taken[s] + below[s], None))[1:]
+                     for s in stop)
+    return PartitionReport(limit=limit, verdict="collision", value=value,
+                           first=first, second=second, counts=counts)
+
+
+def _counts(tallies):
+    """{j: tally} of the sets j = 1, 2, ... with a nonzero tally."""
+    return {j: tally for j, tally in enumerate(tallies, 1) if tally}
 
 
 def verify_partition(weights, limit, collect_owners=False):
@@ -213,8 +284,8 @@ def verify_partition(weights, limit, collect_owners=False):
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     family = TamuraFamily(weights)
-    streams = [family.generator(j, limit) for j in range(1, family.m + 1)]
-    return _scan_cover(streams, limit, collect_owners)
+    return _scan_cover(lambda j: family.generator(j, limit), family.m, limit,
+                       collect_owners)
 
 
 def _require_beatty_slope(alpha):
@@ -247,10 +318,9 @@ def rayleigh_pair(alpha, limit, collect_owners=False):
     """Scan the Beatty pair (alpha, alpha/(alpha-1)) against [1..limit]."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    beta = rayleigh_conjugate(alpha)
-    streams = [_beatty_generator(alpha, 1, limit),
-               _beatty_generator(beta, 2, limit)]
-    return _scan_cover(streams, limit, collect_owners)
+    slopes = (alpha, rayleigh_conjugate(alpha))
+    return _scan_cover(lambda j: _beatty_generator(slopes[j - 1], j, limit),
+                       2, limit, collect_owners)
 
 
 def uspensky_scan(weights, limit):
@@ -269,8 +339,5 @@ def uspensky_scan(weights, limit):
     for w in weights:
         if w.sign() <= 0:
             raise ValueError(f"weights must be positive, got {w}")
-    streams = [
-        _beatty_generator(a, i + 1, limit)
-        for i, a in enumerate(weights)
-    ]
-    return _scan_cover(streams, limit, collect_owners=False)
+    return _scan_cover(lambda j: _beatty_generator(weights[j - 1], j, limit),
+                       len(weights), limit, collect_owners=False)

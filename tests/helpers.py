@@ -10,6 +10,7 @@ import numpy as np
 
 from reebspec.czindex import TOL_EIG, TOL_KERNEL, standard_j
 from reebspec.ellipsoid import GoodnessReport, orbit_index
+from reebspec.partitions import PartitionReport
 from reebspec.quadfield import QuadIrrational, pairwise_rational_ratio
 
 TWO_PI = 2.0 * math.pi
@@ -122,3 +123,32 @@ def goodness_by_dicts(e, orbits, max_degree):
         max_degree=max_degree, all_good=not bad, lacunary=pair is None,
         orbit_count=len(orbits), indices=indices, bad_orbits=bad,
         consecutive_pair=pair)
+
+
+def merged_cover(streams, limit, collect_owners=False):
+    """The PartitionReport of `streams` (iterators of (value, j, n), each
+    ascending) against [1..limit], by a k-way heapq.merge of the items one
+    at a time: the reference for the windowed cover of the scanners."""
+    owners = [0] * (limit + 1) if collect_owners else None
+    counts = {}
+    expected = 1
+    prev = None
+    for item in heapq.merge(*streams):
+        value, j, n = item
+        counts[j] = counts.get(j, 0) + 1
+        if prev is not None and value == prev[0]:
+            return PartitionReport(
+                limit=limit, verdict="collision", value=value,
+                first=(prev[1], prev[2]), second=(j, n), counts=counts)
+        if value > expected:
+            return PartitionReport(
+                limit=limit, verdict="gap", value=expected, counts=counts)
+        if owners is not None:
+            owners[value] = j
+        expected += 1
+        prev = item
+    if expected <= limit:
+        return PartitionReport(
+            limit=limit, verdict="gap", value=expected, counts=counts)
+    return PartitionReport(
+        limit=limit, verdict="partition", owners=owners, counts=counts)

@@ -4,17 +4,22 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import merged_cover
 import reebspec
 import reebspec.cli as cli
 import reebspec.ellipsoid
+from reebspec import FieldContext
 from reebspec.cli import main
 from reebspec.homology import ShComparison, compare, first_difference
+from reebspec.partitions import _beatty_generator
 
 
 def run(capsys, *argv):
@@ -279,6 +284,45 @@ def test_partition_uspensky_finds_witness(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] in ("collision", "gap")
+
+
+def test_partition_tamura_is_pinned(capsys):
+    # W3 to 10**6: the bytes the one-element-at-a-time merge printed
+    code, out, _ = run(capsys, "partition", "--d", "2", "--weights",
+                       "1; sqrt(2); 1+sqrt(2)", "--limit", "1000000",
+                       "--mode", "tamura")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f198243f176026a7fbee8460df7d5c7c7ccc6ef7a5030e466daecf468728a45b")
+
+
+def test_partition_uspensky_far_limit_stays_small(capsys):
+    # a limit far past int64: the early witness comes out of a few small
+    # windows, and nothing is sized by the limit
+    limit = 10**30
+    weights = [FieldContext(2).element(p, q) for p, q in ((0, 1), (1, 1), (10**20, 1))]
+    streams = [_beatty_generator(a, j, limit) for j, a in enumerate(weights, 1)]
+    expected = merged_cover(streams, limit)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "partition", "--d", "2", "--weights",
+                           "sqrt(2); 1+sqrt(2); 100000000000000000000+sqrt(2)",
+                           "--limit", str(limit), "--mode", "uspensky")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["limit"] == limit
+    assert payload["collision"] == {
+        "value": expected.value,
+        "first": {"j": expected.first[0], "n": expected.first[1]},
+        "second": {"j": expected.second[0], "n": expected.second[1]}}
+    assert payload["counts"] == {str(j): c for j, c in expected.counts.items()}
+    assert peak < 2**20
+    assert elapsed < 5
 
 
 def test_partition_rational_ratio_exit(capsys):

@@ -1,12 +1,15 @@
+import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_quad, random_weights
-from reebspec import FieldContext, HypothesisViolation, floor_product
+from helpers import merged_cover, random_quad, random_weights
+from reebspec import FieldContext, HypothesisViolation, QuadIrrational, floor_product
 from reebspec.partitions import (
+    PartitionReport,
     TamuraFamily,
     _beatty_generator,
     _floor_blocks,
@@ -306,3 +309,120 @@ def test_uspensky_random_triples_find_witness():
         report = uspensky_scan(ws, 1000)
         assert report.verdict in ("collision", "gap"), \
             f"no witness below 1000 for {[str(w) for w in ws]}"
+
+
+# ---------------------------------------------------------------------------
+# the windowed cover against the merge
+# ---------------------------------------------------------------------------
+
+# the cover's windows are 64 * 2**k wide and end at 64 * (2**(k+1) - 1)
+WINDOW_EDGES = sorted({edge + offset
+                       for k in range(7)
+                       for edge in (64 * 2**k, 64 * (2**(k + 1) - 1))
+                       for offset in (-1, 0, 1)
+                       if edge + offset <= 5000})
+limits = st.one_of(st.integers(1, 5000), st.sampled_from(WINDOW_EDGES))
+
+
+def assert_same_report(got, expected):
+    for f in dataclasses.fields(PartitionReport):
+        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+       d=st.sampled_from((2, 3, 5)), limit=limits)
+@example(seed=0, m=3, d=2, limit=1)
+def test_tamura_cover_equals_the_merge(seed, m, d, limit):
+    weights = random_weights(random.Random(seed), d, m)
+    family = TamuraFamily(weights)
+    streams = [family.generator(j, limit) for j in range(1, m + 1)]
+    assert_same_report(verify_partition(weights, limit, collect_owners=True),
+                       merged_cover(streams, limit, collect_owners=True))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from((2, 3, 5)),
+       limit=limits)
+def test_beatty_pair_cover_equals_the_merge(seed, d, limit):
+    rng = random.Random(seed)
+    while True:
+        alpha = random_quad(rng, d, positive=True)
+        if not alpha.is_rational() and alpha > 1:
+            break
+    streams = [_beatty_generator(alpha, 1, limit),
+               _beatty_generator(rayleigh_conjugate(alpha), 2, limit)]
+    assert_same_report(rayleigh_pair(alpha, limit, collect_owners=True),
+                       merged_cover(streams, limit, collect_owners=True))
+
+
+def naive_weight(d):
+    """A positive (a + b*sqrt(d))/c with small terms: rational when b = 0,
+    and below 1 for many draws."""
+    def positive(a, b, c):
+        w = QuadIrrational(Fraction(a, c), Fraction(b, c), d)
+        return w if w.sign() > 0 else -w
+
+    return st.builds(positive, st.integers(1, 12), st.integers(-3, 3),
+                     st.integers(1, 7))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), d=st.sampled_from((2, 3, 5)), m=st.integers(3, 5),
+       limit=limits, paired=st.booleans())
+def test_uspensky_cover_equals_the_merge(data, d, m, limit, paired):
+    weights = data.draw(st.lists(naive_weight(d), min_size=m, max_size=m))
+    if paired:
+        # a Rayleigh pair tiles, and a nudged one tiles for a while, so the
+        # witness often lies windows later: where the pair drifts apart or
+        # where the sparse sets that follow first land
+        alpha = 1 + QuadIrrational(0, 1, d) * weights[0]
+        nudge = Fraction(data.draw(st.integers(-3, 3)), 2000)
+        scale = data.draw(st.integers(1, 2000))
+        weights = [alpha, rayleigh_conjugate(alpha) + nudge,
+                   *(w * scale for w in weights[2:])]
+    streams = [_beatty_generator(a, j, limit) for j, a in enumerate(weights, 1)]
+    assert_same_report(uspensky_scan(weights, limit),
+                       merged_cover(streams, limit))
+
+
+C2 = FieldContext(2)
+
+
+@pytest.mark.parametrize("weights, report", [
+    # 1/2 covers every integer, at n = 2v, and meets the even set 2 at 2
+    ((C2.element(Fraction(1, 2)), C2.element(2), C2.element(3)),
+     ("collision", 2, (1, 4), (2, 1), {1: 2, 2: 1})),
+    # (1 + sqrt 2)/7 = 0.345 covers every integer and first reaches 1001,
+    # the first value of 1000 + sqrt 2, at n = 2903, in the fifth window
+    ((C2.element(Fraction(1, 7), Fraction(1, 7)), C2.element(1000, 1),
+      C2.element(2000, 1)),
+     ("collision", 1001, (1, 2903), (2, 1), {1: 1001, 2: 1})),
+    # sqrt 2 and 2 + sqrt 2 are a Rayleigh pair; 10**6 has no value in range
+    ((C2.sqrt_d(), C2.element(2, 1), C2.element(10**6)),
+     ("partition", None, None, None, {1: 2122, 2: 878})),
+])
+def test_uspensky_witnesses_of_rational_and_slow_slopes(weights, report):
+    got = uspensky_scan(weights, 3000)
+    streams = [_beatty_generator(a, j, 3000) for j, a in enumerate(weights, 1)]
+    assert_same_report(got, merged_cover(streams, 3000))
+    assert (got.verdict, got.value, got.first, got.second, got.counts) == report
+    if got.verdict == "collision":
+        j, n = got.first
+        assert floor_product(n, weights[j - 1]) == got.value
+        assert floor_product(n - 1, weights[j - 1]) < got.value
+
+
+def test_cover_memory_does_not_grow_with_the_limit(w3):
+    # the cover peaks near 0.45 MB here, whatever the limit; one that pulls
+    # a chunk of every stream per window, so that the sparse set runs
+    # ahead, carries 1.5 MB at 2 * 10**5 and more as the limit grows
+    verify_partition(w3, 1000)       # imports and caches outside the peak
+    tracemalloc.start()
+    try:
+        report = verify_partition(w3, 2 * 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2**20
