@@ -74,27 +74,22 @@ def _floor_stream(triples, d, label, limit):
     """Yield (value, label, n) for value = the floor sum at n, up to limit,
     skipping every value <= the last one yielded.
 
-    The floors come a block at a time from _floor_blocks.  A block within
-    the limit that strictly increases past the last value is yielded whole;
-    only the block that crosses the limit, and blocks of slopes below 1, go
-    one element at a time.  For Tamura and Beatty sets the sum strictly
-    increases, so the skip is a no-op; for slopes below 1 it drops the
-    zeros and the repeats, since a set contains each value once.
+    The floors come a block at a time from _floor_blocks, and one mask per
+    block keeps the values that rise above their predecessor and lie within
+    the limit; since the sum never decreases in n, a value that rises above
+    its predecessor rises above every value before it.  For
+    Tamura and Beatty sets the sum strictly increases and the mask keeps
+    every in-limit value; for slopes below 1 it drops the zeros and the
+    repeats, since a set contains each value once.
     """
     last = 0
     for n_lo, values in _floor_blocks(triples, d, limit):
-        if (values[0] > last and values[-1] <= limit
-                and (values[1:] > values[:-1]).all()):
-            last = values[-1]
-            yield from zip(values.tolist(), repeat(label),
-                           range(n_lo, n_lo + len(values)))
-            continue
-        for n, value in enumerate(values.tolist(), n_lo):
-            if value > limit:
-                return
-            if value > last:
-                yield (value, label, n)
-                last = value
+        keep = np.flatnonzero((values > np.concatenate(([last], values[:-1])))
+                              & (values <= limit))
+        if keep.size:
+            last = values[keep[-1]]
+            yield from zip(values[keep].tolist(), repeat(label),
+                           (keep + n_lo).tolist())
 
 
 class TamuraFamily:
@@ -185,12 +180,10 @@ class PartitionReport:
         return [v for v in range(1, self.limit + 1) if self.owners[v] == j]
 
 
-# The cover counts values a window at a time.  The first window is small,
-# so short scans stay cheap; later windows double up to the cap, and a
-# stream is pulled in chunks of the window's width only while its values
-# lag behind the window, so each stream holds at most two chunks.
-_WINDOW_FIRST = 64
-_WINDOW_MAX = 4096
+# The cover counts values a window of this width at a time, and a stream
+# is pulled in chunks of the same width only while its values lag behind
+# the window, so each stream holds at most two chunks.
+_WINDOW = 2048
 
 
 def _scan_cover(open_stream, m, limit, collect_owners):
@@ -217,15 +210,15 @@ def _scan_cover(open_stream, m, limit, collect_owners):
     taken = [0] * m                     # values in finished windows
     done = [False] * m
     owners = np.zeros(limit + 1, np.int64) if collect_owners else None
-    lo, width = 1, _WINDOW_FIRST
+    lo = 1
     while lo <= limit:
-        hi = min(lo + width - 1, limit)
+        hi = min(lo + _WINDOW - 1, limit)
         parts = []
         for s, stream in enumerate(streams):
             values = pulled[s]
             while not done[s] and (not len(values) or values[-1] <= hi):
-                chunk = np.fromiter(map(itemgetter(0), islice(stream, width)), dtype)
-                done[s] = len(chunk) < width
+                chunk = np.fromiter(map(itemgetter(0), islice(stream, _WINDOW)), dtype)
+                done[s] = len(chunk) < _WINDOW
                 values = np.concatenate((values, chunk))
             pulled[s] = values
             parts.append(values[:np.searchsorted(values, hi, side="right")])
@@ -239,7 +232,6 @@ def _scan_cover(open_stream, m, limit, collect_owners):
             taken[s] += len(part)
             pulled[s] = pulled[s][len(part):]
         lo = hi + 1
-        width = min(2 * width, _WINDOW_MAX)
     return PartitionReport(
         limit=limit, verdict="partition",
         owners=None if owners is None else owners.tolist(),

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 
 import numpy as np
@@ -297,19 +296,17 @@ def test_partition_tamura_is_pinned(capsys):
 
 
 def test_partition_uspensky_far_limit_stays_small(capsys):
-    # a limit far past int64: the early witness comes out of a few small
-    # windows, and nothing is sized by the limit
+    # a limit far past int64: the early witness comes out of the first
+    # window, and nothing is sized by the limit
     limit = 10**30
     weights = [FieldContext(2).element(p, q) for p, q in ((0, 1), (1, 1), (10**20, 1))]
     streams = [_beatty_generator(a, j, limit) for j, a in enumerate(weights, 1)]
     expected = merged_cover(streams, limit)
     tracemalloc.start()
     try:
-        start = time.perf_counter()
         code, out, _ = run(capsys, "partition", "--d", "2", "--weights",
                            "sqrt(2); 1+sqrt(2); 100000000000000000000+sqrt(2)",
                            "--limit", str(limit), "--mode", "uspensky")
-        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,7 +319,6 @@ def test_partition_uspensky_far_limit_stays_small(capsys):
         "second": {"j": expected.second[0], "n": expected.second[1]}}
     assert payload["counts"] == {str(j): c for j, c in expected.counts.items()}
     assert peak < 2**20
-    assert elapsed < 5
 
 
 def test_partition_rational_ratio_exit(capsys):

@@ -11,6 +11,7 @@ from reebspec import FieldContext, HypothesisViolation, QuadIrrational, floor_pr
 from reebspec.partitions import (
     PartitionReport,
     TamuraFamily,
+    _WINDOW,
     _beatty_generator,
     _floor_blocks,
     beatty_set,
@@ -315,12 +316,9 @@ def test_uspensky_random_triples_find_witness():
 # the windowed cover against the merge
 # ---------------------------------------------------------------------------
 
-# the cover's windows are 64 * 2**k wide and end at 64 * (2**(k+1) - 1)
-WINDOW_EDGES = sorted({edge + offset
-                       for k in range(7)
-                       for edge in (64 * 2**k, 64 * (2**(k + 1) - 1))
-                       for offset in (-1, 0, 1)
-                       if edge + offset <= 5000})
+# the cover's windows end at multiples of its width
+WINDOW_EDGES = [edge + offset for edge in (_WINDOW, 2 * _WINDOW)
+                for offset in (-1, 0, 1)]
 limits = st.one_of(st.integers(1, 5000), st.sampled_from(WINDOW_EDGES))
 
 
@@ -394,7 +392,7 @@ C2 = FieldContext(2)
     ((C2.element(Fraction(1, 2)), C2.element(2), C2.element(3)),
      ("collision", 2, (1, 4), (2, 1), {1: 2, 2: 1})),
     # (1 + sqrt 2)/7 = 0.345 covers every integer and first reaches 1001,
-    # the first value of 1000 + sqrt 2, at n = 2903, in the fifth window
+    # the first value of 1000 + sqrt 2, at n = 2903
     ((C2.element(Fraction(1, 7), Fraction(1, 7)), C2.element(1000, 1),
       C2.element(2000, 1)),
      ("collision", 1001, (1, 2903), (2, 1), {1: 1001, 2: 1})),
