@@ -77,10 +77,10 @@ def _floor_stream(triples, d, label, limit):
     The floors come a block at a time from _floor_blocks, and one mask per
     block keeps the values that rise above their predecessor and lie within
     the limit; since the sum never decreases in n, a value that rises above
-    its predecessor rises above every value before it.  For
-    Tamura and Beatty sets the sum strictly increases and the mask keeps
-    every in-limit value; for slopes below 1 it drops the zeros and the
-    repeats, since a set contains each value once.
+    its predecessor rises above every value before it.  For Tamura and
+    Beatty sets the sum strictly increases and the mask keeps every
+    in-limit value; for slopes below 1 it drops the zeros and the repeats,
+    since a set contains each value once.
     """
     last = 0
     for n_lo, values in _floor_blocks(triples, d, limit):
