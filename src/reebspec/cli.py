@@ -16,9 +16,9 @@ e.g. by `| head`).  No exit comes with a traceback.  `--samples` is capped
 at MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
 block, plus 16; both limits exit 64 before any grid is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
-exits 64 above it, before any array is allocated.  At the cap `sh` peaks
-at about 0.54 GB resident, mostly its Reeb orbit tuples, and runs about
-12 s (W3, one core of a 2-vCPU x86_64 host).
+exits 64 above it, before any array is allocated.  At the cap, one `sh`
+process on W3, stdout to /dev/null, peaks at 528 MB resident (ru_maxrss),
+mostly its Reeb orbit tuples, in 10.3-11.2 s wall (2 runs, 2-vCPU x86_64).
 `partition --limit` has no cap: without the owner table the scan's memory
 stays bounded whatever the limit, and its time grows linearly with it.
 JSON output has sorted keys and no timestamps, so identical flags give

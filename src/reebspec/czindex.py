@@ -72,6 +72,7 @@ TOL_ACCEPT = 1e-3
 TOL_EIG = 1e-6
 ISOLATION_FACTOR = 1e-6
 REFINE_FACTOR = 1e-12
+TOL_DESCENT = 1e-12  # a probe this far below a minimum makes it a wall artifact
 MAX_CANDIDATES = 256
 INTEGER_TOL = 1e-9
 SAMPLES_PER_TURN = 8
@@ -465,7 +466,7 @@ def _window_minima(path, windows, slope, xatol, width_floor):
     return out
 
 
-def _genuine_minima(path, points, probe_max, probe_min, a, b, atol=1e-12):
+def _genuine_minima(path, points, probe_max, probe_min, a, b):
     """Reject wall-point artifacts: for each (t, val), True unless sigma
     descends below val at some probed scale on either side.  The geometric
     ladder of probe distances catches a nearby zero whatever its distance
@@ -485,7 +486,7 @@ def _genuine_minima(path, points, probe_max, probe_min, a, b, atol=1e-12):
     genuine = [True] * len(points)
     if ts:
         for i, s in zip(owner, _sigma_min_many(path, np.array(ts)).tolist()):
-            if s < points[i][1] - atol:
+            if s < points[i][1] - TOL_DESCENT:
                 genuine[i] = False
     return genuine
 

@@ -34,13 +34,12 @@ from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-import mpmath
 import numpy as np
 
 from .czindex import ISOLATION_FACTOR, RotationPath, cz_index, find_crossings
 from .errors import CrossingError, HypothesisViolation
 from .partitions import TamuraFamily
-from .quadfield import QuadIrrational
+from .quadfield import QuadIrrational, _near_fraction
 
 __all__ = [
     "Ellipsoid",
@@ -54,16 +53,8 @@ __all__ = [
     "CrossCheck",
 ]
 
-_MP_DPS = 30
-
-
-def _as_mpf(x):
-    """30-digit evaluation of a QuadIrrational (used only at the numeric
-    boundary; exact data never passes through here)."""
-    with mpmath.workdps(_MP_DPS):
-        return (mpmath.mpf(x.p.numerator) / x.p.denominator
-                + mpmath.mpf(x.q.numerator) / x.q.denominator
-                * mpmath.sqrt(x.d))
+# pi to 50 decimals, truncated: relative error below 10**-50
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
 class Ellipsoid:
@@ -226,12 +217,10 @@ class CrossCheck:
 
 def _reeb_flow(e, j, ns):
     """Frequencies 2/a_l of the linearized Reeb flow and the periods
-    n*pi*a_j, n in ns, rounded to double from a 30-digit evaluation."""
-    with mpmath.workdps(_MP_DPS):
-        a_vals = [_as_mpf(w) for w in e.weights]
-        freqs = [float(2 / av) for av in a_vals]
-        periods = [float(n * mpmath.pi * a_vals[j - 1]) for n in ns]
-    return freqs, periods
+    n*pi*a_j, n in ns, each rounded to double from a Fraction near it."""
+    freqs = [float(2 / _near_fraction(w)) for w in e.weights]
+    pi_a = _PI * _near_fraction(e.weights[j - 1])
+    return freqs, [float(n * pi_a) for n in ns]
 
 
 def _default_samples(freqs, duration):
@@ -246,9 +235,9 @@ def cross_check_index(e, j, n, sample_count=None):
     """Recompute cz(gamma_j^n) from the linearized Reeb flow numerically.
 
     Builds the rotation path with frequencies 2/a_l over [0, n*pi*a_j]
-    (weights rounded to double from a 30-digit evaluation) and runs the
-    crossing-form engine on it alone, with sample_count grid samples on
-    [0, n*pi*a_j] (default: _default_samples).  The j-th block turns exactly
+    (both rounded to double by _reeb_flow) and runs the crossing-form
+    engine on it alone, with sample_count grid samples on [0, n*pi*a_j]
+    (default: _default_samples).  The j-th block turns exactly
     n times and contributes 2n; the others contribute
     1 + 2*floor(n*a_j/a_l).  Engine failures (e.g. an ambiguous
     near-crossing) are reported as inconclusive, not as disagreement.

@@ -132,6 +132,16 @@ def _floor_scaled(p, q, c, d, n_lo, n_hi):
     return f
 
 
+def _near_fraction(x):
+    """A Fraction within relative 2**-100 of x = (P + Q*sqrt(d))/C.  isqrt
+    gives Q*sqrt(d)*2**k to within 1, and the field norm bounds |x*C| below
+    by 1/(|P| + |Q|*sqrt(d)), so 2**k above 2**100 times that sum will do."""
+    P, Q, C = x.scaled_triple()
+    k = 100 + (abs(P) + abs(Q) * (isqrt(x.d) + 1)).bit_length()
+    r = isqrt(Q * Q * x.d << 2 * k)
+    return Fraction((P << k) + (r if Q > 0 else -r), C << k)
+
+
 @dataclass(frozen=True)
 class QuadIrrational:
     """Exact element p + q*sqrt(d) of Q(sqrt(d))."""
@@ -275,7 +285,7 @@ class QuadIrrational:
         return self.q == 0
 
     def __float__(self):
-        return float(self.p) + float(self.q) * math.sqrt(self.d)
+        return float(_near_fraction(self))
 
     def __bool__(self):
         return self.p != 0 or self.q != 0

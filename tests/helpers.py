@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from reebspec.czindex import TOL_EIG, TOL_KERNEL, standard_j
 from reebspec.ellipsoid import GoodnessReport, orbit_index
@@ -14,6 +15,12 @@ from reebspec.partitions import PartitionReport
 from reebspec.quadfield import QuadIrrational, pairwise_rational_ratio
 
 TWO_PI = 2.0 * math.pi
+
+# 321 digits; (10**160)**2 < HUGE_D < (10**160 + 1)**2, so not a square
+HUGE_D = 10**320 + 1
+
+# rationals with numerators up to 10**6 and denominators up to 10**3
+FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
 
 
 def rots(thetas):

@@ -441,20 +441,39 @@ def test_sh_ladder_csv_is_pinned(capsys, weights):
         "e60c2a37a67cc3ba223bd32b3bd0661602a548ac4520d0a2bb96849c66f89566")
 
 
-def test_sh_imports_no_numpy_ma():
-    # np.unique imports numpy.ma (1.2 MB, about 16 ms) on its first call
+def _fresh_python(code):
+    """Run code in a new interpreter that imports this reebspec."""
     src = os.path.dirname(os.path.dirname(reebspec.__file__))
-    code = ("import contextlib, io, sys\n"
-            "from reebspec.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = main(['sh', '--d', '2', '--weights', '1; sqrt(2); 1+sqrt(2)',\n"
-            "                   '--max-degree', '2002'])\n"
-            "print(status, 'numpy.ma' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+def test_sh_imports_no_numpy_ma():
+    # np.unique imports numpy.ma (1.2 MB, about 16 ms) on its first call
+    proc = _fresh_python(
+        "import contextlib, io, sys\n"
+        "from reebspec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['sh', '--d', '2', '--weights', '1; sqrt(2); 1+sqrt(2)',\n"
+        "                   '--max-degree', '2002'])\n"
+        "print(status, 'numpy.ma' in sys.modules)\n")
     assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_runtime_never_imports_mpmath():
+    # mpmath is a test dependency only; the cross-check reaches the one
+    # place where exact weights become doubles
+    proc = _fresh_python(
+        "import contextlib, io, sys\n"
+        "import reebspec.cli\n"
+        "loaded = 'mpmath' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = reebspec.cli.main(['spectrum', '--d', '2', '--weights',\n"
+        "                                '1; sqrt(2)', '--max-degree', '10', '--cross-check'])\n"
+        "print(status, loaded, 'mpmath' in sys.modules)\n")
+    assert proc.stdout == "0 False False\n", proc.stderr
 
 
 @pytest.mark.parametrize("command", ["sh", "spectrum"])

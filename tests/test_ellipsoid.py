@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reebspec.ellipsoid as ell
-from helpers import goodness_by_dicts, merged_spectrum, random_weights
+from helpers import FRACTIONS, HUGE_D, goodness_by_dicts, merged_spectrum, random_weights
 from reebspec import (
     Ellipsoid,
     FieldContext,
@@ -20,6 +21,7 @@ from reebspec import (
 )
 from reebspec.errors import FlatCrossingError, NonIsolatedCrossingError
 from reebspec.partitions import TamuraFamily
+from reebspec.quadfield import QuadIrrational
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,44 @@ def test_guard_equals_the_dict_reference(e2, monkeypatch, name):
 # ---------------------------------------------------------------------------
 # numeric cross-check
 # ---------------------------------------------------------------------------
+
+def _assert_flow_is_rounded_from_mpmath(weights, ns, dps=50):
+    """_reeb_flow against an mpmath evaluation at dps digits, rounded to double."""
+    e = Ellipsoid(weights)
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(w.p.numerator) / w.p.denominator
+             + mpmath.mpf(w.q.numerator) / w.q.denominator * mpmath.sqrt(w.d)
+             for w in weights]
+        for j in range(1, len(weights) + 1):
+            freqs, periods = ell._reeb_flow(e, j, ns)
+            assert freqs == [float(2 / x) for x in a]
+            assert periods == [float(n * mpmath.pi * a[j - 1]) for n in ns]
+
+
+@given(d=st.sampled_from([2, 3, 5]),
+       coefficients=st.lists(st.tuples(FRACTIONS, FRACTIONS.filter(bool)),
+                             min_size=1, max_size=4))
+def test_reeb_flow_is_the_50_digit_flow_rounded(d, coefficients):
+    # q != 0 makes each weight nonzero; a negative one is flipped
+    weights = [QuadIrrational(p, q, d) for p, q in coefficients]
+    weights = [w if w.sign() > 0 else -w for w in weights]
+    _assert_flow_is_rounded_from_mpmath(weights, [1, 2, 3, 10, 997, 10**6])
+
+
+def test_reeb_flow_of_a_320_digit_radicand():
+    ctx = FieldContext(HUGE_D)
+    root = ctx.sqrt_d()
+    weights = [ctx.element(1), root, 1 + root, root - 10**160]
+    # root - 10**160 is about 5e-161, so 50 correct digits of it need
+    # 50 + 2*161 working digits
+    _assert_flow_is_rounded_from_mpmath(weights, [1, 7, 10**6], dps=400)
+
+
+def test_pi_literal():
+    with mpmath.workdps(80):
+        pi = mpmath.mpf(ell._PI.numerator) / ell._PI.denominator
+        assert 0 <= mpmath.pi - pi < mpmath.mpf(10) ** -50
+
 
 def test_cross_check_small_orbits(e2):
     for j, n, expected in ((1, 1, 3), (2, 1, 5), (1, 10, 35)):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from helpers import HUGE_D
 from interval_oracle import interval_floor_product
 from reebspec import quadfield
 from reebspec.cli import main
@@ -30,8 +31,6 @@ from reebspec.quadfield import (
 )
 
 NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
-# 321 digits; (10**160)**2 < HUGE_D < (10**160 + 1)**2, so not a square
-HUGE_D = 10**320 + 1
 INT64_LIMIT = 2**63
 
 

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from interval_oracle import interval_compare, interval_sign
-from helpers import random_quad
+from helpers import FRACTIONS, random_quad
 from reebspec.errors import ExprSyntaxError, RadicandError
 from reebspec.quadfield import (
     FieldContext,
@@ -281,6 +283,30 @@ def test_equality_and_hash(ctx2):
 
 def test_float_conversion(ctx2):
     assert abs(float(ctx2.element(1, 1)) - 2.414213562) < 1e-8
+
+
+@pytest.mark.parametrize("d, a", [(2, 1), (5, 2)])
+def test_float_of_a_small_unit_is_its_rounded_value(d, a):
+    # (sqrt(d) - a)**k is P + Q*sqrt(d) with |P| and |Q|*sqrt(d) near
+    # (sqrt(d) + a)**k / 2, so adding their doubles cancels away digits;
+    # mpmath evaluates the power itself, with no cancellation
+    ctx = FieldContext(d)
+    unit = ctx.sqrt_d() - a
+    x = ctx.element(1)
+    for k in range(1, 41):
+        x = x * unit
+        with mpmath.workdps(50):
+            assert float(x) == float((mpmath.sqrt(d) - a) ** k), k
+
+
+@given(p=FRACTIONS, q=FRACTIONS, d=st.sampled_from([2, 3, 5, 7, 13]))
+def test_float_is_the_50_digit_value_rounded(p, q, d):
+    # |P + Q*sqrt(d)| >= 1/(|P| + |Q|*sqrt(d)) with |P|, |Q| at most 10**9,
+    # so 50 digits keep about 30 after any cancellation
+    with mpmath.workdps(50):
+        expected = float(mpmath.mpf(p.numerator) / p.denominator
+                         + mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(d))
+    assert float(QuadIrrational(p, q, d)) == expected
 
 
 def test_scaled_triple(ctx2):
