@@ -3,17 +3,20 @@
 Tamura's composite sets A_j = { sum_k floor(n * a_j / a_k) : n >= 1 } tile
 the positive integers whenever the weight ratios are pairwise irrational;
 for m = 2 they reduce to the classical Rayleigh pair of Beatty sequences
-with 1/alpha + 1/beta = 1.  Every floor here comes from one block kernel,
-in which a float may propose a floor but only an exact integer sign test
-decides it, so a "partition" verdict up to N is a proof, not a
-floating-point impression.  Tamura sets, Beatty sets and the naive sets
-{floor(n * a)} are all one kind of stream: the sum of certified floors of
-n times a fixed list of slopes, for n = 1, 2, ..., computed a block of n
-at a time by _floor_blocks.  Array readers (TamuraFamily.elements, and so
-the Reeb spectrum) take the blocks whole.  The partition scanners pull the
-streams' values in chunks and count them one window of values at a time
-with a bincount, which needs no table sized by the limit and reports the
-smallest violating value together with both producing (set, n) witnesses.
+with 1/alpha + 1/beta = 1.  Tamura sets, Beatty sets and the naive sets
+{floor(n * a)} are all one kind of stream: the sum of exact floors of n
+times a fixed list of slopes, for n = 1, 2, ..., computed a block of n at
+a time by _floor_blocks.  A rational slope divides exactly; an irrational
+one reads its floors off the Sturmian word of its fractional part while
+they fit the int64 guard, and past it from the block kernel, in which a
+float may propose a floor but only an exact integer sign test decides it.
+So a "partition" verdict up to N is a proof, not a floating-point
+impression, and a scan within int64 makes no float proposal at all.  Array
+readers (TamuraFamily.elements, and so the Reeb spectrum) take the blocks
+whole.  The partition scanners pull the streams' values in chunks and
+count them one window of values at a time with a bincount, which needs no
+table sized by the limit and reports the smallest violating value together
+with both producing (set, n) witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +28,12 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import HypothesisViolation
-from .quadfield import QuadIrrational, _floor_scaled, pairwise_rational_ratio
+from .quadfield import (
+    QuadIrrational,
+    _floor_scaled,
+    _slope_blocks,
+    pairwise_rational_ratio,
+)
 
 __all__ = [
     "TamuraFamily",
@@ -46,8 +54,17 @@ _BLOCK_MAX = 1024
 
 def _floor_sum(triples, d, n_lo, n_hi):
     """Array of sum_k floor(n * x_k) for n in [n_lo, n_hi), over slopes
-    x_k = (p + q*sqrt(d)) / c, each floor certified by the block kernel."""
+    x_k = (p + q*sqrt(d)) / c, each floor from the random-access kernel."""
     return sum(_floor_scaled(p, q, c, d, n_lo, n_hi) for p, q, c in triples)
+
+
+def _block_bounds():
+    """The (n_lo, n_hi) of every block: 64 n, doubling up to 1024."""
+    n_lo, size = 1, _BLOCK_FIRST
+    while True:
+        yield n_lo, n_lo + size
+        n_lo += size
+        size = min(2 * size, _BLOCK_MAX)
 
 
 def _floor_blocks(triples, d, limit):
@@ -55,32 +72,35 @@ def _floor_blocks(triples, d, limit):
     one block, in blocks of 64 n that double up to 1024, stopping after the
     first block whose last value passes limit.
 
-    The sum never decreases in n, so every block before the last lies
-    within the limit.  A block is an int64 array, or an object array of
-    Python ints where the kernel's int64 guard fails.
+    Each slope's floors come from its own _slope_blocks: exact division for
+    a rational slope, and for an irrational one the Sturmian word of its
+    fractional part while the kernel's int64 guard holds, then the kernel
+    _floor_scaled from the first block outside the guard on.  So a stream
+    whose floors fit the guard makes no float proposal.  The sum never
+    decreases in n, so every block before the last lies within the limit.
+    A block is an int64 array, or an object array of Python ints where the
+    guard fails for one of its slopes.
     """
-    n_lo = 1
-    size = _BLOCK_FIRST
-    while True:
-        values = _floor_sum(triples, d, n_lo, n_lo + size)
+    slopes = [_slope_blocks(p, q, c, d, _block_bounds()) for p, q, c in triples]
+    for (n_lo, _), floors in zip(_block_bounds(), zip(*slopes)):
+        values = sum(floors)
         yield n_lo, values
         if values[-1] > limit:
             return
-        n_lo += size
-        size = min(2 * size, _BLOCK_MAX)
 
 
 def _floor_stream(triples, d, label, limit):
     """Yield (value, label, n) for value = the floor sum at n, up to limit,
     skipping every value <= the last one yielded.
 
-    The floors come a block at a time from _floor_blocks, and one mask per
-    block keeps the values that rise above their predecessor and lie within
-    the limit; since the sum never decreases in n, a value that rises above
-    its predecessor rises above every value before it.  For Tamura and
-    Beatty sets the sum strictly increases and the mask keeps every
-    in-limit value; for slopes below 1 it drops the zeros and the repeats,
-    since a set contains each value once.
+    The floors come a block at a time from _floor_blocks (Sturmian words
+    and exact division within the int64 guard, the kernel past it), and one
+    mask per block keeps the values that rise above their predecessor and
+    lie within the limit; since the sum never decreases in n, a value that
+    rises above its predecessor rises above every value before it.  For
+    Tamura and Beatty sets the sum strictly increases and the mask keeps
+    every in-limit value; for slopes below 1 it drops the zeros and the
+    repeats, since a set contains each value once.
     """
     last = 0
     for n_lo, values in _floor_blocks(triples, d, limit):

@@ -5,12 +5,18 @@ terms, positive denominator) and d a fixed non-square integer >= 2.  Because
 sqrt(d) is irrational, two elements are equal iff their (p, q) pairs are,
 and the sign of p + q*sqrt(d) is decidable by comparing p^2 against q^2*d
 when p and q differ in sign.  That exact sign test is the substrate for
-certified comparisons and certified floors.  Floors come in blocks: a
-float64 product proposes each floor, and only exact integer sign tests
-decide it, in int64 where a guard computed on Python ints proves that no
-product can overflow, and on Python ints everywhere else.  A proposal the
-tests reject is recomputed from integer square roots, so no floating point
-value ever decides a floor.
+certified comparisons and certified floors.
+
+Floors come in blocks of consecutive n, by two routes.  _floor_scaled is
+the random-access kernel: for a rational slope it divides exactly, n*p // c;
+for an irrational one a float64 product proposes each floor and only exact
+integer sign tests decide it, in int64 where a guard computed on Python
+ints proves that no product can overflow, and on Python ints everywhere
+else, so no floating point value ever decides a floor.  _slope_blocks walks
+n = 1, 2, ... upward: an irrational slope x there takes its floors from the
+characteristic Sturmian word of {x}, built from the continued fraction of x
+with isqrt alone, and hands over to the kernel at the first block outside
+the int64 guard.  A stream within int64 therefore makes no float proposal.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
 
 import numpy as np
@@ -106,7 +113,8 @@ def _floor_scaled(p, q, c, d, n_lo, n_hi):
     """floor(n * (p + q*sqrt(d)) / c) for each n in [n_lo, n_hi), as an array.
 
     p, q, c are integers with c > 0 and d is non-square.  Where the int64
-    guard holds, float64 proposes each floor f and exact int64 sign tests
+    guard holds, a rational slope (q = 0) is n*p // c in int64, and for an
+    irrational one float64 proposes each floor f and exact int64 sign tests
     check f <= n*x < f+1, using sign(a + b*sqrt(d)) = sign(a) if
     a^2 > b^2*d, else sign(b); entries that fail are recomputed by
     _floor_exact.  A block outside the guard is computed by _floor_exact
@@ -117,6 +125,8 @@ def _floor_scaled(p, q, c, d, n_lo, n_hi):
         return np.array([_floor_exact(n * p, n * q, c, d)
                          for n in range(n_lo, n_hi)], dtype=object)
     n = np.arange(n_lo, n_hi, dtype=np.int64)
+    if q == 0:
+        return n * p // c
     # fmax/fmin also map NaN into [-bound, bound], so every product below
     # stays inside the guard whatever the proposal is
     f = np.fmin(np.fmax(_propose_floors(p, q, c, d, n), -bound), bound)
@@ -130,6 +140,125 @@ def _floor_scaled(p, q, c, d, n_lo, n_hi):
     for i in np.flatnonzero(~certified).tolist():
         f[i] = _floor_exact((n_lo + i) * p, (n_lo + i) * q, c, d)
     return f
+
+
+def _continued_fraction(p, q, c, d):
+    """Yield the partial quotients a_0, a_1, ... of the irrational
+    x = (p + q*sqrt(d))/c, q != 0, c > 0.
+
+    The complete quotients are (P + sqrt(D))/Q with Q dividing D - P^2,
+    which the first one satisfies after scaling by |c| (and a sign flip
+    when q < 0); each floor is (P + isqrt(D)) // Q, one more in the
+    numerator when Q < 0, since sqrt(D) is never an integer.
+    """
+    if q < 0:
+        p, q, c = -p, -q, -c
+    P, Q, D = p * abs(c), c * abs(c), q * q * d * c * c
+    r = isqrt(D)
+    while True:
+        a = (P + r + (Q < 0)) // Q
+        yield a
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+# The longest standard word held as an array, in one-byte letters, and the
+# letters of the first words s_{-1} = 1 and s_0 = 0.
+_WORD_MAX = 2048
+_ONE = np.ones(1, np.int8)
+_ZERO = np.zeros(1, np.int8)
+
+
+def _sturmian_letters(quotients):
+    """Yield int8 arrays whose concatenation is 0, c_1, c_2, ..., where
+    c_n = floor((n+1)*alpha) - floor(n*alpha) and alpha = [0; a_1, a_2, ...]
+    takes its partial quotients from the iterator `quotients`.  The running
+    sum of the letters is floor(n*alpha) at n = 1, 2, ....
+
+    c_1 c_2 ... is the limit of the standard words s_{-1} = 1, s_0 = 0,
+    s_1 = s_0^(a_1 - 1) s_{-1} and s_k = s_{k-1}^(a_k) s_{k-2}, each a prefix
+    of the next from s_1 on (Lothaire, Algebraic Combinatorics on Words,
+    ch. 2).  Only s_m and s_{m-1} are held, for the last m with
+    |s_m| <= _WORD_MAX, together with one run of s_m tiled up to that
+    length; every longer word is a product of those two, which a descent
+    through the recursion emits without building it.  A run s_m^(a) comes
+    out one tiled array per _WORD_MAX letters whatever a is, so the work per
+    letter does not grow with the partial quotients.
+    """
+    prev, word = _ONE, _ZERO
+    count = next(quotients) - 1
+    while len(word) * count + len(prev) <= _WORD_MAX:
+        prev, word = word, np.concatenate([word] * count + [prev])
+        count = next(quotients)
+    run = np.tile(word, max(1, _WORD_MAX // len(word)))
+    per = len(run) // len(word)
+    counts = [count]        # counts[i]: copies of s_{m+i} in s_{m+i+1}
+
+    def copies(i, r):       # s_{m+i}^r
+        if i:
+            for _ in range(r):
+                yield from standard(i)
+            return
+        full, part = divmod(r, per)
+        yield from repeat(run, full)
+        if part:
+            yield run[:part * len(word)]
+
+    def standard(i):        # s_{m+i}, i >= -1
+        if i < 1:
+            yield word if i == 0 else prev
+            return
+        yield from copies(i - 1, counts[i - 1])
+        yield from standard(i - 2)
+
+    yield _ZERO             # floor(1*alpha) - floor(0*alpha)
+    yield word              # s_m, a prefix of every longer s_k
+    i = 1
+    while True:
+        # s_{m+i} without its first s_{m+i-1}, which is already out
+        yield from copies(i - 1, counts[i - 1] - 1)
+        yield from standard(i - 2)
+        counts.append(next(quotients))
+        i += 1
+
+
+def _slope_blocks(p, q, c, d, bounds):
+    """Yield the arrays floor(n * (p + q*sqrt(d)) / c), n in [n_lo, n_hi),
+    for the consecutive ranges (n_lo, n_hi) of `bounds`, which start at
+    n = 1; each array has the dtype _floor_scaled gives it.
+
+    A rational slope takes every block from _floor_scaled.  An irrational
+    slope x is n*floor(x) plus the running sum of the Sturmian letters of
+    {x} (_sturmian_letters), in int64 and with no float, while the kernel's
+    int64 guard holds; the guard only fails for larger n, so from the first
+    block outside it on, every block comes from _floor_scaled.
+    """
+    bounds = iter(bounds)
+    if q:
+        quotients = _continued_fraction(p, q, c, d)
+        whole = next(quotients)
+        letters = _sturmian_letters(quotients)
+        rest = np.empty(0, np.int8)     # letters drawn past the last block
+        last = 0                        # floor((n_lo - 1) * x)
+        for n_lo, n_hi in bounds:
+            if _int64_bound(p, q, c, d, n_lo, n_hi) is None:
+                yield _floor_scaled(p, q, c, d, n_lo, n_hi)
+                break
+            size = n_hi - n_lo
+            parts = [rest]
+            have = len(rest)
+            while have < size:
+                parts.append(next(letters))
+                have += len(parts[-1])
+            drawn = np.concatenate(parts)
+            rest = drawn[size:]
+            floors = np.add(drawn[:size], whole, dtype=np.int64)
+            floors[0] += last
+            floors.cumsum(out=floors)
+            last = int(floors[-1])
+            yield floors
+    for n_lo, n_hi in bounds:
+        yield _floor_scaled(p, q, c, d, n_lo, n_hi)
 
 
 def _near_fraction(x):

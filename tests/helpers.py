@@ -1,6 +1,7 @@
 """Shared random generators for property tests (seeded by each caller),
 stacked path evaluators, and the loop references that the array routes are
-checked against."""
+checked against.  The reference floor streams read only the scalar exact
+floor quadfield._floor_exact, never the block routes they check."""
 
 import heapq
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from reebspec.czindex import TOL_EIG, TOL_KERNEL, standard_j
 from reebspec.ellipsoid import GoodnessReport, orbit_index
 from reebspec.partitions import PartitionReport
-from reebspec.quadfield import QuadIrrational, pairwise_rational_ratio
+from reebspec.quadfield import QuadIrrational, _floor_exact, pairwise_rational_ratio
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,12 +104,55 @@ def random_weights(rng, d, m, num_bound=12, den_bound=7):
             return ws
 
 
+def reference_stream(triples, d, label, limit):
+    """Yield (value, label, n) for the first n at which the floor sum
+    sum_k floor(n * (p + q*sqrt(d))/c) over `triples` (positive slopes)
+    rises above the last value yielded, for every such value up to limit,
+    one scalar _floor_exact floor at a time.
+
+    The sum never decreases in n, so that n is found by doubling a step
+    from the last one and then bisecting; a sum that rises at every n costs
+    one sum per value, and a slow slope a few dozen sums per value."""
+    def value(n):
+        return sum(_floor_exact(n * p, n * q, c, d) for p, q, c in triples)
+
+    last, lo = 0, 0         # value(lo) == last
+    while True:
+        step = 1
+        while (v := value(lo + step)) <= last:
+            lo, step = lo + step, 2 * step
+        hi = lo + step      # value(lo) <= last < value(hi) == v
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (w := value(mid)) > last:
+                hi, v = mid, w
+            else:
+                lo = mid
+        if v > limit:
+            return
+        yield v, label, hi
+        last, lo = v, hi
+
+
+def beatty_stream(a, label, limit):
+    """The reference stream of the naive set {floor(n*a)}."""
+    return reference_stream([a.scaled_triple()], a.d, label, limit)
+
+
+def tamura_streams(weights, limit):
+    """The reference streams of the Tamura sets A_1, ..., A_m of weights."""
+    return [reference_stream([(aj / ak).scaled_triple() for ak in weights],
+                             aj.d, j, limit)
+            for j, aj in enumerate(weights, 1)]
+
+
 def merged_spectrum(e, max_degree):
     """(j, n, cz) of every orbit with cz <= max_degree, in (cz, j, n) order:
-    the k-way heapq.merge of the Tamura generators, one element at a time."""
+    the k-way heapq.merge of the reference Tamura streams, one element at a
+    time."""
     m = e.m
     limit = (max_degree - m + 1) // 2
-    streams = [e.family.generator(j, limit) for j in range(1, m + 1)]
+    streams = tamura_streams(e.weights, limit)
     return [(j, n, m - 1 + 2 * a) for a, j, n in heapq.merge(*streams)]
 
 

@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import merged_cover
+from helpers import beatty_stream, merged_cover
 import reebspec
 import reebspec.cli as cli
 import reebspec.ellipsoid
 from reebspec import FieldContext
 from reebspec.cli import main
 from reebspec.homology import ShComparison, compare, first_difference
-from reebspec.partitions import _beatty_generator
 
 
 def run(capsys, *argv):
@@ -300,7 +299,7 @@ def test_partition_uspensky_far_limit_stays_small(capsys):
     # window, and nothing is sized by the limit
     limit = 10**30
     weights = [FieldContext(2).element(p, q) for p, q in ((0, 1), (1, 1), (10**20, 1))]
-    streams = [_beatty_generator(a, j, limit) for j, a in enumerate(weights, 1)]
+    streams = [beatty_stream(a, j, limit) for j, a in enumerate(weights, 1)]
     expected = merged_cover(streams, limit)
     tracemalloc.start()
     try:

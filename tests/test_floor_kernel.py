@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import HUGE_D
+from helpers import HUGE_D, reference_stream
 from interval_oracle import interval_floor_product
 from reebspec import quadfield
 from reebspec.cli import main
@@ -55,19 +55,6 @@ def pell_convergents(q_max):
     return out
 
 
-def reference_stream(triples, d, label, limit):
-    """The stream _floor_stream should yield, one scalar exact floor at a time."""
-    out, last, n = [], 0, 1
-    while True:
-        value = sum(_floor_exact(n * p, n * q, c, d) for p, q, c in triples)
-        if value > limit:
-            return out
-        if value > last:
-            out.append((value, label, n))
-            last = value
-        n += 1
-
-
 def count_exact_calls(monkeypatch):
     calls = []
 
@@ -76,6 +63,18 @@ def count_exact_calls(monkeypatch):
         return _floor_exact(P, Q, C, d)
 
     monkeypatch.setattr(quadfield, "_floor_exact", counting)
+    return calls
+
+
+def count_proposals(monkeypatch, propose):
+    """Install `propose` as the float proposal, recording each call."""
+    calls = []
+
+    def counting(p, q, c, d, n):
+        calls.append((p, q, c, d, len(n)))
+        return propose(p, q, c, d, n)
+
+    monkeypatch.setattr(quadfield, "_propose_floors", counting)
     return calls
 
 
@@ -150,7 +149,6 @@ def off_by_one(propose):
     (1, 1, 1, 2, 1, 300),
     (1, 3, 2, 5, 10**6, 10**6 + 300),
     (-7, 2, 3, 13, 0, 300),
-    (5, 0, 3, 2, 1, 300),
 ])
 def test_forced_off_by_one_proposals_are_all_caught(monkeypatch, p, q, c, d, n_lo, n_hi):
     expected = exact_block(p, q, c, d, n_lo, n_hi)
@@ -163,6 +161,22 @@ def test_forced_off_by_one_proposals_are_all_caught(monkeypatch, p, q, c, d, n_l
     assert len(calls) == n_hi - n_lo
 
 
+@pytest.mark.parametrize("p, c, n_lo, n_hi", [
+    (5, 3, 1, 300),
+    (-7, 3, 0, 300),
+    (10**6, 1, 10**3, 10**3 + 300),
+])
+def test_rational_slopes_divide_exactly(monkeypatch, p, c, n_lo, n_hi):
+    # q = 0: exact int64 division, with no proposal to check
+    proposals = count_proposals(monkeypatch, off_by_one(quadfield._propose_floors))
+    calls = count_exact_calls(monkeypatch)
+    got = _floor_scaled(p, 0, c, 2, n_lo, n_hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == [n * p // c for n in range(n_lo, n_hi)]
+    assert proposals == []
+    assert calls == []
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300, -1e300])
 def test_non_finite_and_huge_proposals_are_caught(monkeypatch, value):
     expected = exact_block(-1, 1, 1, 2, 1, 100)
@@ -172,13 +186,16 @@ def test_non_finite_and_huge_proposals_are_caught(monkeypatch, value):
 
 
 def test_forced_fallback_leaves_scans_unchanged(monkeypatch, w3):
+    # within the int64 guard a scan takes its irrational floors from
+    # Sturmian words and its rational ones from exact division: wrong
+    # proposals cannot reach it, because it asks for none
     before = verify_partition(w3, 3000, collect_owners=True)
-    monkeypatch.setattr(quadfield, "_propose_floors",
-                        off_by_one(quadfield._propose_floors))
+    proposals = count_proposals(monkeypatch, off_by_one(quadfield._propose_floors))
     calls = count_exact_calls(monkeypatch)
     after = verify_partition(w3, 3000, collect_owners=True)
     assert after == before
-    assert len(calls) >= 3 * 3000
+    assert proposals == []
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +287,7 @@ def test_beatty_stream_limit_at_a_block_boundary(end, offset):
     for n in (end, end + 1):
         limit = _floor_exact(n, n, 1, 2) + offset
         assert (list(_floor_stream(triples, 2, 1, limit))
-                == reference_stream(triples, 2, 1, limit))
+                == list(reference_stream(triples, 2, 1, limit)))
 
 
 @pytest.mark.parametrize("end", BLOCK_ENDS)
@@ -279,7 +296,7 @@ def test_tamura_stream_limit_at_a_block_boundary(w3, end):
     for j in (1, 2, 3):
         for limit in (family.element(j, end) + k for k in (-1, 0, 1)):
             assert (list(family.generator(j, limit))
-                    == reference_stream(family._triples(j), 2, j, limit))
+                    == list(reference_stream(family._triples(j), 2, j, limit)))
 
 
 def test_limit_below_the_first_value():
@@ -296,6 +313,6 @@ def test_limit_below_the_first_value():
 ])
 def test_slopes_below_one_span_many_blocks(triple, limit):
     got = list(_floor_stream([triple], 2, 1, limit))
-    assert got == reference_stream([triple], 2, 1, limit)
+    assert got == list(reference_stream([triple], 2, 1, limit))
     assert [value for value, _, _ in got] == list(range(1, limit + 1))
     assert got[-1][2] > BLOCK_ENDS[2]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import merged_cover, random_quad, random_weights
+from helpers import beatty_stream, merged_cover, random_quad, random_weights, tamura_streams
 from reebspec import FieldContext, HypothesisViolation, QuadIrrational, floor_product
 from reebspec.partitions import (
     PartitionReport,
@@ -333,8 +333,7 @@ def assert_same_report(got, expected):
 @example(seed=0, m=3, d=2, limit=1)
 def test_tamura_cover_equals_the_merge(seed, m, d, limit):
     weights = random_weights(random.Random(seed), d, m)
-    family = TamuraFamily(weights)
-    streams = [family.generator(j, limit) for j in range(1, m + 1)]
+    streams = tamura_streams(weights, limit)
     assert_same_report(verify_partition(weights, limit, collect_owners=True),
                        merged_cover(streams, limit, collect_owners=True))
 
@@ -348,8 +347,8 @@ def test_beatty_pair_cover_equals_the_merge(seed, d, limit):
         alpha = random_quad(rng, d, positive=True)
         if not alpha.is_rational() and alpha > 1:
             break
-    streams = [_beatty_generator(alpha, 1, limit),
-               _beatty_generator(rayleigh_conjugate(alpha), 2, limit)]
+    streams = [beatty_stream(alpha, 1, limit),
+               beatty_stream(rayleigh_conjugate(alpha), 2, limit)]
     assert_same_report(rayleigh_pair(alpha, limit, collect_owners=True),
                        merged_cover(streams, limit, collect_owners=True))
 
@@ -379,7 +378,7 @@ def test_uspensky_cover_equals_the_merge(data, d, m, limit, paired):
         scale = data.draw(st.integers(1, 2000))
         weights = [alpha, rayleigh_conjugate(alpha) + nudge,
                    *(w * scale for w in weights[2:])]
-    streams = [_beatty_generator(a, j, limit) for j, a in enumerate(weights, 1)]
+    streams = [beatty_stream(a, j, limit) for j, a in enumerate(weights, 1)]
     assert_same_report(uspensky_scan(weights, limit),
                        merged_cover(streams, limit))
 
@@ -402,7 +401,7 @@ C2 = FieldContext(2)
 ])
 def test_uspensky_witnesses_of_rational_and_slow_slopes(weights, report):
     got = uspensky_scan(weights, 3000)
-    streams = [_beatty_generator(a, j, 3000) for j, a in enumerate(weights, 1)]
+    streams = [beatty_stream(a, j, 3000) for j, a in enumerate(weights, 1)]
     assert_same_report(got, merged_cover(streams, 3000))
     assert (got.verdict, got.value, got.first, got.second, got.counts) == report
     if got.verdict == "collision":
