@@ -190,7 +190,7 @@ def _sturmian_letters(quotients):
     while len(word) * count + len(prev) <= _WORD_MAX:
         prev, word = word, np.concatenate([word] * count + [prev])
         count = next(quotients)
-    run = np.tile(word, max(1, _WORD_MAX // len(word)))
+    run = np.tile(word, _WORD_MAX // len(word))
     per = len(run) // len(word)
     counts = [count]        # counts[i]: copies of s_{m+i} in s_{m+i+1}
 
