@@ -36,6 +36,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -147,8 +148,8 @@ def build_parser():
     p_sp.add_argument("--samples", type=_sample_count, default=None,
                       help="cross-check each orbit on its own path with this "
                            "grid size over [0, n*pi*a_j] (at most "
-                           f"{MAX_SAMPLES}); by default every iterate of a "
-                           "simple orbit is read from one crossing search")
+                           f"{MAX_SAMPLES}); by default every iterate of "
+                           "every simple orbit is read from one crossing search")
 
     p_pt = sub.add_parser("partition", parents=[field_args],
                           help="partition scans in exact arithmetic")
@@ -211,14 +212,11 @@ def cmd_spectrum(args):
     e = Ellipsoid(weights)
     orbits = spectrum(e, args.max_degree)
     # --samples N means N samples on each orbit's own path, so it takes the
-    # per-orbit route; otherwise one crossing search serves every iterate
-    checks = {}
+    # per-orbit route; otherwise one crossing search serves every iterate of
+    # every simple orbit.  The spectrum holds gamma_j^1..gamma_j^N for each
+    # j, so the count of j is its largest n.
     if args.cross_check and args.samples is None:
-        n_max = {}
-        for o in orbits:
-            n_max[o.j] = max(n_max.get(o.j, 0), o.n)
-        for j, n in sorted(n_max.items()):
-            checks.update(((j, c.n), c) for c in cross_check_family(e, j, n))
+        checks = cross_check_family(e, Counter(o.j for o in orbits))
     rows = []
     status = EXIT_OK
     saw_inconclusive = False
@@ -230,7 +228,7 @@ def cmd_spectrum(args):
             "period_coeff": f"{o.n}*pi*({render(o.weight)})",
         }
         if args.cross_check:
-            check = (checks[(o.j, o.n)] if args.samples is None
+            check = (checks[o.j][o.n - 1] if args.samples is None
                      else cross_check_index(e, o.j, o.n, sample_count=args.samples))
             if check.inconclusive:
                 row["numeric_cz"] = None

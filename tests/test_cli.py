@@ -180,14 +180,51 @@ def test_spectrum_cross_check(capsys):
 
 
 def test_spectrum_cross_check_is_pinned(capsys):
-    # W3 to degree 160, every iterate read from one crossing search per
-    # simple orbit: the same bytes the per-orbit route printed
+    # W3 to degree 160, every iterate read from one crossing search: the
+    # same bytes the per-orbit route printed
     code, out, _ = run(capsys, "spectrum", "--d", "2", "--weights",
                        "1; sqrt(2); 1+sqrt(2)", "--max-degree", "160",
                        "--cross-check")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2b5907c87a989a58775ba804f93e9545a0f9a5409b1a51a7adab7fcfc48ecb6e")
+
+
+@pytest.mark.parametrize("d, weights, max_degree, digest", [
+    ("5", "1; 1/2+1/2*sqrt(5); 1/2+3/2*sqrt(5)", "160",
+     "2eded3fad5b79e62ee4b2498da2b7cf94c9f82497c9b24b2715c42c23b180617"),
+    ("2", "1; sqrt(2); 1+sqrt(2)", "600",
+     "5c3186cc437c4234513b8951807819aeaa6b0c50d42fdc4fba20b69845cb1c68"),
+])
+def test_spectrum_cross_check_pins_more_output(capsys, d, weights, max_degree, digest):
+    # the held-out benchmark family to degree 160 and W3 to degree 600: the
+    # bytes that one crossing search per simple orbit printed
+    code, out, _ = run(capsys, "spectrum", "--d", d, "--weights", weights,
+                       "--max-degree", max_degree, "--cross-check")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_degree, searches, orbits", [
+    (160, 1, 79), (3, 0, 0), (1, 0, 0)])
+def test_spectrum_cross_check_runs_one_crossing_search(capsys, monkeypatch,
+                                                      max_degree, searches, orbits):
+    # every iterate of every simple orbit is read from one crossing list;
+    # below the first index (cz >= m + 1) there is nothing to search
+    real, calls = reebspec.ellipsoid.find_crossings, []
+
+    def counted(path):
+        calls.append(path.b)
+        return real(path)
+
+    monkeypatch.setattr(reebspec.ellipsoid, "find_crossings", counted)
+    code, out, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                       "1; sqrt(2); 1+sqrt(2)", "--max-degree", str(max_degree),
+                       "--cross-check")
+    assert code == 0
+    assert len(calls) == searches
+    rows = json.loads(out)["orbits"]
+    assert len(rows) == orbits and all(o["agree"] for o in rows)
 
 
 def test_spectrum_samples_selects_the_per_orbit_route(capsys, monkeypatch):

@@ -327,7 +327,7 @@ def test_cross_check_inconclusive_is_reported(e2, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the family route: one crossing search per simple orbit (catenation)
+# the family route: one crossing search for the whole spectrum (catenation)
 # ---------------------------------------------------------------------------
 
 # W3 and the held-out benchmark family (1; (1+sqrt 5)/2; (1+3 sqrt 5)/2)
@@ -344,53 +344,72 @@ def family_ellipsoid(name):
 
 
 def iterates(e, max_degree):
-    """j -> the largest n with gamma_j^n in the spectrum to max_degree."""
+    """{j: the largest n with gamma_j^n in the spectrum to max_degree}."""
     n_max = {}
     for o in spectrum(e, max_degree):
         n_max[o.j] = max(n_max.get(o.j, 0), o.n)
-    return sorted(n_max.items())
+    return n_max
 
 
 def per_orbit(e, j, n_max):
     return [cross_check_index(e, j, n) for n in range(1, n_max + 1)]
 
 
+def spy(monkeypatch, name):
+    """Record the positional arguments of every call of ell.<name>, which
+    still runs."""
+    real, calls = getattr(ell, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ell, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_family_route_equals_the_per_orbit_oracle(name):
-    # catenation: every prefix index read from the longest path's crossings
-    # is the index the engine computes on the prefix path alone
+def test_family_route_equals_the_per_orbit_oracle(name, monkeypatch):
+    # catenation: every prefix index read from the one path's crossings is
+    # the index the engine computes on the prefix path alone
     e = family_ellipsoid(name)
-    orbits = 0
-    for j, n_max in iterates(e, 160):
-        family = cross_check_family(e, j, n_max)
-        assert family == per_orbit(e, j, n_max)
+    n_max = iterates(e, 160)
+    searches = spy(monkeypatch, "find_crossings")
+    checks = cross_check_family(e, n_max)
+    assert len(searches) == 1
+    assert sorted(checks) == sorted(n_max)
+    for j, family in checks.items():
+        assert family == per_orbit(e, j, n_max[j])
         assert all(c.agree for c in family)
-        orbits += n_max
-    assert orbits == 79
+    assert sum(map(len, checks.values())) == 79
 
 
 def test_family_route_matches_the_formula_to_degree_1000():
     e = family_ellipsoid("W3")
-    orbits = 0
-    for j, n_max in iterates(e, 1000):
-        for n, check in enumerate(cross_check_family(e, j, n_max), start=1):
+    n_max = iterates(e, 1000)
+    checks = cross_check_family(e, n_max)
+    assert sorted(checks) == sorted(n_max)
+    for j, family in checks.items():
+        assert len(family) == n_max[j]
+        for n, check in enumerate(family, start=1):
             assert (check.j, check.n) == (j, n)
             assert not check.inconclusive
             assert check.numeric == check.formula == orbit_index(e, j, n)
-        orbits += n_max
-    assert orbits == 499
+    assert sum(map(len, checks.values())) == 499
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_family_formulas_equal_orbit_index(name):
     # the family route reads A_j(1..n_max) in one block, not per orbit
     e = family_ellipsoid(name)
-    for j, n_max in iterates(e, 300):
-        checks = cross_check_family(e, j, n_max)
-        assert [c.n for c in checks] == list(range(1, n_max + 1))
-        assert [c.formula for c in checks] == [
-            orbit_index(e, j, n) for n in range(1, n_max + 1)]
-        assert not any(c.inconclusive for c in checks)
+    n_max = iterates(e, 300)
+    checks = cross_check_family(e, n_max)
+    assert sorted(checks) == sorted(n_max)
+    for j, family in checks.items():
+        assert [c.n for c in family] == list(range(1, n_max[j] + 1))
+        assert [c.formula for c in family] == [
+            orbit_index(e, j, n) for n in range(1, n_max[j] + 1)]
+        assert not any(c.inconclusive for c in family)
 
 
 def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
@@ -398,8 +417,11 @@ def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
         raise NonIsolatedCrossingError("synthetic: the long path is refused")
 
     monkeypatch.setattr(ell, "find_crossings", refuse)
-    for j in (1, 3):
-        assert cross_check_family(e3, j, 4) == per_orbit(e3, j, 4)
+    calls = spy(monkeypatch, "cross_check_index")
+    checks = cross_check_family(e3, {3: 4, 1: 4})
+    # every family goes to the oracle, in (j, n) order
+    assert [c[1:] for c in calls] == [(j, n) for j in (1, 3) for n in range(1, 5)]
+    assert checks == {j: per_orbit(e3, j, 4) for j in (1, 3)}
 
     # every orbit is then run on its own path, so each note names its own
     # duration n*pi*a_j
@@ -407,10 +429,10 @@ def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
         raise FlatCrossingError(repr(path.b))
 
     monkeypatch.setattr(ell, "cz_index", flat)
+    checks = cross_check_family(e3, {1: 4, 3: 4})
     for j, a_j in ((1, 1.0), (3, 1.0 + math.sqrt(2.0))):
-        checks = cross_check_family(e3, j, 4)
-        assert [c.n for c in checks] == [1, 2, 3, 4]
-        for n, c in enumerate(checks, start=1):
+        assert [c.n for c in checks[j]] == [1, 2, 3, 4]
+        for n, c in enumerate(checks[j], start=1):
             assert c.inconclusive and c.numeric is None and c.agree is None
             assert float(c.note) == pytest.approx(n * math.pi * a_j, rel=1e-12)
 
@@ -420,28 +442,38 @@ def test_family_checks_its_input_before_the_search(e3, ctx2, monkeypatch):
         raise AssertionError("a crossing search ran")
 
     monkeypatch.setattr(ell, "find_crossings", refuse)
-    for j, n_max in ((0, 3), (4, 3), (1, 0)):
+    for n_max in ({0: 3}, {4: 3}, {1: 0}, {1: 3, 4: 3}, {2: 3, 1: 0}):
         with pytest.raises(ValueError):
-            cross_check_family(e3, j, n_max)
+            cross_check_family(e3, n_max)
     with pytest.raises(HypothesisViolation):
-        cross_check_family(Ellipsoid([ctx2.element(1), ctx2.element(2)]), 1, 3)
+        cross_check_family(Ellipsoid([ctx2.element(1), ctx2.element(2)]), {1: 3})
+    # an empty spectrum asks for nothing and runs no search
+    assert cross_check_family(e3, {}) == {}
 
 
 def _near(crossings, t):
     return min(range(len(crossings)), key=lambda k: abs(crossings[k].t - t))
 
 
+# Each edit changes what lies within the isolation gap of t, but not the
+# signatures summed over (0, T) for any T away from t: a family whose ends
+# are all far from t reads the same indices from the edited list.
+
 def _drop(crossings, t):
-    out = list(crossings)
-    del out[_near(out, t)]
-    return out
+    # t's gap loses its crossing, which moves just before the gap
+    k = _near(crossings, t)
+    moved = dataclasses.replace(crossings[k], t=crossings[k].t - 1e-3 * t)
+    return crossings[:k] + [moved] + crossings[k + 1:]
 
 
 def _double(crossings, t):
-    # a second crossing within the isolation gap of the first
+    # t's gap holds two crossings, which share the signature of the one
     k = _near(crossings, t)
-    twin = dataclasses.replace(crossings[k], t=crossings[k].t + 1e-7 * t)
-    return crossings[:k + 1] + [twin] + crossings[k + 1:]
+    c = crossings[k]
+    half = c.signature // 2
+    first = dataclasses.replace(c, signature=half)
+    twin = dataclasses.replace(c, t=c.t + 1e-7 * t, signature=c.signature - half)
+    return crossings[:k] + [first, twin] + crossings[k + 1:]
 
 
 def _degenerate(crossings, t):
@@ -452,22 +484,21 @@ def _degenerate(crossings, t):
 
 @pytest.mark.parametrize("edit", [_drop, _double, _degenerate])
 def test_family_never_guesses_an_unmatched_end(e3, monkeypatch, edit):
-    # T_2 = 2*pi*a_1 of gamma_1^2 loses its crossing, shares the gap with a
-    # second one, or its crossing turns degenerate: the family falls back to
-    # one cross_check_index per orbit, and every record is the oracle's
-    real_find, real_check = ell.find_crossings, ell.cross_check_index
-    calls = []
-
-    def edited(path):
-        return edit(real_find(path), 2 * math.pi)
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:])
-        return real_check(*args, **kwargs)
-
-    monkeypatch.setattr(ell, "find_crossings", edited)
-    monkeypatch.setattr(ell, "cross_check_index", counted)
-    checks = cross_check_family(e3, 1, 5)
-    assert calls == [(1, n) for n in range(1, 6)]
+    # T_2 = 2*pi*a_1 of gamma_1^2 loses its crossing or shares the gap with
+    # a second one: family 1 falls back to one cross_check_index per orbit,
+    # while family 3, whose ends are far from 2*pi, is still read from the
+    # shared list.  A degenerate crossing sends every family to the oracle.
+    # Either way every record is the oracle's.
+    fallen = (1, 3) if edit is _degenerate else (1,)
+    real_find = ell.find_crossings
+    monkeypatch.setattr(ell, "find_crossings",
+                        lambda path: edit(real_find(path), 2 * math.pi))
+    searches = spy(monkeypatch, "find_crossings")
+    calls = spy(monkeypatch, "cross_check_index")
+    n_max = {1: 5, 3: 4}
+    checks = cross_check_family(e3, n_max)
+    assert len(searches) == 1
+    assert [c[1:] for c in calls] == [
+        (j, n) for j in fallen for n in range(1, n_max[j] + 1)]
     monkeypatch.undo()
-    assert checks == per_orbit(e3, 1, 5)
+    assert checks == {j: per_orbit(e3, j, n) for j, n in n_max.items()}
