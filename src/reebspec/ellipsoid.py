@@ -15,14 +15,13 @@ concatenated in j order, sorted stably by element and mapped to degrees.
 The linearized Reeb flow is Psi_t = (+)_l R(2t/a_l), a direct sum of
 rotations, so the same index is also reachable through the numeric
 crossing-form engine.  Psi_t depends neither on the duration nor on j: the
-path of gamma_j^n is the prefix [0, n*pi*a_j] of one path for every j and
-n.  cross_check_family therefore searches the crossings of that path once,
-up to the longest period asked for, and reads every iterate's index from
-that one crossing list by the catenation axiom of the Maslov index
-(Robbin-Salamon, Topology 32, 1993).  cross_check_index runs one orbit on
-its own path; it is the independent oracle of the family route and its
-fallback.  Exact weights are converted to doubles only at that numeric
-boundary.
+path of gamma_j^n is the prefix [0, n*pi*a_j] of one path for every j and n.
+cross_check_family therefore searches the crossings of that path once and
+reads every iterate's index from that one crossing list by the catenation
+axiom of the Maslov index (Robbin-Salamon, Topology 32, 1993).
+cross_check_index runs one orbit on its own path; it is the independent
+oracle of the family route and its fallback.  Exact weights are converted to
+doubles only at that numeric boundary.
 """
 
 from __future__ import annotations
@@ -216,13 +215,16 @@ class CrossCheck:
     note: str = ""
 
 
-def _reeb_flow(e, j, ns):
-    """Frequencies 2/a_l of the linearized Reeb flow, the same for every j,
-    and the periods n*pi*a_j, n in ns, each rounded to double from a
-    Fraction near it."""
-    freqs = [float(2 / _near_fraction(w)) for w in e.weights]
+def _reeb_freqs(e):
+    """Frequencies 2/a_l of the linearized Reeb flow, which do not depend on
+    j, each rounded to double from a Fraction near it."""
+    return [float(2 / _near_fraction(w)) for w in e.weights]
+
+
+def _periods(e, j, ns):
+    """Periods n*pi*a_j of gamma_j^n, n in ns, rounded as _reeb_freqs rounds."""
     pi_a = _PI * _near_fraction(e.weights[j - 1])
-    return freqs, [float(n * pi_a) for n in ns]
+    return [float(n * pi_a) for n in ns]
 
 
 def _default_samples(freqs, duration):
@@ -237,7 +239,7 @@ def cross_check_index(e, j, n, sample_count=None):
     """Recompute cz(gamma_j^n) from the linearized Reeb flow numerically.
 
     Builds the rotation path with frequencies 2/a_l over [0, n*pi*a_j]
-    (both rounded to double by _reeb_flow) and runs the crossing-form
+    (rounded to double by _reeb_freqs and _periods) and runs the crossing-form
     engine on it alone, with sample_count grid samples on [0, n*pi*a_j]
     (default: _default_samples).  The j-th block turns exactly
     n times and contributes 2n; the others contribute
@@ -248,7 +250,7 @@ def cross_check_index(e, j, n, sample_count=None):
     falls back to.
     """
     formula = orbit_index(e, j, n)
-    freqs, (duration,) = _reeb_flow(e, j, [n])
+    freqs, (duration,) = _reeb_freqs(e), _periods(e, j, [n])
     if sample_count is None:
         sample_count = _default_samples(freqs, duration)
     path = RotationPath(freqs, duration, sample_count=sample_count)
@@ -288,42 +290,41 @@ def cross_check_family(e, n_max):
     of n} for every j in the mapping n_max, from one crossing search.
 
     The linearized Reeb flow does not depend on j, so every iterate of every
-    simple orbit is a prefix of one rotation path.  find_crossings runs once
-    on it over [0, T_max], T_max = max_j n_max[j]*pi*a_j, with the
-    _default_samples grid of that path.  Each T_n = n*pi*a_j, rounded as
-    cross_check_index rounds its duration, is matched to the crossing within
-    the isolation gap ISOLATION_FACTOR*T_max of it, and cz(gamma_j^n) is the
-    sum of the signatures in (0, T_n) plus half the signatures at 0 and at
-    T_n.  An empty n_max runs no search.
+    simple orbit is a prefix of one rotation path.  find_crossings runs once on
+    it over [0, T_max], T_max = max_j n_max[j]*pi*a_j, with the _default_samples
+    grid of that path.  Each T_n = n*pi*a_j, rounded as cross_check_index rounds
+    its duration, is matched to the crossing within the isolation gap
+    ISOLATION_FACTOR*T_max of it, and cz(gamma_j^n) is the sum of the signatures
+    in (0, T_n) plus half those at 0 and at T_n.  An empty n_max runs no search.
 
-    Every family goes through cross_check_index instead, one orbit at a
-    time, when the long search raises CrossingError or a crossing is
-    degenerate; a family with a T_n that has no crossing within the gap (or
-    more than one) does so on its own.  So an index is never guessed, and
+    Every family goes through cross_check_index instead, one orbit at a time,
+    when the search raises CrossingError, a crossing is degenerate, or a T_n has
+    no crossing within the gap or more than one: the list is then wrong near
+    T_n, and so is every index read past it.  So an index is never guessed, and
     each inconclusive record names its own orbit's failure.
     """
     for j, n in n_max.items():
         orbit_index(e, j, n)  # checks j, n and the hypothesis before the search
     if not n_max:
         return {}
-    ends = {j: _reeb_flow(e, j, range(1, n + 1))[1] for j, n in sorted(n_max.items())}
-    freqs = _reeb_flow(e, 1, ())[0]
+    ends = {j: _periods(e, j, range(1, n + 1)) for j, n in sorted(n_max.items())}
+    freqs = _reeb_freqs(e)
     t_max = max(t[-1] for t in ends.values())
     path = RotationPath(freqs, t_max, sample_count=_default_samples(freqs, t_max))
     try:
         crossings = find_crossings(path)
+        twice = {j: _catenated_twice(crossings, t, ISOLATION_FACTOR * t_max)
+                 for j, t in ends.items()}
     except CrossingError:
-        crossings = None
+        twice = dict.fromkeys(ends)
+    if None in twice.values():
+        return {j: [cross_check_index(e, j, n) for n in range(1, n_max[j] + 1)]
+                for j in ends}
     out = {}
-    for j, t in ends.items():
-        twice = None if crossings is None else _catenated_twice(
-            crossings, t, ISOLATION_FACTOR * t_max)
-        if twice is None:
-            out[j] = [cross_check_index(e, j, n) for n in range(1, n_max[j] + 1)]
-            continue
+    for j, tw_j in twice.items():
         a = e.family.elements(j, e.family.element(j, n_max[j])).tolist()
         out[j] = []
-        for n, (tw, a_n) in enumerate(zip(twice, a, strict=True), start=1):
+        for n, (tw, a_n) in enumerate(zip(tw_j, a, strict=True), start=1):
             formula = e.m - 1 + 2 * a_n
             numeric = Fraction(tw, 2)
             out[j].append(CrossCheck(j=j, n=n, formula=formula, numeric=numeric,

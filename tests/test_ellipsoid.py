@@ -264,15 +264,16 @@ def test_guard_equals_the_dict_reference(e2, monkeypatch, name):
 # ---------------------------------------------------------------------------
 
 def _assert_flow_is_rounded_from_mpmath(weights, ns, dps=50):
-    """_reeb_flow against an mpmath evaluation at dps digits, rounded to double."""
+    """_reeb_freqs and _periods against an mpmath evaluation at dps digits,
+    rounded to double."""
     e = Ellipsoid(weights)
     with mpmath.workdps(dps):
         a = [mpmath.mpf(w.p.numerator) / w.p.denominator
              + mpmath.mpf(w.q.numerator) / w.q.denominator * mpmath.sqrt(w.d)
              for w in weights]
+        assert ell._reeb_freqs(e) == [float(2 / x) for x in a]
         for j in range(1, len(weights) + 1):
-            freqs, periods = ell._reeb_flow(e, j, ns)
-            assert freqs == [float(2 / x) for x in a]
+            periods = ell._periods(e, j, ns)
             assert periods == [float(n * mpmath.pi * a[j - 1]) for n in ns]
 
 
@@ -455,25 +456,17 @@ def _near(crossings, t):
     return min(range(len(crossings)), key=lambda k: abs(crossings[k].t - t))
 
 
-# Each edit changes what lies within the isolation gap of t, but not the
-# signatures summed over (0, T) for any T away from t: a family whose ends
-# are all far from t reads the same indices from the edited list.
-
 def _drop(crossings, t):
-    # t's gap loses its crossing, which moves just before the gap
-    k = _near(crossings, t)
-    moved = dataclasses.replace(crossings[k], t=crossings[k].t - 1e-3 * t)
-    return crossings[:k] + [moved] + crossings[k + 1:]
+    out = list(crossings)
+    del out[_near(out, t)]
+    return out
 
 
 def _double(crossings, t):
-    # t's gap holds two crossings, which share the signature of the one
+    # a second crossing within the isolation gap of the first
     k = _near(crossings, t)
-    c = crossings[k]
-    half = c.signature // 2
-    first = dataclasses.replace(c, signature=half)
-    twin = dataclasses.replace(c, t=c.t + 1e-7 * t, signature=c.signature - half)
-    return crossings[:k] + [first, twin] + crossings[k + 1:]
+    twin = dataclasses.replace(crossings[k], t=crossings[k].t + 1e-7 * t)
+    return crossings[:k + 1] + [twin] + crossings[k + 1:]
 
 
 def _degenerate(crossings, t):
@@ -484,12 +477,11 @@ def _degenerate(crossings, t):
 
 @pytest.mark.parametrize("edit", [_drop, _double, _degenerate])
 def test_family_never_guesses_an_unmatched_end(e3, monkeypatch, edit):
-    # T_2 = 2*pi*a_1 of gamma_1^2 loses its crossing or shares the gap with
-    # a second one: family 1 falls back to one cross_check_index per orbit,
-    # while family 3, whose ends are far from 2*pi, is still read from the
-    # shared list.  A degenerate crossing sends every family to the oracle.
-    # Either way every record is the oracle's.
-    fallen = (1, 3) if edit is _degenerate else (1,)
+    # T_2 = 2*pi*a_1 of gamma_1^2 loses its crossing, shares the gap with a
+    # second one, or its crossing turns degenerate.  The shared list is then
+    # wrong near 2*pi, and family 3, whose later ends lie past 2*pi, would
+    # sum its signatures over that spot: every family falls back to one
+    # cross_check_index per orbit, and every record is the oracle's.
     real_find = ell.find_crossings
     monkeypatch.setattr(ell, "find_crossings",
                         lambda path: edit(real_find(path), 2 * math.pi))
@@ -499,6 +491,6 @@ def test_family_never_guesses_an_unmatched_end(e3, monkeypatch, edit):
     checks = cross_check_family(e3, n_max)
     assert len(searches) == 1
     assert [c[1:] for c in calls] == [
-        (j, n) for j in fallen for n in range(1, n_max[j] + 1)]
+        (j, n) for j in (1, 3) for n in range(1, n_max[j] + 1)]
     monkeypatch.undo()
     assert checks == {j: per_orbit(e3, j, n) for j, n in n_max.items()}
