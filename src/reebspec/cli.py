@@ -12,9 +12,11 @@ violation found, 2 numeric engine inconclusive, 3 oracle disagreement,
 64 usage error, 65 hypothesis violation, 70 internal error (any other
 exception, reported as one `internal error: <Type>: <message>` line on
 stderr), 74 output error (stdout closed before all output was written,
-e.g. by `| head`).  No exit comes with a traceback.  `--samples` is capped
-at MAX_SAMPLES, and `cz` needs at least 8 samples per turn of the fastest
-block, plus 16; both limits exit 64 before any grid is built.
+e.g. by `| head`).  No exit comes with a traceback.  Every grid is capped
+at MAX_SAMPLES = 2**20: `--samples` above it, and a `spectrum --cross-check`
+whose one crossing search needs more (W3 from `--max-degree` 16,384), exit
+64.  `cz` needs at least 8 samples per turn of the fastest block, plus 16.
+These limits exit before any grid is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
 exits 64 above it, before any array is allocated.  At the cap, one `sh`
 process on W3, stdout to /dev/null, peaks at 528 MB resident (ru_maxrss),
@@ -43,6 +45,7 @@ import numpy as np
 
 from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
 from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, spectrum
+from .ellipsoid import family_samples
 from .errors import CrossingError, ExprSyntaxError, HypothesisViolation, RadicandError
 from .homology import compare
 from .partitions import rayleigh_conjugate, rayleigh_pair, uspensky_scan, verify_partition
@@ -216,7 +219,11 @@ def cmd_spectrum(args):
     # every simple orbit.  The spectrum holds gamma_j^1..gamma_j^N for each
     # j, so the count of j is its largest n.
     if args.cross_check and args.samples is None:
-        checks = cross_check_family(e, Counter(o.j for o in orbits))
+        n_max = Counter(o.j for o in orbits)
+        if (needed := family_samples(e, n_max)) > MAX_SAMPLES:
+            raise _UsageError(f"--cross-check to --max-degree {args.max_degree} needs a "
+                              f"grid of {needed} samples, above the cap {MAX_SAMPLES}")
+        checks = cross_check_family(e, n_max)
     rows = []
     status = EXIT_OK
     saw_inconclusive = False

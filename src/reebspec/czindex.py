@@ -10,9 +10,11 @@ A path is evaluated only on stacks of times (see SymplecticPath), and the
 search runs in array stages, each of which evaluates sigma_min on a stack,
 SIGMA_CHUNK times at a time, and never one time point at a time:
 
-1. the grid: sample_count times on [a, b], checked to stay in Sp(2n);
-2. the rescan: every candidate window of a recursion level is resampled at
-   once, until each dip sits in a narrow unimodal piece;
+1. the grid: sample_count times on [a, b], checked to stay in Sp(2n), by
+   the 2x2 block determinants on a direct sum of 2x2 blocks;
+2. the rescan: one array pass per recursion level resamples every candidate
+   window and finds all their runs and peak splits, until each dip sits in
+   a narrow unimodal piece;
 3. golden-section refinement of every piece in lockstep, each piece along
    its own iterate sequence;
 4. the probe ladder that tells a genuine shallow minimum from a wall point.
@@ -271,7 +273,18 @@ def _off_block_mask(n):
     return np.kron(np.eye(n), np.ones((2, 2))) == 0
 
 
-def _sigma_min_stack(mats):
+def _stack_defect(mats, blocks):
+    """max ||Psi^T J Psi - J|| over a stack: max_l |det B_l - 1| from the entries
+    `blocks` = (p, q, r, s) of its 2x2 diagonal blocks B_l, since Psi^T J Psi - J
+    is then the direct sum of (det B_l - 1) J_2; from the matmul if blocks is None."""
+    if blocks is None:
+        j = standard_j(mats.shape[-1] // 2)
+        return np.abs(np.swapaxes(mats, -1, -2) @ j @ mats - j).max()
+    p, q, r, s = blocks
+    return np.abs(p * s - q * r - 1.0).max()
+
+
+def _sigma_min_stack(mats, check_symplectic=False):
     """sigma_min(Psi - id) for each matrix of a (k, 2n, 2n) stack.
 
     When every entry outside the 2x2 diagonal blocks is exactly 0, each
@@ -279,15 +292,19 @@ def _sigma_min_stack(mats):
     (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2 and sigma_min =
     |ad - bc| / sigma_max, and the stack's value is the smallest over its
     blocks.  Any other stack, and any stack on which the closed form is not
-    finite, goes to LAPACK.
+    finite, goes to LAPACK.  With check_symplectic, raises ValueError when
+    _stack_defect, read after the same off-block test, is above TOL_SYMPLECTIC.
     """
     dim = mats.shape[-1]
-    if dim > 2 and np.any(mats[:, _off_block_mask(dim // 2)]):
+    blocks = None if dim > 2 and np.any(mats[:, _off_block_mask(dim // 2)]) else [
+        np.diagonal(mats[:, i::2, k::2], axis1=1, axis2=2) for i in (0, 1) for k in (0, 1)]
+    if check_symplectic and not (defect := _stack_defect(mats, blocks)) <= TOL_SYMPLECTIC:
+        raise ValueError(f"path leaves Sp(2n): max ||Psi^T J Psi - J|| = {defect:.3e} "
+                         f"on the sample grid")
+    if blocks is None:
         return _lapack_sigma_min(mats)
-    a = np.diagonal(mats[:, 0::2, 0::2], axis1=1, axis2=2) - 1.0
-    b = np.diagonal(mats[:, 0::2, 1::2], axis1=1, axis2=2)
-    c = np.diagonal(mats[:, 1::2, 0::2], axis1=1, axis2=2)
-    d = np.diagonal(mats[:, 1::2, 1::2], axis1=1, axis2=2) - 1.0
+    p, b, c, s = blocks
+    a, d = p - 1.0, s - 1.0
     s_max = (np.hypot(a + d, c - b) + np.hypot(a - d, c + b)) / 2.0
     det = np.abs(a * d - b * c)
     if not (np.isfinite(s_max).all() and np.isfinite(det).all()):
@@ -300,22 +317,15 @@ def _sigma_min_many(path, ts, lapack=False, check_symplectic=False):
     """sigma_min(Psi_t - id) at every t of ts, SIGMA_CHUNK times per stack.
 
     The values steer the search; with `lapack` they come from LAPACK alone
-    and may decide a verdict.  With `check_symplectic`, raises ValueError
-    when a sample leaves Sp(2n).
+    and may decide a verdict.  With `check_symplectic` (steering only),
+    raises ValueError when a sample leaves Sp(2n): a block-diagonal chunk
+    reads its defect from its 2x2 block determinants, any other the matmul.
     """
-    stack_sigma = _lapack_sigma_min if lapack else _sigma_min_stack
-    j = standard_j(path.n) if check_symplectic else None
     out = np.empty(len(ts))
     for lo in range(0, len(ts), SIGMA_CHUNK):
         mats = path.evaluate_batch(ts[lo:lo + SIGMA_CHUNK])
-        if check_symplectic:
-            defect = np.abs(np.swapaxes(mats, -1, -2) @ j @ mats - j).max()
-            if not defect <= TOL_SYMPLECTIC:
-                raise ValueError(
-                    f"path leaves Sp(2n): max ||Psi^T J Psi - J|| = {defect:.3e} "
-                    f"on the sample grid"
-                )
-        out[lo:lo + SIGMA_CHUNK] = stack_sigma(mats)
+        out[lo:lo + SIGMA_CHUNK] = (_lapack_sigma_min(mats) if lapack
+                                    else _sigma_min_stack(mats, check_symplectic))
     return out
 
 
@@ -349,8 +359,12 @@ def _golden_lockstep(path, lo, hi, xatol):
     return np.where(fc < fd, c_, d_)
 
 
-def _candidate_runs(sigma, gate):
-    """Maximal runs of consecutive indices with sigma at or below gate.
+def _low_pieces(sigma, gate, starts, split=True):
+    """(first, last) flat indices of the maximal runs of samples at or below
+    gate (a scalar or one value per sample) within each row of a flat array,
+    row r starting at index starts[r].  With split, each run is cut at its
+    strict interior local maxima into pieces that share their peak sample,
+    each unimodal at its row's resolution: it holds at most one visible dip.
 
     The gate combines a Lipschitz bound with the acceptance band: sigma_min
     moves by at most (max observed slope) * step between samples, so a zero
@@ -360,29 +374,22 @@ def _candidate_runs(sigma, gate):
     fast block can be truncated sideways by a slower block's branch,
     leaving neighbor differences that badly understate the true descent.
     """
-    idx = np.nonzero(sigma <= gate)[0]
-    if idx.size == 0:
-        return []
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    starts = idx[np.concatenate(([0], breaks + 1))]
-    ends = idx[np.concatenate((breaks, [idx.size - 1]))]
-    return [(int(s), int(e)) for s, e in zip(starts, ends)]
+    below = sigma <= gate
+    joined = below[:-1] & below[1:]  # samples i and i + 1 share a run,
+    joined[starts[1:] - 1] = False   # unless a row starts at i + 1
+    first, last = below.copy(), below
+    first[1:] &= ~joined
+    last[:-1] &= ~joined
+    if split:
+        mid = sigma[1:-1]
+        peak = joined[:-1] & joined[1:] & (mid > sigma[:-2]) & (mid >= sigma[2:])
+        first[1:-1] |= peak
+        last[1:-1] |= peak
+    return np.nonzero(first)[0], np.nonzero(last)[0]
 
 
-def _split_at_peaks(sigma, start, end):
-    """Split [start, end] at strict interior local maxima of sigma.
-
-    Each returned piece is unimodal at the current resolution, so it holds
-    at most one visible dip; pieces share their peak sample as a boundary.
-    """
-    run = sigma[start:end + 1]
-    peaks = (start + 1 + np.nonzero((run[1:-1] > run[:-2])
-                                    & (run[1:-1] >= run[2:]))[0]).tolist()
-    return list(zip([start] + peaks, peaks + [end]))
-
-
-def _window_minima(path, windows, slope, xatol, width_floor):
-    """Refine every dip inside each window (t_lo, t_hi) to golden-section
+def _window_minima(path, lo, hi, slope, xatol, width_floor):
+    """Refine every dip inside each window [lo[w], hi[w]] to golden-section
     accuracy; returns the candidate times, window by window.
 
     Windows are rescanned at 16x finer resolution per level; candidate runs
@@ -392,54 +399,58 @@ def _window_minima(path, windows, slope, xatol, width_floor):
     width floor (further structure below that scale is inside the
     isolation-gap contract), or once its width drops below the floor.
 
-    Every window of one recursion level is rescanned in one stacked
-    evaluation, and every piece is refined in lockstep.  Each piece carries
-    a key that sorts the candidates in the order a depth-first rescan of its
-    window alone would find them: a node's own pieces first, then the
-    subtrees of its rescanned pieces, last-found first.
+    Each recursion level is one pass over arrays: the np.linspace samples of
+    its windows lie end to end in window order, sigma_min is evaluated on
+    them in one stacked call, and one _low_pieces call finds every window's
+    runs and peak splits under the window's own gate.  Every piece is
+    refined in lockstep.  Each piece carries a key that sorts the candidates
+    in the order a depth-first rescan of its window alone would find them:
+    a node's own pieces first, then the subtrees of its rescanned pieces,
+    last-found first.
     """
-    level = [(lo, hi, 0, 65, (w,)) for w, (lo, hi) in enumerate(windows)]
+    windows = list(zip(lo.tolist(), hi.tolist()))
+    keys = [(w,) for w in range(len(lo))]
+    depth, hint = np.zeros(len(lo), dtype=np.int64), np.full(len(lo), 65)
     pieces = []  # (key, lo, hi)
-    while level:
-        scans = []
-        for lo, hi, depth, hint, key in level:
-            width = hi - lo
-            if width <= width_floor or depth >= 24:
-                pieces.append((key, lo, hi))
-                continue
-            if width > 16.0 * width_floor:
-                count = hint
-            else:
-                # resolution endgame: sample densely enough that unimodal
-                # pieces are trustworthy down to the width floor
-                count = int(max(hint, min(4097, max(65, 16.0 * width / width_floor + 1))))
-            scans.append((np.linspace(lo, hi, count), width, depth, key))
-        level = []
-        if not scans:
+    while keys:
+        width = hi - lo
+        done = (width <= width_floor) | (depth >= 24)
+        pieces += [(keys[i], lo[i], hi[i]) for i in np.nonzero(done)[0].tolist()]
+        keys = [k for k, d in zip(keys, done.tolist()) if not d]
+        if not keys:
             break
-        sigmas = np.split(_sigma_min_many(path, np.concatenate([s[0] for s in scans])),
-                          np.cumsum([len(s[0]) for s in scans[:-1]]))
-        for (ts, width, depth, key), sigma in zip(scans, sigmas):
-            count = len(ts)
-            step = float(ts[1] - ts[0])
-            gate = 2.0 * slope * step + TOL_ACCEPT
-            resolved = step <= width_floor / 2.0
-            found = 0
-            for start, end in _candidate_runs(sigma, gate):
-                for s, e in _split_at_peaks(sigma, start, end):
-                    found += 1
-                    w_lo = float(ts[max(s - 1, 0)])
-                    w_hi = float(ts[min(e + 1, count - 1)])
-                    if resolved or (w_hi - w_lo) <= width_floor:
-                        pieces.append((key + (0, found), w_lo, w_hi))
-                    elif w_hi - w_lo > 0.7 * width:
-                        # the run spans the window with no visible structure: a
-                        # narrow dip may hide between samples in a uniformly low
-                        # region, so rescan at geometrically growing resolution
-                        level.append((w_lo, w_hi, depth + 1,
-                                      int(min(65537, 4 * count)), key + (1, -found)))
-                    else:
-                        level.append((w_lo, w_hi, depth + 1, 65, key + (1, -found)))
+        lo, hi, width, depth, hint = (x[~done] for x in (lo, hi, width, depth, hint))
+        # resolution endgame: sample densely enough that unimodal pieces
+        # are trustworthy down to the width floor
+        counts = np.where(width > 16.0 * width_floor, hint, np.maximum(
+            hint, np.minimum(4097, np.maximum(65, 16.0 * width / width_floor + 1)))
+        ).astype(np.int64)
+        starts = np.cumsum(counts) - counts
+        ends = starts + counts - 1
+        ts = np.arange(ends[-1] + 1, dtype=float) - np.repeat(starts, counts)
+        ts *= np.repeat((hi - lo) / (counts - 1), counts)
+        ts += np.repeat(lo, counts)
+        ts[ends] = hi
+        sigma = _sigma_min_many(path, ts)
+        step = ts[starts + 1] - ts[starts]
+        first, last = _low_pieces(
+            sigma, np.repeat(2.0 * slope * step + TOL_ACCEPT, counts), starts)
+        row = np.searchsorted(starts, first, side="right") - 1
+        found = (np.arange(len(first)) - np.searchsorted(first, starts)[row] + 1).tolist()
+        w_lo = ts[np.maximum(first - 1, starts[row])]
+        w_hi = ts[np.minimum(last + 1, ends[row])]
+        final = (step[row] <= width_floor / 2.0) | (w_hi - w_lo <= width_floor)
+        rows = row.tolist()
+        pieces += [(keys[rows[i]] + (0, found[i]), w_lo[i], w_hi[i])
+                   for i in np.nonzero(final)[0].tolist()]
+        rescan = np.nonzero(~final)[0]
+        keys = [keys[rows[i]] + (1, -found[i]) for i in rescan.tolist()]
+        row, lo, hi = row[rescan], w_lo[rescan], w_hi[rescan]
+        # a run that spans its window with no visible structure: a narrow dip
+        # may hide between samples in a uniformly low region, so rescan at
+        # geometrically growing resolution
+        hint = np.where(hi - lo > 0.7 * width[row], np.minimum(65537, 4 * counts[row]), 65)
+        depth = depth[row] + 1
     if not pieces:
         return []
     keys, lo, hi = zip(*sorted(pieces))  # keys are unique
@@ -570,9 +581,9 @@ def find_crossings(path):
     step = float(ts[1] - ts[0])
     slope = float(np.abs(np.diff(sigma)).max()) / step
     gate = 2.0 * slope * step + TOL_ACCEPT
-    windows = [(ts[max(start - 1, 0)], ts[min(end + 1, path.sample_count - 1)])
-               for start, end in _candidate_runs(sigma, gate)]
-    times = _window_minima(path, windows, slope, xatol, width_floor)
+    first, last = _low_pieces(sigma, gate, np.zeros(1, dtype=int), split=False)
+    times = _window_minima(path, ts[np.maximum(first - 1, 0)],
+                           ts[np.minimum(last + 1, len(ts) - 1)], slope, xatol, width_floor)
     # endpoints are examined explicitly, never via bracketing
     times += [a, b]
 

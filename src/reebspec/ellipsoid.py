@@ -49,6 +49,7 @@ __all__ = [
     "check_goodness_and_lacunarity",
     "cross_check_index",
     "cross_check_family",
+    "family_samples",
     "GoodnessReport",
     "CrossCheck",
 ]
@@ -235,6 +236,13 @@ def _default_samples(freqs, duration):
     return max(4096, int(128 * turns) + 16)
 
 
+def family_samples(e, n_max):
+    """Grid size of cross_check_family(e, n_max)'s one search (0 for an empty
+    n_max), computed without building the path."""
+    ends = [_periods(e, j, [n])[0] for j, n in n_max.items()]
+    return _default_samples(_reeb_freqs(e), max(ends)) if ends else 0
+
+
 def cross_check_index(e, j, n, sample_count=None):
     """Recompute cz(gamma_j^n) from the linearized Reeb flow numerically.
 
@@ -291,7 +299,7 @@ def cross_check_family(e, n_max):
 
     The linearized Reeb flow does not depend on j, so every iterate of every
     simple orbit is a prefix of one rotation path.  find_crossings runs once on
-    it over [0, T_max], T_max = max_j n_max[j]*pi*a_j, with the _default_samples
+    it over [0, T_max], T_max = max_j n_max[j]*pi*a_j, with the family_samples
     grid of that path.  Each T_n = n*pi*a_j, rounded as cross_check_index rounds
     its duration, is matched to the crossing within the isolation gap
     ISOLATION_FACTOR*T_max of it, and cz(gamma_j^n) is the sum of the signatures
@@ -308,9 +316,8 @@ def cross_check_family(e, n_max):
     if not n_max:
         return {}
     ends = {j: _periods(e, j, range(1, n + 1)) for j, n in sorted(n_max.items())}
-    freqs = _reeb_freqs(e)
     t_max = max(t[-1] for t in ends.values())
-    path = RotationPath(freqs, t_max, sample_count=_default_samples(freqs, t_max))
+    path = RotationPath(_reeb_freqs(e), t_max, sample_count=family_samples(e, n_max))
     try:
         crossings = find_crossings(path)
         twice = {j: _catenated_twice(crossings, t, ISOLATION_FACTOR * t_max)

@@ -5,12 +5,14 @@ floor quadfield._floor_exact, never the block routes they check."""
 
 import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from reebspec.czindex import TOL_EIG, TOL_KERNEL, standard_j
+from reebspec import czindex
+from reebspec.czindex import TOL_ACCEPT, TOL_EIG, TOL_KERNEL, standard_j
 from reebspec.ellipsoid import GoodnessReport, orbit_index
 from reebspec.partitions import PartitionReport
 from reebspec.quadfield import QuadIrrational, _floor_exact, pairwise_rational_ratio
@@ -203,3 +205,92 @@ def merged_cover(streams, limit, collect_owners=False):
             limit=limit, verdict="gap", value=expected, counts=counts)
     return PartitionReport(
         limit=limit, verdict="partition", owners=owners, counts=counts)
+
+
+def candidate_runs(sigma, gate):
+    """Maximal runs (start, end) of consecutive indices with sigma at or
+    below gate, one run at a time."""
+    idx = np.nonzero(sigma <= gate)[0]
+    if idx.size == 0:
+        return []
+    breaks = np.nonzero(np.diff(idx) > 1)[0]
+    starts = idx[np.concatenate(([0], breaks + 1))]
+    ends = idx[np.concatenate((breaks, [idx.size - 1]))]
+    return [(int(s), int(e)) for s, e in zip(starts, ends)]
+
+
+def split_at_peaks(sigma, start, end):
+    """[start, end] split at the strict interior local maxima of sigma; the
+    pieces share their peak sample as a boundary."""
+    run = sigma[start:end + 1]
+    peaks = (start + 1 + np.nonzero((run[1:-1] > run[:-2])
+                                    & (run[1:-1] >= run[2:]))[0]).tolist()
+    return list(zip([start] + peaks, peaks + [end]))
+
+
+def loop_candidate_times(path):
+    """(candidate times, Counter of rescan branches) of czindex.find_crossings
+    on `path`, up to its LAPACK verdicts: the grid's windows from
+    candidate_runs, then every recursion level rescanned one window at a time
+    with its own np.linspace, candidate_runs and split_at_peaks.  The branch
+    names are "piece" (handed to golden-section search), "rescan" (65
+    samples) and "rescan4x" (four times the window's samples)."""
+    a, b = path.a, path.b
+    span = b - a
+    xatol = czindex.REFINE_FACTOR * span
+    width_floor = max(czindex.ISOLATION_FACTOR * span / 2.0, 64.0 * xatol)
+    ts = np.linspace(a, b, path.sample_count)
+    sigma = czindex._sigma_min_many(path, ts, check_symplectic=True)
+    step = float(ts[1] - ts[0])
+    slope = float(np.abs(np.diff(sigma)).max()) / step
+    windows = [(ts[max(start - 1, 0)], ts[min(end + 1, path.sample_count - 1)])
+               for start, end in candidate_runs(sigma, 2.0 * slope * step + TOL_ACCEPT)]
+    branches = Counter()
+    level = [(lo, hi, 0, 65, (w,)) for w, (lo, hi) in enumerate(windows)]
+    pieces = []  # (key, lo, hi)
+    while level:
+        scans = []
+        for lo, hi, depth, hint, key in level:
+            width = hi - lo
+            if width <= width_floor or depth >= 24:
+                pieces.append((key, lo, hi))
+                continue
+            if width > 16.0 * width_floor:
+                count = hint
+            else:
+                count = int(max(hint, min(4097, max(65, 16.0 * width / width_floor + 1))))
+            scans.append((np.linspace(lo, hi, count), width, depth, key))
+        level = []
+        if not scans:
+            break
+        sigmas = np.split(czindex._sigma_min_many(path, np.concatenate([s[0] for s in scans])),
+                          np.cumsum([len(s[0]) for s in scans[:-1]]))
+        for (ts, width, depth, key), sigma in zip(scans, sigmas):
+            count = len(ts)
+            step = float(ts[1] - ts[0])
+            gate = 2.0 * slope * step + TOL_ACCEPT
+            resolved = step <= width_floor / 2.0
+            found = 0
+            for start, end in candidate_runs(sigma, gate):
+                for s, e in split_at_peaks(sigma, start, end):
+                    found += 1
+                    w_lo = float(ts[max(s - 1, 0)])
+                    w_hi = float(ts[min(e + 1, count - 1)])
+                    if resolved or (w_hi - w_lo) <= width_floor:
+                        branches["piece"] += 1
+                        pieces.append((key + (0, found), w_lo, w_hi))
+                    elif w_hi - w_lo > 0.7 * width:
+                        branches["rescan4x"] += 1
+                        level.append((w_lo, w_hi, depth + 1,
+                                      int(min(65537, 4 * count)), key + (1, -found)))
+                    else:
+                        branches["rescan"] += 1
+                        level.append((w_lo, w_hi, depth + 1, 65, key + (1, -found)))
+    if not pieces:
+        return [], branches
+    keys, lo, hi = zip(*sorted(pieces))
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    ts = czindex._golden_lockstep(path, lo, hi, xatol)
+    wall = (((ts - lo <= 4.0 * xatol) & (lo != a))
+            | ((hi - ts <= 4.0 * xatol) & (hi != b)))
+    return [t for t, drop in zip(ts.tolist(), wall.tolist()) if not drop], branches

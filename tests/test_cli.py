@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,8 @@ from helpers import beatty_stream, merged_cover
 import reebspec
 import reebspec.cli as cli
 import reebspec.ellipsoid
-from reebspec import FieldContext
+import reebspec.errors
+from reebspec import FieldContext, czindex
 from reebspec.cli import main
 from reebspec.homology import ShComparison, compare, first_difference
 
@@ -225,6 +227,64 @@ def test_spectrum_cross_check_runs_one_crossing_search(capsys, monkeypatch,
     assert len(calls) == searches
     rows = json.loads(out)["orbits"]
     assert len(rows) == orbits and all(o["agree"] for o in rows)
+
+
+def test_spectrum_cross_check_grid_above_the_cap_is_usage_error(capsys, monkeypatch):
+    # the one search's default grid obeys the cap that --samples obeys: W3
+    # passes it from degree 16,384, and exits before any grid or search
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(reebspec.ellipsoid, "RotationPath", refuse)
+    monkeypatch.setattr(reebspec.ellipsoid, "find_crossings", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--d", "2", "--weights",
+                         "1; sqrt(2); 1+sqrt(2)", "--max-degree", "16384", "--cross-check")
+    assert time.perf_counter() - start < 2.0
+    assert code == 64
+    assert out == ""
+    assert f"needs a grid of 1048661 samples, above the cap {cli.MAX_SAMPLES}" in err
+
+
+def test_spectrum_cross_check_grid_at_the_cap_runs_the_search(capsys, monkeypatch):
+    # one degree lower, the same family's grid fits under the cap
+    searched = []
+
+    def stop(path):
+        searched.append(path.sample_count)
+        raise reebspec.errors.NonIsolatedCrossingError("stopped before the search")
+
+    monkeypatch.setattr(reebspec.ellipsoid, "find_crossings", stop)
+    monkeypatch.setattr(reebspec.ellipsoid, "cross_check_index",
+                        lambda e, j, n: reebspec.ellipsoid.CrossCheck(
+                            j, n, 0, None, None, True, "skipped"))
+    code, _, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                     "1; sqrt(2); 1+sqrt(2)", "--max-degree", "16383", "--cross-check")
+    assert code == 2
+    assert searched == [1048389] and searched[0] <= cli.MAX_SAMPLES
+
+
+def test_spectrum_cross_check_keeps_its_sample_schedule(capsys, monkeypatch):
+    # W3 to degree 160: the grid, every rescan level, the golden iterations,
+    # the probes and the verdict stack take exactly the samples they took
+    # when each window was rescanned by its own loop
+    real, calls, searches = czindex._sigma_min_many, [], []
+
+    def counted(path, ts, lapack=False, check_symplectic=False):
+        calls.append((len(ts), check_symplectic))
+        return real(path, ts, lapack=lapack, check_symplectic=check_symplectic)
+
+    real_search = reebspec.ellipsoid.find_crossings
+    monkeypatch.setattr(czindex, "_sigma_min_many", counted)
+    monkeypatch.setattr(reebspec.ellipsoid, "find_crossings",
+                        lambda path: searches.append(path) or real_search(path))
+    code, _, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                     "1; sqrt(2); 1+sqrt(2)", "--max-degree", "160", "--cross-check")
+    assert code == 0
+    assert len(searches) == 1
+    assert [n for n, grid in calls if grid] == [10334]
+    assert sum(n for n, _ in calls) == 39718
+    assert len(calls) == 44
 
 
 def test_spectrum_samples_selects_the_per_orbit_route(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reebspec import czindex
 from reebspec.czindex import (
@@ -21,8 +21,17 @@ from reebspec.czindex import (
     standard_j,
     symplectic_defect,
 )
-from helpers import constant, random_rotation_pair, reference_crossing, rots
+from helpers import (
+    candidate_runs,
+    constant,
+    loop_candidate_times,
+    random_rotation_pair,
+    reference_crossing,
+    rots,
+    split_at_peaks,
+)
 from reebspec.errors import (
+    CrossingError,
     DegenerateCrossingError,
     FlatCrossingError,
     NonIsolatedCrossingError,
@@ -466,12 +475,95 @@ def test_closed_form_of_identity_blocks_is_zero_without_warning():
     assert pair.tolist() == [0.0]
 
 
+def one_at_a_time_defects(mats):
+    """(block, matmul) Sp(2n) defect of every matrix of a block-diagonal
+    stack, each read by czindex._stack_defect from a one-matrix stack."""
+    out = []
+    for i in range(len(mats)):
+        one = mats[i:i + 1]
+        blocks = [one[:, r::2, c::2].diagonal(axis1=1, axis2=2) for r in (0, 1) for c in (0, 1)]
+        out.append((czindex._stack_defect(one, blocks), czindex._stack_defect(one, None)))
+    return out
+
+
+def defect_reads(monkeypatch):
+    """Record, for every _stack_defect call, whether it read block entries."""
+    real, reads = czindex._stack_defect, []
+
+    def spy(mats, blocks):
+        reads.append("blocks" if blocks is not None else "matmul")
+        return real(mats, blocks)
+
+    monkeypatch.setattr(czindex, "_stack_defect", spy)
+    return reads
+
+
+@given(block_diagonal_stacks())
+def test_block_defect_matches_the_matmul_defect(mats):
+    # max_l |det B_l - 1| and max |Psi^T J Psi - J| differ by rounding only:
+    # within 4e-16 on unit-scale blocks, scaled by the largest entry squared
+    scale = max(1.0, float(np.abs(mats).max())) ** 2
+    for block, matmul in one_at_a_time_defects(mats):
+        assert abs(block - matmul) <= 4e-16 * scale
+
+
+def test_block_defect_matches_the_matmul_defect_on_rotation_paths():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        freqs = rng.uniform(0.1, 10.0, n).tolist()
+        mats = RotationPath(freqs, 1e3, sample_count=20000).evaluate_batch(
+            rng.uniform(0.0, 1e3, 256))
+        for block, matmul in one_at_a_time_defects(mats):
+            assert abs(block - matmul) <= 4e-16
+
+
+def test_grid_reads_the_block_defect_of_a_rotation_path(monkeypatch):
+    reads = defect_reads(monkeypatch)
+    path = RotationPath([1.0, 2.0, 3.0], TWO_PI * 3.3, sample_count=10000)
+    assert cz_index(path) == cz_rotation_analytic([1.0, 2.0, 3.0], TWO_PI * 3.3)
+    assert reads == ["blocks"] * 3  # one per SIGMA_CHUNK-time grid chunk
+
+
+def test_non_symplectic_block_of_a_6x6_path_is_rejected(monkeypatch):
+    # the third 2x2 block is (1 + t) id: block diagonal, so the grid reads
+    # the defect from the block determinants, and it is (1 + t)^2 - 1
+    def evaluator(ts):
+        out = RotationPath([1.0, 2.0, 3.0], 1.0)._rotations(ts)
+        out[:, 4:, 4:] = (1.0 + ts)[:, None, None] * np.eye(2)
+        return out
+
+    reads = defect_reads(monkeypatch)
+    with pytest.raises(ValueError, match="leaves Sp"):
+        find_crossings(SymplecticPath(0.0, 1.0, evaluator))
+    assert reads == ["blocks"]
+
+
+def test_off_block_entry_takes_the_matmul_defect(monkeypatch):
+    # x_1 += eps * y_3 keeps every 2x2 diagonal block a rotation, so the
+    # block determinants all read 1, but Psi^T J Psi - J has entries eps
+    eps = 1e-6
+
+    def evaluator(ts):
+        out = RotationPath([1.0, 2.0, 3.0], 1.0)._rotations(ts)
+        out[:, 0, 5] = eps
+        return out
+
+    mats = evaluator(np.linspace(0.0, 1.0, 64))
+    j = standard_j(3)
+    assert czindex._stack_defect(mats, None) == \
+        np.abs(mats.transpose(0, 2, 1) @ j @ mats - j).max() >= eps / 2
+    reads = defect_reads(monkeypatch)
+    with pytest.raises(ValueError, match="leaves Sp"):
+        find_crossings(SymplecticPath(0.0, 1.0, evaluator))
+    assert reads == ["matmul"]
+
+
 def test_verdicts_read_lapack_not_the_steering_values(monkeypatch):
     # steering values that never fall below TOL_KERNEL would make every
     # crossing look flat, were they read for a verdict
     closed = czindex._sigma_min_stack
     monkeypatch.setattr(czindex, "_sigma_min_stack",
-                        lambda mats: closed(mats) + 2.0 * czindex.TOL_KERNEL)
+                        lambda mats, *check: closed(mats, *check) + 2.0 * czindex.TOL_KERNEL)
     duration = TWO_PI * 1.3
     assert cz_index(RotationPath([1.0, 2.0], duration)) == \
         cz_rotation_analytic([1.0, 2.0], duration)
@@ -609,3 +701,82 @@ def test_stacked_classification_equals_the_per_time_reference(name):
     after = crossings[1].t if len(crossings) > 1 else path.b
     with pytest.raises(NotACrossingError):
         crossing_form(path, (crossings[0].t + after) / 2)
+
+
+# ---------------------------------------------------------------------------
+# the rescan levels as whole-array passes, against the per-window loop
+# ---------------------------------------------------------------------------
+
+def stacked_candidate_times(path):
+    """The candidate times czindex._window_minima hands find_crossings."""
+    real, got = czindex._window_minima, []
+
+    def spy(*args):
+        times = real(*args)
+        got.append(list(times))  # find_crossings appends the endpoints
+        return times
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(czindex, "_window_minima", spy)
+        try:
+            find_crossings(path)
+        except CrossingError:
+            pass  # the candidates were handed over before any verdict
+    assert len(got) == 1
+    return got[0]
+
+
+def assert_level_pass_equals_the_loop(path):
+    want, branches = loop_candidate_times(path)
+    got = stacked_candidate_times(path)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    return branches
+
+
+@given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=12), min_size=1, max_size=5),
+       st.data())
+def test_flat_runs_equal_the_per_row_runs_and_peak_splits(rows, data):
+    # small integer values make ties common, so the strict and non-strict
+    # sides of a peak are both exercised
+    gates = [data.draw(st.integers(0, 4)) for _ in rows]
+    sigma = np.array([v for row in rows for v in row], dtype=float)
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    want_runs, want_pieces = [], []
+    for start, row, gate in zip(starts.tolist(), rows, gates):
+        runs = candidate_runs(np.array(row, dtype=float), gate)
+        want_runs += [(start + s, start + e) for s, e in runs]
+        want_pieces += [(start + s, start + e) for r in runs
+                        for s, e in split_at_peaks(np.array(row, dtype=float), *r)]
+    gate = np.repeat(np.array(gates, dtype=float), [len(row) for row in rows])
+    for split, want in ((False, want_runs), (True, want_pieces)):
+        first, last = czindex._low_pieces(sigma, gate, starts, split=split)
+        assert list(zip(first.tolist(), last.tolist())) == want
+
+
+@given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+       st.floats(0.2, 12.0))
+@settings(max_examples=60)
+def test_level_pass_equals_the_per_window_loop(freqs, turns):
+    duration = TWO_PI * turns
+    path = RotationPath(freqs, duration,
+                        sample_count=max(4096, min_rotation_samples(freqs, duration)))
+    assert_level_pass_equals_the_loop(path)
+
+
+def test_level_pass_equals_the_loop_on_a_near_coincident_pair():
+    # crossings 2*pi*k apart from 2*pi*k / (1 + 1e-5): the low region around
+    # each pair spans its window, so the 4x rescan runs
+    branches = assert_level_pass_equals_the_loop(RotationPath([1.0, 1.0 + 1e-5], TWO_PI * 3.5))
+    assert branches["rescan4x"] > 0 and branches["rescan"] > 0 and branches["piece"] > 0
+
+
+def test_level_pass_equals_the_loop_on_a_conjugated_path(monkeypatch):
+    # a non-block path: every steering value comes from LAPACK
+    path = conjugated(RotationPath([1.0, math.sqrt(3.0)], TWO_PI * 4.3),
+                      random_sp4(random.Random(99)))
+    lapack, calls = czindex._lapack_sigma_min, []
+    monkeypatch.setattr(czindex, "_lapack_sigma_min",
+                        lambda mats: calls.append(len(mats)) or lapack(mats))
+    branches = assert_level_pass_equals_the_loop(path)
+    assert sum(branches.values()) > 0
+    assert sum(calls) > 2 * path.sample_count
