@@ -16,7 +16,8 @@ e.g. by `| head`).  No exit comes with a traceback.  Every grid is capped
 at MAX_SAMPLES = 2**20: `--samples` above it, and a `spectrum --cross-check`
 whose one crossing search needs more (W3 from `--max-degree` 16,384), exit
 64.  `cz` needs at least 8 samples per turn of the fastest block, plus 16.
-These limits exit before any grid is built.
+These limits exit before any grid is built; the cross-check's is checked
+from the Tamura element counts, before the spectrum is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
 exits 64 above it, before any array is allocated.  At the cap, one `sh`
 process on W3, stdout to /dev/null, peaks at 528 MB resident (ru_maxrss),
@@ -38,14 +39,13 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
 from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, spectrum
-from .ellipsoid import family_samples
+from .ellipsoid import family_samples, iterate_counts
 from .errors import CrossingError, ExprSyntaxError, HypothesisViolation, RadicandError
 from .homology import compare
 from .partitions import rayleigh_conjugate, rayleigh_pair, uspensky_scan, verify_partition
@@ -213,17 +213,17 @@ def cmd_cz(args):
 def cmd_spectrum(args):
     weights = _parse_weights(args)
     e = Ellipsoid(weights)
-    orbits = spectrum(e, args.max_degree)
     # --samples N means N samples on each orbit's own path, so it takes the
     # per-orbit route; otherwise one crossing search serves every iterate of
-    # every simple orbit.  The spectrum holds gamma_j^1..gamma_j^N for each
-    # j, so the count of j is its largest n.
+    # every simple orbit, and its grid is checked against the cap before any
+    # orbit is built.
     if args.cross_check and args.samples is None:
-        n_max = Counter(o.j for o in orbits)
+        n_max = iterate_counts(e, args.max_degree)
         if (needed := family_samples(e, n_max)) > MAX_SAMPLES:
             raise _UsageError(f"--cross-check to --max-degree {args.max_degree} needs a "
                               f"grid of {needed} samples, above the cap {MAX_SAMPLES}")
         checks = cross_check_family(e, n_max)
+    orbits = spectrum(e, args.max_degree)
     rows = []
     status = EXIT_OK
     saw_inconclusive = False

@@ -19,12 +19,15 @@ SIGMA_CHUNK times at a time, and never one time point at a time:
    its own iterate sequence;
 4. the probe ladder that tells a genuine shallow minimum from a wall point.
 
-On a stack whose entries outside the 2x2 diagonal blocks are exactly 0 (a
-direct sum of 2x2 blocks, such as every RotationPath), sigma_min comes from
-a closed form per block; any other stack goes to LAPACK.  The closed form
-only steers the search.  LAPACK decides: every verdict against TOL_KERNEL
-or TOL_ACCEPT reads one stacked LAPACK SVD at the refined times and the
-path endpoints.
+Steering reads the entries of the 2x2 diagonal blocks that the path
+supplies (SymplecticPath.block_entries): a RotationPath computes them from
+its cos and sin without building a stack, and any other path has its stack
+tested for entries outside those blocks, supplying them only when every
+such entry is exactly 0.  On block entries sigma_min comes from a closed
+form per block; a path without them, and any chunk on which the closed form
+is not finite, goes to LAPACK.  The closed form only steers the search.
+LAPACK decides: every verdict against TOL_KERNEL or TOL_ACCEPT reads one
+stacked LAPACK SVD at the refined times and the path endpoints.
 
 Classification is a stack as well.  At every crossing at once, the form
 (zeta, eta) -> zeta^T S_t eta with S_t = J (d/dt Psi_t) Psi_t^{-1} is
@@ -101,6 +104,12 @@ def symplectic_defect(mat):
     return float(np.abs(mat.T @ j @ mat - j).max())
 
 
+@functools.lru_cache(maxsize=None)
+def _off_block_mask(n):
+    """True at the entries of a 2n x 2n matrix outside its 2x2 diagonal blocks."""
+    return np.kron(np.eye(n), np.ones((2, 2))) == 0
+
+
 class SymplecticPath:
     """A path t -> Psi_t in Sp(2n) on [a, b], evaluated on stacks of times.
 
@@ -111,6 +120,14 @@ class SymplecticPath:
     within h of an endpoint, all from one stacked evaluation.  Every stack
     is checked: a shape other than (len(ts), 2n, 2n) raises ValueError, so
     an evaluator that ignores ts is refused rather than broadcast.
+
+    block_entries(ts) returns (blocks, mats).  blocks is the tuple (p, q, r, s)
+    of (len(ts), n) arrays holding the entries [[p, q], [r, s]] of every 2x2
+    diagonal block of Psi_t, the same doubles as the stack's, or None when
+    some entry outside those blocks is nonzero; mats is the stack of Psi_t,
+    or None when the path supplied blocks without building one.  Here it
+    evaluates the stack and tests its off-block entries; a subclass that
+    knows its blocks overrides it.
     """
 
     def __init__(self, a, b, evaluator, derivative=None, sample_count=4096):
@@ -144,6 +161,14 @@ class SymplecticPath:
 
     def derivative_batch(self, ts):
         return self._stack(self._derivative, ts)
+
+    def block_entries(self, ts):
+        mats = self.evaluate_batch(ts)
+        dim = mats.shape[-1]
+        if dim > 2 and np.any(mats[:, _off_block_mask(dim // 2)]):
+            return None, mats
+        return tuple(np.diagonal(mats[:, i::2, k::2], axis1=1, axis2=2)
+                     for i in (0, 1) for k in (0, 1)), mats
 
     def evaluate(self, t):
         return self.evaluate_batch([t])[0]
@@ -186,6 +211,8 @@ class RotationPath(SymplecticPath):
     """t -> direct sum of rotations R(alpha_l t) on [0, duration].
 
     d/dt Psi_t = Psi_t G, with G the direct sum of alpha_l [[0, -1], [1, 0]].
+    block_entries hands out the blocks (cos, -sin, sin, cos) of alpha_l t
+    without building a stack; the stacks hold the same cos and sin doubles.
     Raises ValueError when sample_count is below min_rotation_samples.
     """
 
@@ -212,15 +239,21 @@ class RotationPath(SymplecticPath):
             sample_count=sample_count,
         )
 
+    def _cos_sin(self, ts):
+        """cos and sin of alpha_l t as (len(ts), n) arrays, row t, column l."""
+        angles = np.multiply.outer(np.asarray(ts, dtype=float), self.freqs)
+        return np.cos(angles), np.sin(angles)
+
+    def block_entries(self, ts):
+        c, s = self._cos_sin(ts)
+        return (c, -s, s, c), None
+
     def _rotations(self, ts):
-        n = len(self.freqs)
-        out = np.zeros((len(ts), 2 * n, 2 * n))
-        for l, f in enumerate(self.freqs):
-            c, s = np.cos(f * ts), np.sin(f * ts)
-            out[:, 2 * l, 2 * l] = c
-            out[:, 2 * l, 2 * l + 1] = -s
-            out[:, 2 * l + 1, 2 * l] = s
-            out[:, 2 * l + 1, 2 * l + 1] = c
+        c, s = self._cos_sin(ts)
+        x = 2 * np.arange(len(self.freqs))
+        out = np.zeros((len(ts), 2 * len(self.freqs), 2 * len(self.freqs)))
+        out[:, x, x], out[:, x, x + 1] = c, -s
+        out[:, x + 1, x], out[:, x + 1, x + 1] = s, c
         return out
 
 
@@ -267,12 +300,6 @@ def _lapack_sigma_min(mats):
     return np.linalg.svd(mats - np.eye(mats.shape[-1]), compute_uv=False)[:, -1]
 
 
-@functools.lru_cache(maxsize=None)
-def _off_block_mask(n):
-    """True at the entries of a 2n x 2n matrix outside its 2x2 diagonal blocks."""
-    return np.kron(np.eye(n), np.ones((2, 2))) == 0
-
-
 def _stack_defect(mats, blocks):
     """max ||Psi^T J Psi - J|| over a stack: max_l |det B_l - 1| from the entries
     `blocks` = (p, q, r, s) of its 2x2 diagonal blocks B_l, since Psi^T J Psi - J
@@ -284,48 +311,50 @@ def _stack_defect(mats, blocks):
     return np.abs(p * s - q * r - 1.0).max()
 
 
-def _sigma_min_stack(mats, check_symplectic=False):
-    """sigma_min(Psi - id) for each matrix of a (k, 2n, 2n) stack.
+def _sigma_min_blocks(blocks):
+    """sigma_min(Psi - id) at each time, from the entries `blocks` = (p, q, r, s)
+    of the 2x2 diagonal blocks of a direct sum of 2x2 blocks, or None when
+    the closed form is not finite at some time.
 
-    When every entry outside the 2x2 diagonal blocks is exactly 0, each
-    block M = [[a, b], [c, d]] of Psi - id has sigma_max =
+    Each block M = [[a, b], [c, d]] of Psi - id has sigma_max =
     (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2 and sigma_min =
-    |ad - bc| / sigma_max, and the stack's value is the smallest over its
-    blocks.  Any other stack, and any stack on which the closed form is not
-    finite, goes to LAPACK.  With check_symplectic, raises ValueError when
-    _stack_defect, read after the same off-block test, is above TOL_SYMPLECTIC.
+    |ad - bc| / sigma_max, and Psi's value is the smallest over its blocks.
     """
-    dim = mats.shape[-1]
-    blocks = None if dim > 2 and np.any(mats[:, _off_block_mask(dim // 2)]) else [
-        np.diagonal(mats[:, i::2, k::2], axis1=1, axis2=2) for i in (0, 1) for k in (0, 1)]
-    if check_symplectic and not (defect := _stack_defect(mats, blocks)) <= TOL_SYMPLECTIC:
-        raise ValueError(f"path leaves Sp(2n): max ||Psi^T J Psi - J|| = {defect:.3e} "
-                         f"on the sample grid")
-    if blocks is None:
-        return _lapack_sigma_min(mats)
     p, b, c, s = blocks
     a, d = p - 1.0, s - 1.0
     s_max = (np.hypot(a + d, c - b) + np.hypot(a - d, c + b)) / 2.0
     det = np.abs(a * d - b * c)
     if not (np.isfinite(s_max).all() and np.isfinite(det).all()):
-        return _lapack_sigma_min(mats)
+        return None
     s_min = np.divide(det, s_max, out=np.zeros_like(det), where=s_max > 0)
     return s_min.min(axis=1)
 
 
 def _sigma_min_many(path, ts, lapack=False, check_symplectic=False):
-    """sigma_min(Psi_t - id) at every t of ts, SIGMA_CHUNK times per stack.
+    """sigma_min(Psi_t - id) at every t of ts, SIGMA_CHUNK times per chunk.
 
     The values steer the search; with `lapack` they come from LAPACK alone
-    and may decide a verdict.  With `check_symplectic` (steering only),
-    raises ValueError when a sample leaves Sp(2n): a block-diagonal chunk
-    reads its defect from its 2x2 block determinants, any other the matmul.
+    and may decide a verdict.  Otherwise each chunk reads path.block_entries
+    once: the closed form of _sigma_min_blocks on its blocks, and LAPACK on
+    its stack, evaluated only then, when it has no blocks or the closed form
+    is not finite.  With `check_symplectic` (steering only), raises ValueError
+    when a sample leaves Sp(2n): a chunk with blocks reads its defect from
+    their determinants, any other the matmul.
     """
     out = np.empty(len(ts))
     for lo in range(0, len(ts), SIGMA_CHUNK):
-        mats = path.evaluate_batch(ts[lo:lo + SIGMA_CHUNK])
-        out[lo:lo + SIGMA_CHUNK] = (_lapack_sigma_min(mats) if lapack
-                                    else _sigma_min_stack(mats, check_symplectic))
+        chunk = ts[lo:lo + SIGMA_CHUNK]
+        if lapack:
+            out[lo:lo + SIGMA_CHUNK] = _lapack_sigma_min(path.evaluate_batch(chunk))
+            continue
+        blocks, mats = path.block_entries(chunk)
+        if check_symplectic and not (defect := _stack_defect(mats, blocks)) <= TOL_SYMPLECTIC:
+            raise ValueError(f"path leaves Sp(2n): max ||Psi^T J Psi - J|| = {defect:.3e} "
+                             f"on the sample grid")
+        sigma = None if blocks is None else _sigma_min_blocks(blocks)
+        if sigma is None:
+            sigma = _lapack_sigma_min(path.evaluate_batch(chunk) if mats is None else mats)
+        out[lo:lo + SIGMA_CHUNK] = sigma
     return out
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "cross_check_index",
     "cross_check_family",
     "family_samples",
+    "iterate_counts",
     "GoodnessReport",
     "CrossCheck",
 ]
@@ -120,6 +121,20 @@ def orbit_index(e, j, n):
     return e.m - 1 + 2 * e.family.element(j, n)
 
 
+def _spectrum_sets(e, max_degree):
+    """The Tamura elements a of every set, in j order, whose orbits have
+    cz = m - 1 + 2a <= max_degree: a <= (max_degree - m + 1) // 2."""
+    e.require_hypothesis()
+    limit = (max_degree - e.m + 1) // 2
+    return [e.family.elements(j, limit) for j in range(1, e.m + 1)]
+
+
+def iterate_counts(e, max_degree):
+    """{j: N_j} for every simple orbit j with iterates in spectrum(e,
+    max_degree), which holds gamma_j^1, ..., gamma_j^N_j; no orbit is built."""
+    return {j: len(s) for j, s in enumerate(_spectrum_sets(e, max_degree), start=1) if len(s)}
+
+
 def spectrum(e, max_degree):
     """All orbits (j, n) with cz <= max_degree, sorted by (cz, j, n).
 
@@ -128,10 +143,8 @@ def spectrum(e, max_degree):
     (n ascending within each set) and sorted stably by a, are already in
     (cz, j, n) order and complete.
     """
-    e.require_hypothesis()
     m = e.m
-    limit = (max_degree - m + 1) // 2
-    sets = [e.family.elements(j, limit) for j in range(1, m + 1)]
+    sets = _spectrum_sets(e, max_degree)
     a = np.concatenate(sets)
     order = np.argsort(a, kind="stable")
     label = np.repeat(np.arange(m), [len(s) for s in sets])[order]   # j - 1

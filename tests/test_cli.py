@@ -246,6 +246,21 @@ def test_spectrum_cross_check_grid_above_the_cap_is_usage_error(capsys, monkeypa
     assert f"needs a grid of 1048661 samples, above the cap {cli.MAX_SAMPLES}" in err
 
 
+def test_spectrum_cross_check_at_max_degree_exits_before_the_spectrum(capsys, monkeypatch):
+    # the cap needs only each family's largest n, so no orbit is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectrum was built")
+
+    monkeypatch.setattr(cli, "spectrum", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--d", "2", "--weights", "1; sqrt(2); 1+sqrt(2)",
+                         "--max-degree", str(cli.MAX_DEGREE), "--cross-check")
+    assert time.perf_counter() - start < 2.0
+    assert code == 64
+    assert out == ""
+    assert f"needs a grid of 268435490 samples, above the cap {cli.MAX_SAMPLES}" in err
+
+
 def test_spectrum_cross_check_grid_at_the_cap_runs_the_search(capsys, monkeypatch):
     # one degree lower, the same family's grid fits under the cap
     searched = []
@@ -285,6 +300,23 @@ def test_spectrum_cross_check_keeps_its_sample_schedule(capsys, monkeypatch):
     assert [n for n, grid in calls if grid] == [10334]
     assert sum(n for n, _ in calls) == 39718
     assert len(calls) == 44
+
+
+def test_spectrum_cross_check_steers_without_stacks(capsys, monkeypatch):
+    # W3 to degree 160: the rotation path builds full matrices only for the
+    # construction probe, the verdict stack at 80 refined times and the two
+    # ends, and Psi and its derivative at the 80 crossings
+    real, built = czindex.RotationPath._rotations, []
+
+    def spy(self, ts):
+        built.append(len(ts))
+        return real(self, ts)
+
+    monkeypatch.setattr(czindex.RotationPath, "_rotations", spy)
+    code, _, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                     "1; sqrt(2); 1+sqrt(2)", "--max-degree", "160", "--cross-check")
+    assert code == 0
+    assert built == [1, 82, 80, 80]
 
 
 def test_spectrum_samples_selects_the_per_orbit_route(capsys, monkeypatch):

@@ -433,9 +433,16 @@ def block_diagonal_stacks(draw):
     return np.array(mats)
 
 
+def steering_sigma_min(mats):
+    """The steering sigma_min of each matrix of a stack, read by
+    _sigma_min_many from a path whose value at t = i is mats[i]."""
+    path = SymplecticPath(0.0, len(mats), lambda ts: mats[ts.astype(int)])
+    return czindex._sigma_min_many(path, np.arange(len(mats), dtype=float))
+
+
 @given(block_diagonal_stacks())
 def test_closed_form_sigma_min_matches_lapack_and_oracle(mats):
-    closed = czindex._sigma_min_stack(mats)
+    closed = steering_sigma_min(mats)
     singular = np.linalg.svd(mats - np.eye(mats.shape[-1]), compute_uv=False)
     for value, s, mat in zip(closed, singular, mats):
         scale = EPS * s[0]
@@ -455,7 +462,7 @@ def test_any_off_block_entry_takes_the_lapack_branch(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    got = czindex._sigma_min_stack(mats)
+    got = steering_sigma_min(mats)
     assert calls == [(64, 6, 6)]
     want = svd(mats - np.eye(6), compute_uv=False)[:, -1]
     assert got.tobytes() == want.tobytes()
@@ -468,8 +475,8 @@ def test_closed_form_of_identity_blocks_is_zero_without_warning():
     two_blocks[0, 2:, 2:] = np.eye(2)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        single = czindex._sigma_min_stack(one_block)
-        pair = czindex._sigma_min_stack(two_blocks)
+        single = steering_sigma_min(one_block)
+        pair = steering_sigma_min(two_blocks)
     assert single[0] == 0.0
     assert single[1] == pytest.approx(2.0 * math.sin(0.5), rel=1e-15)
     assert pair.tolist() == [0.0]
@@ -558,12 +565,30 @@ def test_off_block_entry_takes_the_matmul_defect(monkeypatch):
     assert reads == ["matmul"]
 
 
+@settings(max_examples=30)
+@given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3), st.floats(1.0, 1e3),
+       st.integers(1, 2 * czindex.SIGMA_CHUNK + 7), st.integers(0, 2**32 - 1))
+def test_rotation_block_entries_are_the_stack_route(freqs, duration, count, seed):
+    # a RotationPath steers from block entries without building a stack; the
+    # same path read through its stack, by the off-block test, is the reference
+    path = RotationPath(freqs, duration, sample_count=min_rotation_samples(freqs, duration))
+    ts = np.random.default_rng(seed).uniform(0.0, duration, count)
+    blocks, mats = path.block_entries(ts)
+    assert mats is None
+    stack = path.evaluate_batch(ts)
+    for got, (i, k) in zip(blocks, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+        assert got.tobytes() == stack[:, i::2, k::2].diagonal(axis1=1, axis2=2).tobytes()
+    via_stack = SymplecticPath(path.a, path.b, path.evaluate_batch)
+    assert czindex._sigma_min_many(path, ts, check_symplectic=True).tobytes() == \
+        czindex._sigma_min_many(via_stack, ts, check_symplectic=True).tobytes()
+
+
 def test_verdicts_read_lapack_not_the_steering_values(monkeypatch):
     # steering values that never fall below TOL_KERNEL would make every
     # crossing look flat, were they read for a verdict
-    closed = czindex._sigma_min_stack
-    monkeypatch.setattr(czindex, "_sigma_min_stack",
-                        lambda mats, *check: closed(mats, *check) + 2.0 * czindex.TOL_KERNEL)
+    closed = czindex._sigma_min_blocks
+    monkeypatch.setattr(czindex, "_sigma_min_blocks",
+                        lambda blocks: closed(blocks) + 2.0 * czindex.TOL_KERNEL)
     duration = TWO_PI * 1.3
     assert cz_index(RotationPath([1.0, 2.0], duration)) == \
         cz_rotation_analytic([1.0, 2.0], duration)
@@ -617,8 +642,9 @@ def test_index_is_invariant_under_symplectic_conjugation():
 # ---------------------------------------------------------------------------
 
 def counted(path):
-    calls = {"evaluate": 0, "evaluate_batch": 0}
-    evaluate, evaluate_batch = path.evaluate, path.evaluate_batch
+    calls = {"evaluate": 0, "evaluate_batch": 0, "block_entries": 0}
+    evaluate, evaluate_batch, block_entries = (
+        path.evaluate, path.evaluate_batch, path.block_entries)
 
     def one(t):
         calls["evaluate"] += 1
@@ -628,7 +654,11 @@ def counted(path):
         calls["evaluate_batch"] += 1
         return evaluate_batch(ts)
 
-    path.evaluate, path.evaluate_batch = one, many
+    def blocks(ts):
+        calls["block_entries"] += 1
+        return block_entries(ts)
+
+    path.evaluate, path.evaluate_batch, path.block_entries = one, many, blocks
     return calls
 
 
@@ -643,9 +673,9 @@ def test_stacked_evaluations_do_not_grow_with_crossings(turns):
     assert cz_index(RotationPath(freqs, duration)) == cz_rotation_analytic(freqs, duration)
     # classification is stacked too: no scalar evaluation at all
     assert calls["evaluate"] == 0
-    # one stacked evaluation per grid chunk, recursion level and golden
-    # iteration, whatever the number of crossings
-    assert calls["evaluate_batch"] <= 64
+    # one stacked evaluation or block read per grid chunk, recursion level
+    # and golden iteration, whatever the number of crossings
+    assert calls["evaluate_batch"] + calls["block_entries"] <= 64
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5, 1.0])
