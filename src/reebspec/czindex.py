@@ -19,15 +19,27 @@ SIGMA_CHUNK times at a time, and never one time point at a time:
    its own iterate sequence;
 4. the probe ladder that tells a genuine shallow minimum from a wall point.
 
-Steering reads the entries of the 2x2 diagonal blocks that the path
-supplies (SymplecticPath.block_entries): a RotationPath computes them from
-its cos and sin without building a stack, and any other path has its stack
-tested for entries outside those blocks, supplying them only when every
-such entry is exactly 0.  On block entries sigma_min comes from a closed
-form per block; a path without them, and any chunk on which the closed form
-is not finite, goes to LAPACK.  The closed form only steers the search.
-LAPACK decides: every verdict against TOL_KERNEL or TOL_ACCEPT reads one
-stacked LAPACK SVD at the refined times and the path endpoints.
+Steering values come from the cheapest closed form the path offers.  A
+RotationPath gives sigma_min(R(theta) - id) = 2|sin(theta/2)| exactly, so
+outside the grid it steers by min_l 2|sin(alpha_l t/2)|, one sine per block
+and sample (SymplecticPath.steering_sigma_min).  The grid, whose Sp(2n)
+check needs block determinants, and every path without that route read the
+entries of the 2x2 diagonal blocks (SymplecticPath.block_entries): a
+RotationPath computes them from its cos and sin without building a stack,
+and any other path has its stack tested for entries outside those blocks,
+supplying them only when every such entry is exactly 0.  On block entries
+sigma_min comes from a closed form per block; a path without them, and any
+chunk on which the closed form is not finite, goes to LAPACK.  The closed
+forms only steer the search.  LAPACK decides: every verdict against
+TOL_KERNEL or TOL_ACCEPT reads one stacked LAPACK SVD at the refined times
+and the path endpoints.
+
+The candidate gates are Lipschitz bounds.  By Weyl's inequality
+sigma_min(Psi_t - id) moves by at most L|t - s| between t and s, with
+L = sup ||d/dt Psi_t||, so a zero within h/2 of a sample forces that
+sample below L*h/2.  A RotationPath knows L = max_l alpha_l exactly
+(SymplecticPath.lipschitz) and gates at L*h/2 + TOL_ACCEPT; any other path
+gates at 2*(largest slope the grid shows)*h + TOL_ACCEPT.
 
 Classification is a stack as well.  At every crossing at once, the form
 (zeta, eta) -> zeta^T S_t eta with S_t = J (d/dt Psi_t) Psi_t^{-1} is
@@ -128,7 +140,13 @@ class SymplecticPath:
     or None when the path supplied blocks without building one.  Here it
     evaluates the stack and tests its off-block entries; a subclass that
     knows its blocks overrides it.
+
+    A subclass that knows more may also supply steering_sigma_min(ts), the
+    steering values sigma_min(Psi_t - id) from a closed form (None here),
+    and `lipschitz`, a bound on ||d/dt Psi_t||_2 over [a, b] (None here).
     """
+
+    lipschitz = None
 
     def __init__(self, a, b, evaluator, derivative=None, sample_count=4096):
         if not b > a:
@@ -170,6 +188,9 @@ class SymplecticPath:
         return tuple(np.diagonal(mats[:, i::2, k::2], axis1=1, axis2=2)
                      for i in (0, 1) for k in (0, 1)), mats
 
+    def steering_sigma_min(self, ts):
+        return None
+
     def evaluate(self, t):
         return self.evaluate_batch([t])[0]
 
@@ -210,10 +231,14 @@ def min_rotation_samples(freqs, duration):
 class RotationPath(SymplecticPath):
     """t -> direct sum of rotations R(alpha_l t) on [0, duration].
 
-    d/dt Psi_t = Psi_t G, with G the direct sum of alpha_l [[0, -1], [1, 0]].
-    block_entries hands out the blocks (cos, -sin, sin, cos) of alpha_l t
-    without building a stack; the stacks hold the same cos and sin doubles.
-    Raises ValueError when sample_count is below min_rotation_samples.
+    d/dt Psi_t = Psi_t G, with G the direct sum of alpha_l [[0, -1], [1, 0]],
+    so ||d/dt Psi_t||_2 = max_l alpha_l at every t: that is `lipschitz`.
+    steering_sigma_min gives min_l 2|sin(alpha_l t/2)|, which is exactly
+    sigma_min(Psi_t - id), since R(theta) - id is 2|sin(theta/2)| times a
+    rotation.  block_entries hands out the blocks (cos, -sin, sin, cos) of
+    alpha_l t without building a stack; the stacks hold the same cos and sin
+    doubles.  Raises ValueError when sample_count is below
+    min_rotation_samples.
     """
 
     def __init__(self, freqs, duration, sample_count=4096):
@@ -231,6 +256,7 @@ class RotationPath(SymplecticPath):
                 f"need at least {needed} ({SAMPLES_PER_TURN} per turn of the "
                 f"fastest block, plus 16)")
         self.freqs = freqs
+        self.lipschitz = max(freqs)
         generator = np.repeat(freqs, 2) * -standard_j(len(freqs))
         super().__init__(
             0.0, float(duration),
@@ -247,6 +273,14 @@ class RotationPath(SymplecticPath):
     def block_entries(self, ts):
         c, s = self._cos_sin(ts)
         return (c, -s, s, c), None
+
+    def steering_sigma_min(self, ts):
+        # the same alpha_l t doubles as _cos_sin's, one row per block, halved
+        # exactly; reducing over the rows is much faster than over columns
+        half = np.multiply.outer(self.freqs, np.asarray(ts, dtype=float))
+        half *= 0.5
+        np.abs(np.sin(half, out=half), out=half)
+        return 2.0 * np.minimum.reduce(half, axis=0)
 
     def _rotations(self, ts):
         c, s = self._cos_sin(ts)
@@ -334,18 +368,22 @@ def _sigma_min_many(path, ts, lapack=False, check_symplectic=False):
     """sigma_min(Psi_t - id) at every t of ts, SIGMA_CHUNK times per chunk.
 
     The values steer the search; with `lapack` they come from LAPACK alone
-    and may decide a verdict.  Otherwise each chunk reads path.block_entries
-    once: the closed form of _sigma_min_blocks on its blocks, and LAPACK on
-    its stack, evaluated only then, when it has no blocks or the closed form
-    is not finite.  With `check_symplectic` (steering only), raises ValueError
-    when a sample leaves Sp(2n): a chunk with blocks reads its defect from
-    their determinants, any other the matmul.
+    and may decide a verdict.  Without `check_symplectic` a chunk takes
+    path.steering_sigma_min when the path has that route.  Otherwise each
+    chunk reads path.block_entries once: the closed form of _sigma_min_blocks
+    on its blocks, and LAPACK on its stack, evaluated only then, when it has
+    no blocks or the closed form is not finite.  With `check_symplectic`
+    (steering only, as on the grid), raises ValueError when a sample leaves Sp(2n): a chunk with
+    blocks reads its defect from their determinants, any other the matmul.
     """
     out = np.empty(len(ts))
     for lo in range(0, len(ts), SIGMA_CHUNK):
         chunk = ts[lo:lo + SIGMA_CHUNK]
         if lapack:
             out[lo:lo + SIGMA_CHUNK] = _lapack_sigma_min(path.evaluate_batch(chunk))
+            continue
+        if not check_symplectic and (sigma := path.steering_sigma_min(chunk)) is not None:
+            out[lo:lo + SIGMA_CHUNK] = sigma
             continue
         blocks, mats = path.block_entries(chunk)
         if check_symplectic and not (defect := _stack_defect(mats, blocks)) <= TOL_SYMPLECTIC:
@@ -396,9 +434,12 @@ def _low_pieces(sigma, gate, starts, split=True):
     each unimodal at its row's resolution: it holds at most one visible dip.
 
     The gate combines a Lipschitz bound with the acceptance band: sigma_min
-    moves by at most (max observed slope) * step between samples, so a zero
-    within half a step of a sample forces that sample below slope * step;
-    the TOL_ACCEPT term keeps shallow ambiguous dips visible.  Using the
+    moves by at most L * step between samples, L being the path's bound when
+    it has one, else the observed slope (the largest grid difference per
+    step), so a zero within half a step of a sample forces that sample below
+    L * step / 2.  The path's bound gates at exactly that; the observed
+    slope only estimates L and gates at 2 * slope * step, four times that.
+    The TOL_ACCEPT term keeps shallow ambiguous dips visible.  Using a
     global slope rather than local differences matters: a steep dip from a
     fast block can be truncated sideways by a slower block's branch,
     leaving neighbor differences that badly understate the true descent.
@@ -417,9 +458,10 @@ def _low_pieces(sigma, gate, starts, split=True):
     return np.nonzero(first)[0], np.nonzero(last)[0]
 
 
-def _window_minima(path, lo, hi, slope, xatol, width_floor):
+def _window_minima(path, lo, hi, gate_slope, xatol, width_floor):
     """Refine every dip inside each window [lo[w], hi[w]] to golden-section
-    accuracy; returns the candidate times, window by window.
+    accuracy; returns the candidate times, window by window.  A level's gate
+    is gate_slope * step + TOL_ACCEPT (see _low_pieces).
 
     Windows are rescanned at 16x finer resolution per level; candidate runs
     are split at interior peaks, so near-coincident crossings separate as
@@ -463,7 +505,7 @@ def _window_minima(path, lo, hi, slope, xatol, width_floor):
         sigma = _sigma_min_many(path, ts)
         step = ts[starts + 1] - ts[starts]
         first, last = _low_pieces(
-            sigma, np.repeat(2.0 * slope * step + TOL_ACCEPT, counts), starts)
+            sigma, np.repeat(gate_slope * step + TOL_ACCEPT, counts), starts)
         row = np.searchsorted(starts, first, side="right") - 1
         found = (np.arange(len(first)) - np.searchsorted(first, starts)[row] + 1).tolist()
         w_lo = ts[np.maximum(first - 1, starts[row])]
@@ -608,11 +650,15 @@ def find_crossings(path):
 
     width_floor = max(isolation_gap / 2.0, 64.0 * xatol)
     step = float(ts[1] - ts[0])
-    slope = float(np.abs(np.diff(sigma)).max()) / step
-    gate = 2.0 * slope * step + TOL_ACCEPT
-    first, last = _low_pieces(sigma, gate, np.zeros(1, dtype=int), split=False)
+    if path.lipschitz is None:
+        gate_slope = 2.0 * (float(np.abs(np.diff(sigma)).max()) / step)
+    else:
+        gate_slope = 0.5 * path.lipschitz
+    first, last = _low_pieces(sigma, gate_slope * step + TOL_ACCEPT,
+                              np.zeros(1, dtype=int), split=False)
     times = _window_minima(path, ts[np.maximum(first - 1, 0)],
-                           ts[np.minimum(last + 1, len(ts) - 1)], slope, xatol, width_floor)
+                           ts[np.minimum(last + 1, len(ts) - 1)], gate_slope, xatol,
+                           width_floor)
     # endpoints are examined explicitly, never via bracketing
     times += [a, b]
 

@@ -232,9 +232,11 @@ def loop_candidate_times(path):
     """(candidate times, Counter of rescan branches) of czindex.find_crossings
     on `path`, up to its LAPACK verdicts: the grid's windows from
     candidate_runs, then every recursion level rescanned one window at a time
-    with its own np.linspace, candidate_runs and split_at_peaks.  The branch
-    names are "piece" (handed to golden-section search), "rescan" (65
-    samples) and "rescan4x" (four times the window's samples)."""
+    with its own np.linspace, candidate_runs and split_at_peaks.  Every gate
+    is gate_slope * step + TOL_ACCEPT, gate_slope being half the path's
+    Lipschitz bound when it has one, else twice the grid's largest slope.
+    The branch names are "piece" (handed to golden-section search), "rescan"
+    (65 samples) and "rescan4x" (four times the window's samples)."""
     a, b = path.a, path.b
     span = b - a
     xatol = czindex.REFINE_FACTOR * span
@@ -242,9 +244,12 @@ def loop_candidate_times(path):
     ts = np.linspace(a, b, path.sample_count)
     sigma = czindex._sigma_min_many(path, ts, check_symplectic=True)
     step = float(ts[1] - ts[0])
-    slope = float(np.abs(np.diff(sigma)).max()) / step
+    if path.lipschitz is None:
+        gate_slope = 2.0 * (float(np.abs(np.diff(sigma)).max()) / step)
+    else:
+        gate_slope = 0.5 * path.lipschitz
     windows = [(ts[max(start - 1, 0)], ts[min(end + 1, path.sample_count - 1)])
-               for start, end in candidate_runs(sigma, 2.0 * slope * step + TOL_ACCEPT)]
+               for start, end in candidate_runs(sigma, gate_slope * step + TOL_ACCEPT)]
     branches = Counter()
     level = [(lo, hi, 0, 65, (w,)) for w, (lo, hi) in enumerate(windows)]
     pieces = []  # (key, lo, hi)
@@ -268,7 +273,7 @@ def loop_candidate_times(path):
         for (ts, width, depth, key), sigma in zip(scans, sigmas):
             count = len(ts)
             step = float(ts[1] - ts[0])
-            gate = 2.0 * slope * step + TOL_ACCEPT
+            gate = gate_slope * step + TOL_ACCEPT
             resolved = step <= width_floor / 2.0
             found = 0
             for start, end in candidate_runs(sigma, gate):

@@ -583,15 +583,66 @@ def test_rotation_block_entries_are_the_stack_route(freqs, duration, count, seed
         czindex._sigma_min_many(via_stack, ts, check_symplectic=True).tobytes()
 
 
+@st.composite
+def rotation_paths_and_times(draw):
+    """(path, times): a RotationPath of 1-3 blocks at its coarsest grid, and
+    random times in its domain followed by exact crossing times 2*pi*k/alpha_l
+    of every block (each drawn k within the domain)."""
+    freqs = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3))
+    duration = draw(st.floats(1.0, 1e3))
+    path = RotationPath(freqs, duration, sample_count=min_rotation_samples(freqs, duration))
+    ts = draw(st.lists(st.floats(0.0, duration), min_size=1, max_size=32))
+    for f in freqs:
+        turns = math.floor(duration * f / TWO_PI)
+        ts += [min(TWO_PI * k / f, duration)
+               for k in draw(st.lists(st.integers(0, turns), min_size=1, max_size=4))]
+    return path, np.array(ts)
+
+
+@given(rotation_paths_and_times())
+def test_half_angle_route_is_the_block_closed_form_and_lapack(path_and_times):
+    path, ts = path_and_times
+    half = path.steering_sigma_min(ts)
+    assert czindex._sigma_min_many(path, ts).tobytes() == half.tobytes()
+    blocks, _ = path.block_entries(ts)
+    assert np.abs(half - czindex._sigma_min_blocks(blocks)).max() <= 1e-15
+    assert np.abs(half - czindex._lapack_sigma_min(path.evaluate_batch(ts))).max() <= 1e-15
+
+
+@given(rotation_paths_and_times(), st.data())
+def test_half_angle_route_obeys_the_lipschitz_bound(path_and_times, data):
+    # the bound the candidate gates rely on, with s random or a fixed offset
+    # from t (down to 1e-9, where a crossing's V is steepest); each angle
+    # alpha_l * t is one rounded product, off by at most half an ulp, which
+    # is EPS / 2 * L * t at most
+    path, ts = path_and_times
+    size = len(ts)
+    shifts = data.draw(st.lists(st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-9),
+                                min_size=size, max_size=size))
+    far = data.draw(st.lists(st.floats(0.0, path.b), min_size=size, max_size=size))
+    for ss in (np.clip(ts + np.array(shifts), 0.0, path.b), np.array(far)):
+        rounding = EPS / 2.0 * path.lipschitz * (ts + ss)
+        gap = np.abs(path.steering_sigma_min(ts) - path.steering_sigma_min(ss))
+        assert np.all(gap <= path.lipschitz * np.abs(ts - ss) + 1e-15 + rounding)
+
+
 def test_verdicts_read_lapack_not_the_steering_values(monkeypatch):
     # steering values that never fall below TOL_KERNEL would make every
-    # crossing look flat, were they read for a verdict
-    closed = czindex._sigma_min_blocks
+    # crossing look flat, were they read for a verdict: both routes are
+    # raised, the grid's block closed form and the half-angle route of the
+    # rescan, golden and probe passes
+    closed, half_angles = czindex._sigma_min_blocks, RotationPath.steering_sigma_min
+    reads = []
     monkeypatch.setattr(czindex, "_sigma_min_blocks",
-                        lambda blocks: closed(blocks) + 2.0 * czindex.TOL_KERNEL)
+                        lambda blocks: reads.append("blocks") or
+                        closed(blocks) + 2.0 * czindex.TOL_KERNEL)
+    monkeypatch.setattr(RotationPath, "steering_sigma_min",
+                        lambda self, ts: reads.append("half") or
+                        half_angles(self, ts) + 2.0 * czindex.TOL_KERNEL)
     duration = TWO_PI * 1.3
     assert cz_index(RotationPath([1.0, 2.0], duration)) == \
         cz_rotation_analytic([1.0, 2.0], duration)
+    assert reads.count("blocks") == 1 and reads.count("half") > 1
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +693,10 @@ def test_index_is_invariant_under_symplectic_conjugation():
 # ---------------------------------------------------------------------------
 
 def counted(path):
-    calls = {"evaluate": 0, "evaluate_batch": 0, "block_entries": 0}
-    evaluate, evaluate_batch, block_entries = (
-        path.evaluate, path.evaluate_batch, path.block_entries)
+    calls = {"evaluate": 0, "evaluate_batch": 0, "block_entries": 0,
+             "steering_sigma_min": 0}
+    evaluate, evaluate_batch, block_entries, steering = (
+        path.evaluate, path.evaluate_batch, path.block_entries, path.steering_sigma_min)
 
     def one(t):
         calls["evaluate"] += 1
@@ -658,7 +710,12 @@ def counted(path):
         calls["block_entries"] += 1
         return block_entries(ts)
 
-    path.evaluate, path.evaluate_batch, path.block_entries = one, many, blocks
+    def half_angles(ts):
+        calls["steering_sigma_min"] += 1
+        return steering(ts)
+
+    path.evaluate, path.evaluate_batch, path.block_entries, path.steering_sigma_min = (
+        one, many, blocks, half_angles)
     return calls
 
 
@@ -673,9 +730,11 @@ def test_stacked_evaluations_do_not_grow_with_crossings(turns):
     assert cz_index(RotationPath(freqs, duration)) == cz_rotation_analytic(freqs, duration)
     # classification is stacked too: no scalar evaluation at all
     assert calls["evaluate"] == 0
-    # one stacked evaluation or block read per grid chunk, recursion level
-    # and golden iteration, whatever the number of crossings
-    assert calls["evaluate_batch"] + calls["block_entries"] <= 64
+    # one stacked evaluation, block read or half-angle read per grid chunk,
+    # recursion level and golden iteration, whatever the number of crossings
+    assert calls["block_entries"] > 0 and calls["steering_sigma_min"] > 0
+    assert (calls["evaluate_batch"] + calls["block_entries"]
+            + calls["steering_sigma_min"]) <= 64
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.5, 1.0])
