@@ -20,8 +20,8 @@ These limits exit before any grid is built; the cross-check's is checked
 from the Tamura element counts, before the spectrum is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
 exits 64 above it, before any array is allocated.  At the cap, one `sh`
-process on W3, stdout to /dev/null, peaks at 528 MB resident (ru_maxrss),
-mostly its Reeb orbit tuples, in 10.3-11.2 s wall (2 runs, 2-vCPU x86_64).
+process on W3, stdout to /dev/null, peaks at 521 MB resident (ru_maxrss),
+mostly its Reeb orbit tuples, in 4.3-5.6 s wall (3 runs, 2-vCPU x86_64).
 `partition --limit` has no cap: without the owner table the scan's memory
 stays bounded whatever the limit, and its time grows linearly with it.
 JSON output has sorted keys and no timestamps, so identical flags give
@@ -301,6 +301,9 @@ def cmd_sh(args):
     weights = _parse_weights(args)
     result = compare(Ellipsoid(weights), args.max_degree)
     diff = None
+    formula_rows = result.formula.support_rows()
+    # equal counts give equal rows, and _json renders one object once
+    orbit_rows = formula_rows if result.equal else result.orbits.support_rows()
     if result.first_difference is not None:
         k, mf, mo = result.first_difference
         diff = {"degree": k, "formula": mf, "orbits": mo}
@@ -311,8 +314,8 @@ def cmd_sh(args):
         "max_degree": args.max_degree,
         "verdict": "equal" if result.equal else "first-difference",
         "first_difference": diff,
-        "formula_degrees": result.formula.support_rows(),
-        "orbit_degrees": result.orbits.support_rows(),
+        "formula_degrees": formula_rows,
+        "orbit_degrees": orbit_rows,
     }
 
 
@@ -395,13 +398,16 @@ def _json(value, indent=2):
     dicts are joined here, and a non-empty 2-D int64 ndarray is written as
     the list of its rows with one row template.  Every other value (floats,
     NaN and the infinities, dicts with other keys, unserializable objects)
-    goes to json.dumps itself and is re-indented.
+    goes to json.dumps itself and is re-indented.  An ndarray object that
+    occurs more than once at one indentation is rendered once, and its text
+    is reused.
     """
-    return _render(value, "\n", " " * indent)
+    return _render(value, "\n", " " * indent, {})
 
 
-def _render(value, newline, step):
-    # newline is "\n" followed by the indentation of value's first line
+def _render(value, newline, step, memo):
+    # newline is "\n" followed by the indentation of value's first line;
+    # memo maps (id, newline) of every ndarray rendered so far to its text
     if isinstance(value, str):
         return _encode_str(value)
     if value is None:
@@ -416,23 +422,32 @@ def _render(value, newline, step):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = ("," + inner).join(_render(x, inner, step) for x in value)
+        items = ("," + inner).join(_render(x, inner, step, memo) for x in value)
         return "[" + inner + items + newline + "]"
     if isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 2:
-        if not value.size:
-            return _render(value.tolist(), newline, step)
-        deeper = inner + step
-        row = "[" + deeper + ("," + deeper).join(["%d"] * value.shape[1]) + inner + "]"
-        rows = ("," + inner).join([row] * len(value)) % tuple(value.ravel().tolist())
-        return "[" + inner + rows + newline + "]"
+        key = (id(value), newline)
+        if key not in memo:
+            memo[key] = _int64_rows(value, newline, step)
+        return memo[key]
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         if not value:
             return "{}"
-        members = (_encode_str(k) + ": " + _render(v, inner, step)
+        members = (_encode_str(k) + ": " + _render(v, inner, step, memo)
                    for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(members) + newline + "}"
     # a JSON string never holds a raw newline, so this re-indents safely
     return json.dumps(value, sort_keys=True, indent=len(step)).replace("\n", newline)
+
+
+def _int64_rows(value, newline, step):
+    """A 2-D int64 array as the JSON list of its rows, with one row template."""
+    if not value.size:
+        return _render(value.tolist(), newline, step, {})
+    inner = newline + step
+    deeper = inner + step
+    row = "[" + deeper + ("," + deeper).join(["%d"] * value.shape[1]) + inner + "]"
+    rows = ("," + inner).join([row] * len(value)) % tuple(value.ravel().tolist())
+    return "[" + inner + rows + newline + "]"
 
 
 def _emit(args, payload):

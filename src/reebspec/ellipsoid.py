@@ -26,6 +26,7 @@ doubles only at that numeric boundary.
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -142,6 +143,13 @@ def spectrum(e, max_degree):
     a = (max_degree - m + 1) // 2 of every set, concatenated in j order
     (n ascending within each set) and sorted stably by a, are already in
     (cz, j, n) order and complete.
+
+    The list is built with the cyclic garbage collector paused, and the
+    collector is left enabled or disabled as it was found.  A ReebOrbit
+    holds three ints and one of the caller's weights, so it cannot be part
+    of a cycle, and refcounting frees it.  With the collector running, one
+    new tracked tuple per orbit sets off full collections that find nothing
+    (2 per `sh` on W3 to degree 200,002, which builds 10**5 orbits twice).
     """
     m = e.m
     sets = _spectrum_sets(e, max_degree)
@@ -155,7 +163,13 @@ def spectrum(e, max_degree):
     # compute in Python ints
     cz = (m - 1 + 2 * a[order]).tolist()
     weights = map(e.weights.__getitem__, label.tolist())
-    return list(map(tuple.__new__, repeat(ReebOrbit), zip(j, n, weights, cz)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(map(tuple.__new__, repeat(ReebOrbit), zip(j, n, weights, cz)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

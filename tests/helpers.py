@@ -1,16 +1,21 @@
 """Shared random generators for property tests (seeded by each caller),
-stacked path evaluators, and the loop references that the array routes are
-checked against.  The reference floor streams read only the scalar exact
-floor quadfield._floor_exact, never the block routes they check."""
+stacked path evaluators, a runner for a fresh interpreter, and the loop
+references that the array routes are checked against.  The reference floor
+streams read only the scalar exact floor quadfield._floor_exact, never the
+block routes they check."""
 
 import heapq
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
+import reebspec
 from reebspec import czindex
 from reebspec.czindex import TOL_ACCEPT, TOL_EIG, TOL_KERNEL, standard_j
 from reebspec.ellipsoid import GoodnessReport, orbit_index
@@ -24,6 +29,19 @@ HUGE_D = 10**320 + 1
 
 # rationals with numerators up to 10**6 and denominators up to 10**3
 FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
+
+
+def fresh_env():
+    """The environment under which a new interpreter imports this reebspec."""
+    src = os.path.dirname(os.path.dirname(reebspec.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def fresh_python(code):
+    """Run code in a new interpreter that imports this reebspec."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=fresh_env(), timeout=120)
 
 
 def rots(thetas):

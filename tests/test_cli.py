@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import beatty_stream, merged_cover
+from helpers import beatty_stream, fresh_env, fresh_python, merged_cover
 import reebspec
 import reebspec.cli as cli
 import reebspec.ellipsoid
@@ -570,18 +569,9 @@ def test_sh_ladder_csv_is_pinned(capsys, weights):
         "e60c2a37a67cc3ba223bd32b3bd0661602a548ac4520d0a2bb96849c66f89566")
 
 
-def _fresh_python(code):
-    """Run code in a new interpreter that imports this reebspec."""
-    src = os.path.dirname(os.path.dirname(reebspec.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
-
-
 def test_sh_imports_no_numpy_ma():
     # np.unique imports numpy.ma (1.2 MB, about 16 ms) on its first call
-    proc = _fresh_python(
+    proc = fresh_python(
         "import contextlib, io, sys\n"
         "from reebspec.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -594,7 +584,7 @@ def test_sh_imports_no_numpy_ma():
 def test_runtime_never_imports_mpmath():
     # mpmath is a test dependency only; the cross-check reaches the one
     # place where exact weights become doubles
-    proc = _fresh_python(
+    proc = fresh_python(
         "import contextlib, io, sys\n"
         "import reebspec.cli\n"
         "loaded = 'mpmath' in sys.modules\n"
@@ -667,9 +657,35 @@ _int64 = st.integers(-(2**63), 2**63 - 1)
 def test_json_renderer_writes_int64_rows_as_json_dumps(rows, others):
     expected = rows.tolist()
     assert cli._json(rows, 2) == json.dumps(expected, sort_keys=True, indent=2)
-    nested = {**others, "rows": rows, "deeper": {"rows": rows}}
-    expected = {**others, "rows": expected, "deeper": {"rows": expected}}
+    # one object under two keys at one depth is rendered once, and reused
+    nested = {**others, "rows": rows, "same": rows, "deeper": {"rows": rows, "same": rows}}
+    expected = {**others, "rows": expected, "same": expected,
+                "deeper": {"rows": expected, "same": expected}}
     assert cli._json(nested, 2) == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def _sh_payload():
+    args = cli.build_parser().parse_args(
+        ["sh", "--d", "2", "--weights", "1;sqrt(2);1+sqrt(2)", "--max-degree", "41"])
+    return cli.cmd_sh(args)
+
+
+def test_sh_passes_one_ladder_for_both_counts_when_equal():
+    status, payload = _sh_payload()
+    assert status == 0 and payload["verdict"] == "equal"
+    assert payload["formula_degrees"] is payload["orbit_degrees"]
+
+
+def test_sh_passes_two_ladders_on_a_first_difference(monkeypatch):
+    monkeypatch.setattr(cli, "compare", _compare_with_extra_orbit)
+    status, payload = _sh_payload()
+    assert status == 1 and payload["verdict"] == "first-difference"
+    formula, orbits = payload["formula_degrees"], payload["orbit_degrees"]
+    assert formula is not orbits
+    assert not np.array_equal(formula, orbits)
+    expected = {**payload, "formula_degrees": formula.tolist(),
+                "orbit_degrees": orbits.tolist()}
+    assert cli._json(payload) == json.dumps(expected, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -718,13 +734,10 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 
 def test_closed_stdout_is_an_output_error():
     # 20001 csv rows overfill the pipe, so the writer meets the closed end
-    src = os.path.dirname(os.path.dirname(reebspec.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "reebspec.cli", "sh", "--d", "2",
          "--weights", "1; sqrt(2)", "--max-degree", "20000", "--format", "csv"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
     assert proc.stdout.readline() == b"degree,formula,orbits\n"
     proc.stdout.close()
     with proc.stderr:

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import gc
 import math
 import random
 from fractions import Fraction
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reebspec.ellipsoid as ell
-from helpers import FRACTIONS, HUGE_D, goodness_by_dicts, merged_spectrum, random_weights
+from helpers import (FRACTIONS, HUGE_D, fresh_python, goodness_by_dicts, merged_spectrum,
+                     random_weights)
 from reebspec import (
     Ellipsoid,
     FieldContext,
@@ -120,7 +123,10 @@ def test_index_injective_over_window():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_example(e2):
-    assert [(o.j, o.n, o.cz) for o in spectrum(e2, 7)] == [
+    orbits = spectrum(e2, 7)
+    assert type(orbits) is list
+    assert all(type(o) is ell.ReebOrbit for o in orbits)
+    assert [(o.j, o.n, o.cz) for o in orbits] == [
         (1, 1, 3), (2, 1, 5), (1, 2, 7)]
 
 
@@ -209,6 +215,36 @@ def test_object_array_spectrum_equals_the_merge_reference(max_degree):
     orbits = spectrum(e, max_degree)
     assert [(o.j, o.n, o.cz) for o in orbits] == merged_spectrum(e, max_degree)
     assert all(type(o.cz) is int for o in orbits)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["built", "raised"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_spectrum_leaves_the_collector_as_it_found_it(e3, monkeypatch, enabled, raises):
+    if raises:
+        # tuple.__new__(int, ...) raises: int is not a subtype of tuple
+        monkeypatch.setattr(ell, "ReebOrbit", int)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(TypeError) if raises else contextlib.nullcontext():
+            spectrum(e3, 61)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_sh_ladder_runs_no_full_collection():
+    # with the collector running while spectrum builds its tuples, this sh
+    # runs 2 generation-2 collections
+    proc = fresh_python(
+        "import contextlib, gc, io\n"
+        "from reebspec.cli import main\n"
+        "before = gc.get_stats()[2]['collections']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['sh', '--d', '2', '--weights', '1; sqrt(2); 1+sqrt(2)',\n"
+        "                   '--max-degree', '200002'])\n"
+        "print(status, gc.isenabled(), gc.get_stats()[2]['collections'] - before)\n")
+    assert proc.stdout == "0 True 0\n", proc.stderr
 
 
 def test_period_coefficient(e2):
