@@ -10,8 +10,10 @@ A path is evaluated only on stacks of times (see SymplecticPath), and the
 search runs in array stages, each of which evaluates sigma_min on a stack,
 SIGMA_CHUNK times at a time, and never one time point at a time:
 
-1. the grid: sample_count times on [a, b], checked to stay in Sp(2n), by
-   the 2x2 block determinants on a direct sum of 2x2 blocks;
+1. the grid: sample_count times on [a, b].  A path without a steering
+   route is checked there to stay in Sp(2n), by the 2x2 block determinants
+   on a direct sum of 2x2 blocks and by the matmul otherwise; a RotationPath
+   is in Sp(2n) by construction, and its grid only has to be finite;
 2. the rescan: one array pass per recursion level resamples every candidate
    window and finds all their runs and peak splits, until each dip sits in
    a narrow unimodal piece;
@@ -21,18 +23,16 @@ SIGMA_CHUNK times at a time, and never one time point at a time:
 
 Steering values come from the cheapest closed form the path offers.  A
 RotationPath gives sigma_min(R(theta) - id) = 2|sin(theta/2)| exactly, so
-outside the grid it steers by min_l 2|sin(alpha_l t/2)|, one sine per block
-and sample (SymplecticPath.steering_sigma_min).  The grid, whose Sp(2n)
-check needs block determinants, and every path without that route read the
-entries of the 2x2 diagonal blocks (SymplecticPath.block_entries): a
-RotationPath computes them from its cos and sin without building a stack,
-and any other path has its stack tested for entries outside those blocks,
-supplying them only when every such entry is exactly 0.  On block entries
-sigma_min comes from a closed form per block; a path without them, and any
-chunk on which the closed form is not finite, goes to LAPACK.  The closed
-forms only steer the search.  LAPACK decides: every verdict against
-TOL_KERNEL or TOL_ACCEPT reads one stacked LAPACK SVD at the refined times
-and the path endpoints.
+every stage, the grid included, steers it by min_l 2|sin(alpha_l t/2)|, one
+sine per block and sample (SymplecticPath.steering_sigma_min).  Every path
+without that route reads the entries of the 2x2 diagonal blocks
+(SymplecticPath.block_entries): its stack is tested for entries outside
+those blocks, which supplies them only when every such entry is exactly 0.
+On block entries sigma_min comes from a closed form per block; a path
+without them, and any chunk on which the closed form is not finite, goes to
+LAPACK.  The closed forms only steer the search.  LAPACK decides: every
+verdict against TOL_KERNEL or TOL_ACCEPT reads one stacked LAPACK SVD at the
+refined times and the path endpoints.
 
 The candidate gates are Lipschitz bounds.  By Weyl's inequality
 sigma_min(Psi_t - id) moves by at most L|t - s| between t and s, with
@@ -133,17 +133,17 @@ class SymplecticPath:
     is checked: a shape other than (len(ts), 2n, 2n) raises ValueError, so
     an evaluator that ignores ts is refused rather than broadcast.
 
-    block_entries(ts) returns (blocks, mats).  blocks is the tuple (p, q, r, s)
-    of (len(ts), n) arrays holding the entries [[p, q], [r, s]] of every 2x2
-    diagonal block of Psi_t, the same doubles as the stack's, or None when
-    some entry outside those blocks is nonzero; mats is the stack of Psi_t,
-    or None when the path supplied blocks without building one.  Here it
-    evaluates the stack and tests its off-block entries; a subclass that
-    knows its blocks overrides it.
+    block_entries(ts) returns (blocks, mats): mats is the stack of Psi_t, and
+    blocks is the tuple (p, q, r, s) of (len(ts), n) arrays holding the
+    entries [[p, q], [r, s]] of every 2x2 diagonal block of Psi_t, or None
+    when some entry outside those blocks is nonzero.  The search reads it
+    only on a path without a steering route.
 
-    A subclass that knows more may also supply steering_sigma_min(ts), the
+    A subclass that knows more may supply steering_sigma_min(ts), the
     steering values sigma_min(Psi_t - id) from a closed form (None here),
     and `lipschitz`, a bound on ||d/dt Psi_t||_2 over [a, b] (None here).
+    A path with steering_sigma_min is taken to stay in Sp(2n): the grid
+    then checks only that its values are finite, not its stack.
     """
 
     lipschitz = None
@@ -235,10 +235,11 @@ class RotationPath(SymplecticPath):
     so ||d/dt Psi_t||_2 = max_l alpha_l at every t: that is `lipschitz`.
     steering_sigma_min gives min_l 2|sin(alpha_l t/2)|, which is exactly
     sigma_min(Psi_t - id), since R(theta) - id is 2|sin(theta/2)| times a
-    rotation.  block_entries hands out the blocks (cos, -sin, sin, cos) of
-    alpha_l t without building a stack; the stacks hold the same cos and sin
-    doubles.  Raises ValueError when sample_count is below
-    min_rotation_samples.
+    rotation.  The grid steers by it too and samples no Sp(2n) defect: every
+    block of Psi_t is R(alpha_l t), whose det cos^2 + sin^2 is within 4e-16
+    of 1 at every finite angle, and every grid angle is finite, since
+    min_rotation_samples refuses a non-finite turn count.  Raises ValueError
+    when sample_count is below min_rotation_samples.
     """
 
     def __init__(self, freqs, duration, sample_count=4096):
@@ -265,17 +266,8 @@ class RotationPath(SymplecticPath):
             sample_count=sample_count,
         )
 
-    def _cos_sin(self, ts):
-        """cos and sin of alpha_l t as (len(ts), n) arrays, row t, column l."""
-        angles = np.multiply.outer(np.asarray(ts, dtype=float), self.freqs)
-        return np.cos(angles), np.sin(angles)
-
-    def block_entries(self, ts):
-        c, s = self._cos_sin(ts)
-        return (c, -s, s, c), None
-
     def steering_sigma_min(self, ts):
-        # the same alpha_l t doubles as _cos_sin's, one row per block, halved
+        # the same alpha_l t doubles as _rotations', one row per block, halved
         # exactly; reducing over the rows is much faster than over columns
         half = np.multiply.outer(self.freqs, np.asarray(ts, dtype=float))
         half *= 0.5
@@ -283,7 +275,8 @@ class RotationPath(SymplecticPath):
         return 2.0 * np.minimum.reduce(half, axis=0)
 
     def _rotations(self, ts):
-        c, s = self._cos_sin(ts)
+        angles = np.multiply.outer(np.asarray(ts, dtype=float), self.freqs)
+        c, s = np.cos(angles), np.sin(angles)
         x = 2 * np.arange(len(self.freqs))
         out = np.zeros((len(ts), 2 * len(self.freqs), 2 * len(self.freqs)))
         out[:, x, x], out[:, x, x + 1] = c, -s
@@ -368,13 +361,18 @@ def _sigma_min_many(path, ts, lapack=False, check_symplectic=False):
     """sigma_min(Psi_t - id) at every t of ts, SIGMA_CHUNK times per chunk.
 
     The values steer the search; with `lapack` they come from LAPACK alone
-    and may decide a verdict.  Without `check_symplectic` a chunk takes
-    path.steering_sigma_min when the path has that route.  Otherwise each
-    chunk reads path.block_entries once: the closed form of _sigma_min_blocks
-    on its blocks, and LAPACK on its stack, evaluated only then, when it has
-    no blocks or the closed form is not finite.  With `check_symplectic`
-    (steering only, as on the grid), raises ValueError when a sample leaves Sp(2n): a chunk with
-    blocks reads its defect from their determinants, any other the matmul.
+    and may decide a verdict.  Otherwise a chunk takes
+    path.steering_sigma_min when the path has that route.  A path without it
+    reads path.block_entries once per chunk: the closed form of
+    _sigma_min_blocks on its blocks, and LAPACK on its stack when it has no
+    blocks or the closed form is not finite.
+
+    With `check_symplectic` (steering only, as on the grid), raises
+    ValueError when a sample leaves Sp(2n).  A chunk with a steering route
+    raises on a value that is not finite; the route's path stays in Sp(2n)
+    by construction (for a RotationPath, det R(theta) = cos^2 + sin^2 is
+    within 4e-16 of 1 at every finite angle).  Any other chunk reads its
+    defect from its block determinants when it has blocks, else the matmul.
     """
     out = np.empty(len(ts))
     for lo in range(0, len(ts), SIGMA_CHUNK):
@@ -382,7 +380,10 @@ def _sigma_min_many(path, ts, lapack=False, check_symplectic=False):
         if lapack:
             out[lo:lo + SIGMA_CHUNK] = _lapack_sigma_min(path.evaluate_batch(chunk))
             continue
-        if not check_symplectic and (sigma := path.steering_sigma_min(chunk)) is not None:
+        if (sigma := path.steering_sigma_min(chunk)) is not None:
+            if check_symplectic and not np.isfinite(sigma).all():
+                raise ValueError("path leaves Sp(2n): a steering value is not finite "
+                                 "on the sample grid")
             out[lo:lo + SIGMA_CHUNK] = sigma
             continue
         blocks, mats = path.block_entries(chunk)
@@ -391,7 +392,7 @@ def _sigma_min_many(path, ts, lapack=False, check_symplectic=False):
                              f"on the sample grid")
         sigma = None if blocks is None else _sigma_min_blocks(blocks)
         if sigma is None:
-            sigma = _lapack_sigma_min(path.evaluate_batch(chunk) if mats is None else mats)
+            sigma = _lapack_sigma_min(mats)
         out[lo:lo + SIGMA_CHUNK] = sigma
     return out
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reebspec.cli as cli
 from reebspec import czindex
 from reebspec.czindex import (
     RotationPath,
@@ -524,11 +525,71 @@ def test_block_defect_matches_the_matmul_defect_on_rotation_paths():
             assert abs(block - matmul) <= 4e-16
 
 
-def test_grid_reads_the_block_defect_of_a_rotation_path(monkeypatch):
+def grid_values(monkeypatch):
+    """Record the values of every _sigma_min_many call on a sample grid."""
+    real, grids = czindex._sigma_min_many, []
+
+    def spy(path, ts, lapack=False, check_symplectic=False):
+        sigma = real(path, ts, lapack=lapack, check_symplectic=check_symplectic)
+        if check_symplectic:
+            grids.append(sigma)
+        return sigma
+
+    monkeypatch.setattr(czindex, "_sigma_min_many", spy)
+    return grids
+
+
+def test_grid_reads_the_half_angle_route_of_a_rotation_path(monkeypatch):
+    # a rotation path is in Sp(2n) by construction: its grid samples no
+    # defect and reads no block entries, only the half-angle sines
     reads = defect_reads(monkeypatch)
+    block_reads = []
+    monkeypatch.setattr(SymplecticPath, "block_entries",
+                        lambda self, ts: block_reads.append(len(ts)))
+    grids = grid_values(monkeypatch)
     path = RotationPath([1.0, 2.0, 3.0], TWO_PI * 3.3, sample_count=10000)
     assert cz_index(path) == cz_rotation_analytic([1.0, 2.0, 3.0], TWO_PI * 3.3)
-    assert reads == ["blocks"] * 3  # one per SIGMA_CHUNK-time grid chunk
+    assert reads == [] and block_reads == []
+    want = path.steering_sigma_min(np.linspace(path.a, path.b, path.sample_count))
+    assert [g.tobytes() for g in grids] == [want.tobytes()]
+
+
+def test_grid_raises_on_a_non_finite_steering_value(monkeypatch):
+    # the guarantee the sampled defect gave: a grid value that is not finite
+    # means the path left Sp(2n), and the grid's first chunk says so
+    half_angles, calls = RotationPath.steering_sigma_min, []
+
+    def poisoned(self, ts):
+        calls.append(len(ts))
+        sigma = half_angles(self, ts)
+        sigma[len(sigma) // 2] = np.nan
+        return sigma
+
+    monkeypatch.setattr(RotationPath, "steering_sigma_min", poisoned)
+    with pytest.raises(ValueError, match="leaves Sp.*sample grid"):
+        find_crossings(RotationPath([1.0, 2.0], TWO_PI * 3.3, sample_count=10000))
+    assert calls == [czindex.SIGMA_CHUNK]
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+       st.floats(1e-6, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_rotation_grids_stay_in_sp2n_to_the_sample_cap(freqs, reach, fill, seed):
+    # the grid samples no Sp(2n) defect of a rotation path; every block is
+    # R(alpha_l t), and on every grid the CLI can ask for, up to MAX_SAMPLES
+    # samples, the matmul defect at 256 of its times, the last included,
+    # stays within 4e-16
+    cap = cli.MAX_SAMPLES
+    longest = (cap - 17) / czindex.SAMPLES_PER_TURN * TWO_PI / max(freqs)
+    duration = reach * longest
+    needed = min_rotation_samples(freqs, duration)
+    assert needed <= cap
+    path = RotationPath(freqs, duration, sample_count=needed + round(fill * (cap - needed)))
+    grid = np.linspace(path.a, path.b, path.sample_count)
+    picks = np.random.default_rng(seed).integers(0, path.sample_count - 1, 255)
+    ts = grid[np.append(picks, path.sample_count - 1)]
+    assert ts[-1] == path.b
+    assert czindex._stack_defect(path.evaluate_batch(ts), None) <= 4e-16
 
 
 def test_non_symplectic_block_of_a_6x6_path_is_rejected(monkeypatch):
@@ -568,19 +629,14 @@ def test_off_block_entry_takes_the_matmul_defect(monkeypatch):
 @settings(max_examples=30)
 @given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3), st.floats(1.0, 1e3),
        st.integers(1, 2 * czindex.SIGMA_CHUNK + 7), st.integers(0, 2**32 - 1))
-def test_rotation_block_entries_are_the_stack_route(freqs, duration, count, seed):
-    # a RotationPath steers from block entries without building a stack; the
-    # same path read through its stack, by the off-block test, is the reference
+def test_rotation_sigma_min_many_is_the_half_angle_route(freqs, duration, count, seed):
+    # every steering stage of a RotationPath, the grid included, reads its
+    # half-angle sines, chunk by chunk, with or without the Sp(2n) check
     path = RotationPath(freqs, duration, sample_count=min_rotation_samples(freqs, duration))
     ts = np.random.default_rng(seed).uniform(0.0, duration, count)
-    blocks, mats = path.block_entries(ts)
-    assert mats is None
-    stack = path.evaluate_batch(ts)
-    for got, (i, k) in zip(blocks, [(0, 0), (0, 1), (1, 0), (1, 1)]):
-        assert got.tobytes() == stack[:, i::2, k::2].diagonal(axis1=1, axis2=2).tobytes()
-    via_stack = SymplecticPath(path.a, path.b, path.evaluate_batch)
-    assert czindex._sigma_min_many(path, ts, check_symplectic=True).tobytes() == \
-        czindex._sigma_min_many(via_stack, ts, check_symplectic=True).tobytes()
+    half = path.steering_sigma_min(ts).tobytes()
+    for check in (False, True):
+        assert czindex._sigma_min_many(path, ts, check_symplectic=check).tobytes() == half
 
 
 @st.composite
@@ -628,9 +684,9 @@ def test_half_angle_route_obeys_the_lipschitz_bound(path_and_times, data):
 
 def test_verdicts_read_lapack_not_the_steering_values(monkeypatch):
     # steering values that never fall below TOL_KERNEL would make every
-    # crossing look flat, were they read for a verdict: both routes are
-    # raised, the grid's block closed form and the half-angle route of the
-    # rescan, golden and probe passes
+    # crossing look flat, were they read for a verdict: both steering
+    # routes are raised, the block closed form and the half-angle route,
+    # which a rotation path takes on every pass, the grid included
     closed, half_angles = czindex._sigma_min_blocks, RotationPath.steering_sigma_min
     reads = []
     monkeypatch.setattr(czindex, "_sigma_min_blocks",
@@ -642,7 +698,7 @@ def test_verdicts_read_lapack_not_the_steering_values(monkeypatch):
     duration = TWO_PI * 1.3
     assert cz_index(RotationPath([1.0, 2.0], duration)) == \
         cz_rotation_analytic([1.0, 2.0], duration)
-    assert reads.count("blocks") == 1 and reads.count("half") > 1
+    assert reads.count("blocks") == 0 and reads.count("half") > 1
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +786,9 @@ def test_stacked_evaluations_do_not_grow_with_crossings(turns):
     assert cz_index(RotationPath(freqs, duration)) == cz_rotation_analytic(freqs, duration)
     # classification is stacked too: no scalar evaluation at all
     assert calls["evaluate"] == 0
-    # one stacked evaluation, block read or half-angle read per grid chunk,
-    # recursion level and golden iteration, whatever the number of crossings
-    assert calls["block_entries"] > 0 and calls["steering_sigma_min"] > 0
+    # one stacked evaluation or half-angle read per grid chunk, recursion
+    # level and golden iteration, whatever the number of crossings
+    assert calls["block_entries"] == 0 and calls["steering_sigma_min"] > 0
     assert (calls["evaluate_batch"] + calls["block_entries"]
             + calls["steering_sigma_min"]) <= 64
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from reebspec import (
     check_goodness_and_lacunarity,
     cross_check_family,
     cross_check_index,
+    czindex,
     orbit_index,
     spectrum,
 )
@@ -447,6 +449,42 @@ def test_family_formulas_equal_orbit_index(name):
         assert [c.formula for c in family] == [
             orbit_index(e, j, n) for n in range(1, n_max[j] + 1)]
         assert not any(c.inconclusive for c in family)
+
+
+def block_closed_form_grids(monkeypatch):
+    """Read every sample grid of a RotationPath as the engine read it before
+    its grid took the half-angle route: from the block entries (cos, -sin,
+    sin, cos) of alpha_l t, checked by their determinants, through the block
+    closed form.  Returns the list of grid sizes read so."""
+    real, grids = czindex._sigma_min_many, []
+
+    def block_grid(path, ts, lapack=False, check_symplectic=False):
+        if not check_symplectic:
+            return real(path, ts, lapack=lapack)
+        angles = np.multiply.outer(ts, path.freqs)
+        c, s = np.cos(angles), np.sin(angles)
+        assert czindex._stack_defect(None, (c, -s, s, c)) <= czindex.TOL_SYMPLECTIC
+        grids.append(len(ts))
+        return czindex._sigma_min_blocks((c, -s, s, c))
+
+    monkeypatch.setattr(czindex, "_sigma_min_many", block_grid)
+    return grids
+
+
+@pytest.mark.parametrize("max_degree", [160, 1000])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_half_angle_grid_finds_the_block_closed_form_crossings(name, max_degree,
+                                                              monkeypatch):
+    # the grid steers by the half-angle sines; read from the block closed form
+    # instead, the family search finds the same times and signatures
+    e = family_ellipsoid(name)
+    searches = spy(monkeypatch, "find_crossings")
+    cross_check_family(e, iterates(e, max_degree))
+    (path,), = searches
+    want = [(c.t, c.signature) for c in czindex.find_crossings(path)]
+    grids = block_closed_form_grids(monkeypatch)
+    assert [(c.t, c.signature) for c in czindex.find_crossings(path)] == want
+    assert grids == [path.sample_count]
 
 
 def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
