@@ -44,8 +44,8 @@ from fractions import Fraction
 import numpy as np
 
 from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
-from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, spectrum
-from .ellipsoid import family_samples, iterate_counts
+from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, family_samples
+from .ellipsoid import spectrum_orbits, spectrum_sets
 from .errors import CrossingError, ExprSyntaxError, HypothesisViolation, RadicandError
 from .homology import compare
 from .partitions import rayleigh_conjugate, rayleigh_pair, uspensky_scan, verify_partition
@@ -212,18 +212,21 @@ def cmd_cz(args):
 
 def cmd_spectrum(args):
     weights = _parse_weights(args)
+    rendered = [render(w) for w in weights]
     e = Ellipsoid(weights)
-    # --samples N means N samples on each orbit's own path, so it takes the
-    # per-orbit route; otherwise one crossing search serves every iterate of
-    # every simple orbit, and its grid is checked against the cap before any
-    # orbit is built.
+    # one enumeration of the Tamura sets serves the whole command.  --samples
+    # N means N samples on each orbit's own path, so it takes the per-orbit
+    # route; otherwise one crossing search serves every iterate of every
+    # simple orbit, its grid is checked against the cap before any orbit is
+    # built, and the sets are its formula values.
+    sets = spectrum_sets(e, args.max_degree)
     if args.cross_check and args.samples is None:
-        n_max = iterate_counts(e, args.max_degree)
-        if (needed := family_samples(e, n_max)) > MAX_SAMPLES:
+        elements = {j: a for j, a in enumerate(sets, start=1) if len(a)}
+        if (needed := family_samples(e, elements)) > MAX_SAMPLES:
             raise _UsageError(f"--cross-check to --max-degree {args.max_degree} needs a "
                               f"grid of {needed} samples, above the cap {MAX_SAMPLES}")
-        checks = cross_check_family(e, n_max)
-    orbits = spectrum(e, args.max_degree)
+        checks = cross_check_family(e, elements)
+    orbits = spectrum_orbits(e, sets)
     rows = []
     status = EXIT_OK
     saw_inconclusive = False
@@ -232,7 +235,7 @@ def cmd_spectrum(args):
             "j": o.j,
             "n": o.n,
             "cz": o.cz,
-            "period_coeff": f"{o.n}*pi*({render(o.weight)})",
+            "period_coeff": f"{o.n}*pi*({rendered[o.j - 1]})",
         }
         if args.cross_check:
             check = (checks[o.j][o.n - 1] if args.samples is None
@@ -253,7 +256,7 @@ def cmd_spectrum(args):
     return status, {
         "command": "spectrum",
         "d": args.d,
-        "weights": [render(w) for w in weights],
+        "weights": rendered,
         "max_degree": args.max_degree,
         "orbits": rows,
     }

@@ -17,8 +17,13 @@ SIGMA_CHUNK times at a time, and never one time point at a time:
 2. the rescan: one array pass per recursion level resamples every candidate
    window and finds all their runs and peak splits, until each dip sits in
    a narrow unimodal piece;
-3. golden-section refinement of every piece in lockstep, each piece along
-   its own iterate sequence;
+3. refinement of every piece to xatol: near a nondegenerate crossing
+   sigma_min is V-shaped, so a piece's samples at its last level give an
+   estimate where the lines through two samples on each arm of its lowest
+   sample meet (_v_fit).  One stacked evaluation at each estimate and
+   xatol to either side certifies it (_refine); every piece without a
+   certified estimate goes to golden-section search, all of them in
+   lockstep, each along its own iterate sequence;
 4. the probe ladder that tells a genuine shallow minimum from a wall point.
 
 Steering values come from the cheapest closed form the path offers.  A
@@ -30,9 +35,10 @@ without that route reads the entries of the 2x2 diagonal blocks
 those blocks, which supplies them only when every such entry is exactly 0.
 On block entries sigma_min comes from a closed form per block; a path
 without them, and any chunk on which the closed form is not finite, goes to
-LAPACK.  The closed forms only steer the search.  LAPACK decides: every
-verdict against TOL_KERNEL or TOL_ACCEPT reads one stacked LAPACK SVD at the
-refined times and the path endpoints.
+LAPACK.  The closed forms only steer the search.  LAPACK decides: one
+stacked full LAPACK SVD of Psi_t - id at the refined times and the path
+endpoints gives every verdict against TOL_KERNEL or TOL_ACCEPT, from its
+smallest singular values, and its rows classify the crossings.
 
 The candidate gates are Lipschitz bounds.  By Weyl's inequality
 sigma_min(Psi_t - id) moves by at most L|t - s| between t and s, with
@@ -44,7 +50,8 @@ gates at 2*(largest slope the grid shows)*h + TOL_ACCEPT.
 Classification is a stack as well.  At every crossing at once, the form
 (zeta, eta) -> zeta^T S_t eta with S_t = J (d/dt Psi_t) Psi_t^{-1} is
 restricted to an orthonormal basis of ker(Psi_t - id), and every kernel
-comes from one stacked full LAPACK SVD.  The index is the sum of interior
+comes from the verdicts' row of that one SVD stack; a time snapped to an
+endpoint reads the endpoint's row.  The index is the sum of interior
 signatures plus half the signatures at the endpoints, kept exact as a
 Fraction with denominator <= 2.
 
@@ -459,35 +466,99 @@ def _low_pieces(sigma, gate, starts, split=True):
     return np.nonzero(first)[0], np.nonzero(last)[0]
 
 
+def _v_fit(ts, sigma, first, last):
+    """The V-fit estimate of the minimizer of sigma on every piece, whose
+    samples are ts[first[i]], ..., ts[last[i]]; NaN where a piece has none.
+
+    k is the piece's lowest sample (the first one on a tie).  At the piece's
+    first or last sample, the estimate is that sample.  With two samples on
+    each side, it is where the line through samples k - 2 and k - 1 meets
+    the line through k + 1 and k + 2, clipped to [ts[k - 1], ts[k + 1]],
+    provided the left line falls and the right one rises: near a
+    nondegenerate crossing sigma_min is about c|t - t0|, and both lines lie
+    on its arms.  Any other piece has no estimate.  Every piece is one
+    gather, with no loop over pieces.
+    """
+    if not len(first):
+        return np.empty(0)
+    counts = last - first + 1
+    offsets = np.cumsum(counts) - counts
+    flat = np.arange(counts.sum()) - np.repeat(offsets - first, counts)
+    vals = sigma[flat]
+    lowest = np.repeat(np.minimum.reduceat(vals, offsets), counts)
+    at = np.where(vals == lowest, np.arange(len(vals)), len(vals))
+    k = flat[np.minimum.reduceat(at, offsets)]
+    est = np.full(len(k), np.nan)
+    edge = (k == first) | (k == last)
+    est[edge] = ts[k[edge]]
+    inner = np.flatnonzero((k - 2 >= first) & (k + 2 <= last))
+    stencil = k[inner, None] + np.arange(-2, 3)
+    t, s = ts[stencil], sigma[stencil]
+    left = (s[:, 1] - s[:, 0]) / (t[:, 1] - t[:, 0])
+    right = (s[:, 4] - s[:, 3]) / (t[:, 4] - t[:, 3])
+    v = (left < 0.0) & (right > 0.0)
+    t, s, left, right = t[v], s[v], left[v], right[v]
+    meet = t[:, 1] + (s[:, 3] - s[:, 1] - right * (t[:, 3] - t[:, 1])) / (left - right)
+    est[inner[v]] = np.clip(meet, t[:, 1], t[:, 3])
+    return est
+
+
+def _refine(path, lo, hi, est, xatol):
+    """The minimizer of sigma_min on every piece [lo[i], hi[i]] to within
+    xatol: est[i] where the check certifies it, else golden section.
+
+    One stacked evaluation at every estimate that is not NaN and at its
+    neighbours est - xatol and est + xatol, each clipped to the piece,
+    checks them all: an estimate is accepted when sigma_min there is at most
+    its value at both neighbours.  On a unimodal piece that proves the
+    minimizer within xatol of it, which is _golden_lockstep's own contract.
+    Every other piece goes to _golden_lockstep.
+    """
+    out = est.copy()
+    fit = np.flatnonzero(~np.isnan(est))
+    if fit.size:
+        t = est[fit]
+        center, left, right = np.split(_sigma_min_many(path, np.concatenate(
+            (t, np.maximum(t - xatol, lo[fit]), np.minimum(t + xatol, hi[fit])))), 3)
+        out[fit[~((center <= left) & (center <= right))]] = np.nan
+    rest = np.flatnonzero(np.isnan(out))
+    if rest.size:
+        out[rest] = _golden_lockstep(path, lo[rest], hi[rest], xatol)
+    return out
+
+
 def _window_minima(path, lo, hi, gate_slope, xatol, width_floor):
-    """Refine every dip inside each window [lo[w], hi[w]] to golden-section
-    accuracy; returns the candidate times, window by window.  A level's gate
-    is gate_slope * step + TOL_ACCEPT (see _low_pieces).
+    """Refine every dip inside each window [lo[w], hi[w]] to within xatol;
+    returns the candidate times, window by window.  A level's gate is
+    gate_slope * step + TOL_ACCEPT (see _low_pieces).
 
     Windows are rescanned at 16x finer resolution per level; candidate runs
     are split at interior peaks, so near-coincident crossings separate as
-    soon as the in-between peak is sampled.  A piece is handed to
-    golden-section search once it is unimodal at a step below half the
-    width floor (further structure below that scale is inside the
-    isolation-gap contract), or once its width drops below the floor.
+    soon as the in-between peak is sampled.  A piece is final once it is
+    unimodal at a step below half the width floor (further structure below
+    that scale is inside the isolation-gap contract), or once its width
+    drops below the floor.
 
     Each recursion level is one pass over arrays: the np.linspace samples of
     its windows lie end to end in window order, sigma_min is evaluated on
     them in one stacked call, and one _low_pieces call finds every window's
-    runs and peak splits under the window's own gate.  Every piece is
-    refined in lockstep.  Each piece carries a key that sorts the candidates
-    in the order a depth-first rescan of its window alone would find them:
-    a node's own pieces first, then the subtrees of its rescanned pieces,
-    last-found first.
+    runs and peak splits under the window's own gate.  A piece made final
+    at a level takes its _v_fit estimate from that level's samples; a
+    window made final before it is sampled (narrower than the floor, or 24
+    levels deep) has none.  _refine then certifies every estimate in one
+    stacked call and sends the rest to golden section in lockstep.  Each
+    piece carries a key that sorts the candidates in the order a depth-first
+    rescan of its window alone would find them: a node's own pieces first,
+    then the subtrees of its rescanned pieces, last-found first.
     """
     windows = list(zip(lo.tolist(), hi.tolist()))
     keys = [(w,) for w in range(len(lo))]
     depth, hint = np.zeros(len(lo), dtype=np.int64), np.full(len(lo), 65)
-    pieces = []  # (key, lo, hi)
+    pieces = []  # (key, lo, hi, estimate)
     while keys:
         width = hi - lo
         done = (width <= width_floor) | (depth >= 24)
-        pieces += [(keys[i], lo[i], hi[i]) for i in np.nonzero(done)[0].tolist()]
+        pieces += [(keys[i], lo[i], hi[i], math.nan) for i in np.nonzero(done)[0].tolist()]
         keys = [k for k, d in zip(keys, done.tolist()) if not d]
         if not keys:
             break
@@ -509,12 +580,13 @@ def _window_minima(path, lo, hi, gate_slope, xatol, width_floor):
             sigma, np.repeat(gate_slope * step + TOL_ACCEPT, counts), starts)
         row = np.searchsorted(starts, first, side="right") - 1
         found = (np.arange(len(first)) - np.searchsorted(first, starts)[row] + 1).tolist()
-        w_lo = ts[np.maximum(first - 1, starts[row])]
-        w_hi = ts[np.minimum(last + 1, ends[row])]
+        i_lo, i_hi = np.maximum(first - 1, starts[row]), np.minimum(last + 1, ends[row])
+        w_lo, w_hi = ts[i_lo], ts[i_hi]
         final = (step[row] <= width_floor / 2.0) | (w_hi - w_lo <= width_floor)
         rows = row.tolist()
-        pieces += [(keys[rows[i]] + (0, found[i]), w_lo[i], w_hi[i])
-                   for i in np.nonzero(final)[0].tolist()]
+        est = _v_fit(ts, sigma, i_lo[final], i_hi[final]).tolist()
+        pieces += [(keys[rows[i]] + (0, found[i]), w_lo[i], w_hi[i], e)
+                   for i, e in zip(np.nonzero(final)[0].tolist(), est)]
         rescan = np.nonzero(~final)[0]
         keys = [keys[rows[i]] + (1, -found[i]) for i in rescan.tolist()]
         row, lo, hi = row[rescan], w_lo[rescan], w_hi[rescan]
@@ -525,9 +597,9 @@ def _window_minima(path, lo, hi, gate_slope, xatol, width_floor):
         depth = depth[row] + 1
     if not pieces:
         return []
-    keys, lo, hi = zip(*sorted(pieces))  # keys are unique
+    keys, lo, hi, est = zip(*sorted(pieces))  # keys are unique
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    ts = _golden_lockstep(path, lo, hi, xatol)
+    ts = _refine(path, lo, hi, np.array(est, dtype=float), xatol)
     # a genuine minimum never hugs an interior window edge: the gate
     # guarantees real zeros are strictly inside some piece, so a result
     # pinned to an edge is a wall point of a dip owned by a neighboring
@@ -574,18 +646,26 @@ def _genuine_minima(path, points, probe_max, probe_min, a, b):
     return genuine
 
 
-def _classify(path, ts):
-    """The Crossing at every time of ts, in order, from one stack each of
-    Psi_t, d/dt Psi_t, full SVDs of Psi_t - id and inverses of Psi_t.
+def _svd_stack(path, ts):
+    """(Psi_t, singular values, right singular vectors) at every t of ts:
+    one stacked evaluation and one stacked full LAPACK SVD of Psi_t - id."""
+    mats = path.evaluate_batch(ts)
+    _, s, vh = np.linalg.svd(mats - np.eye(mats.shape[-1]))
+    return mats, s, vh
+
+
+def _classify(path, ts, stack):
+    """The Crossing at every time of ts, in order, from its row of `stack`,
+    the _svd_stack at ts, and one stack each of d/dt Psi_t and inverses of
+    Psi_t.
 
     The kernel basis is the right singular vectors of the singular values
     at or below TOL_KERNEL; the form and its eigenvalues are stacked per
     kernel dimension.  Raises NotACrossingError at the first regular t.
     """
     ts = np.asarray(ts, dtype=float)
-    mats = path.evaluate_batch(ts)
+    mats, s, vh = stack
     dim = mats.shape[-1]
-    _, s, vh = np.linalg.svd(mats - np.eye(dim))
     kernel_dims = np.sum(s <= TOL_KERNEL, axis=1)
     if not kernel_dims.all():
         i = int(np.argmin(kernel_dims))
@@ -616,7 +696,7 @@ def crossing_form(path, t):
     form matrix J (dPsi/dt) Psi^{-1} is symmetrized before restriction to
     absorb numerical asymmetry.
     """
-    return _classify(path, [t])[0].form
+    return _classify(path, [t], _svd_stack(path, [t]))[0].form
 
 
 def find_crossings(path):
@@ -663,17 +743,19 @@ def find_crossings(path):
     # endpoints are examined explicitly, never via bracketing
     times += [a, b]
 
-    # one LAPACK stack decides every verdict
-    vals = _sigma_min_many(path, np.array(times), lapack=True).tolist()
-    accepted = []  # (t, sigma) pairs
+    # one LAPACK stack decides every verdict and classifies every crossing;
+    # a time snapped to an endpoint reads that endpoint's row
+    stack = _svd_stack(path, np.array(times))
+    vals = stack[1][:, -1].tolist()
+    accepted = []  # (t, sigma, row)
     flat = []
-    for t, val in zip(times, vals):
+    for row, (t, val) in enumerate(zip(times, vals)):
         if val < TOL_KERNEL:
             if t - a < 10 * xatol:
-                t = a
+                t, row = a, len(times) - 2
             elif b - t < 10 * xatol:
-                t = b
-            accepted.append((float(t), val))
+                t, row = b, len(times) - 1
+            accepted.append((float(t), val, row))
         elif val < TOL_ACCEPT:
             flat.append((t, val))
     for (t, val), genuine in zip(flat, _genuine_minima(
@@ -686,19 +768,22 @@ def find_crossings(path):
 
     accepted.sort()
     merged = []
-    for t, val in accepted:
+    for t, val, row in accepted:
         if merged and t - merged[-1][0] < isolation_gap / 8.0:
             if val < merged[-1][1]:
-                merged[-1] = (t, val)
+                merged[-1] = (t, val, row)
             continue
-        merged.append((t, val))
-    for (t0, _), (t1, _) in zip(merged, merged[1:]):
+        merged.append((t, val, row))
+    for (t0, *_), (t1, *_) in zip(merged, merged[1:]):
         if t1 - t0 < isolation_gap:
             raise NonIsolatedCrossingError(
                 f"crossings at t = {t0} and t = {t1} are closer than the "
                 f"isolation gap {isolation_gap:.3e}"
             )
-    return _classify(path, [t for t, _ in merged])
+    if not merged:
+        return []
+    ts, _, rows = zip(*merged)
+    return _classify(path, ts, tuple(x[list(rows)] for x in stack))
 
 
 def cz_index(path):

@@ -9,8 +9,11 @@ index
 
 where A_j(n) is the n-th element of the j-th Tamura set of the weights.  So
 an Ellipsoid is a view of the TamuraFamily of its weights: orbit indices
-are its certified elements, and the spectrum is the m element arrays
-concatenated in j order, sorted stably by element and mapped to degrees.
+are its certified elements, and the spectrum is the m element arrays of
+spectrum_sets concatenated in j order, sorted stably by element and mapped
+to degrees.  One spectrum_sets call can serve a whole `spectrum
+--cross-check`: its lengths size the family search, its elements are the
+family route's formula values, and spectrum_orbits builds the rows from it.
 
 The linearized Reeb flow is Psi_t = (+)_l R(2t/a_l), a direct sum of
 rotations, so the same index is also reachable through the numeric
@@ -47,11 +50,12 @@ __all__ = [
     "ReebOrbit",
     "orbit_index",
     "spectrum",
+    "spectrum_sets",
+    "spectrum_orbits",
     "check_goodness_and_lacunarity",
     "cross_check_index",
     "cross_check_family",
     "family_samples",
-    "iterate_counts",
     "GoodnessReport",
     "CrossCheck",
 ]
@@ -122,26 +126,29 @@ def orbit_index(e, j, n):
     return e.m - 1 + 2 * e.family.element(j, n)
 
 
-def _spectrum_sets(e, max_degree):
+def spectrum_sets(e, max_degree):
     """The Tamura elements a of every set, in j order, whose orbits have
-    cz = m - 1 + 2a <= max_degree: a <= (max_degree - m + 1) // 2."""
+    cz = m - 1 + 2a <= max_degree: a <= (max_degree - m + 1) // 2.  The
+    array of set j holds A_j(1), ..., A_j(N_j), so N_j is its length, the
+    number of iterates of gamma_j in spectrum(e, max_degree)."""
     e.require_hypothesis()
     limit = (max_degree - e.m + 1) // 2
     return [e.family.elements(j, limit) for j in range(1, e.m + 1)]
 
 
-def iterate_counts(e, max_degree):
-    """{j: N_j} for every simple orbit j with iterates in spectrum(e,
-    max_degree), which holds gamma_j^1, ..., gamma_j^N_j; no orbit is built."""
-    return {j: len(s) for j, s in enumerate(_spectrum_sets(e, max_degree), start=1) if len(s)}
-
-
 def spectrum(e, max_degree):
-    """All orbits (j, n) with cz <= max_degree, sorted by (cz, j, n).
+    """All orbits (j, n) with cz <= max_degree, sorted by (cz, j, n): the
+    spectrum_orbits of spectrum_sets(e, max_degree)."""
+    return spectrum_orbits(e, spectrum_sets(e, max_degree))
 
-    cz = m - 1 + 2a rises with the Tamura element a, so the elements up to
-    a = (max_degree - m + 1) // 2 of every set, concatenated in j order
-    (n ascending within each set) and sorted stably by a, are already in
+
+def spectrum_orbits(e, sets):
+    """The orbits of the element arrays `sets` of spectrum_sets, sorted by
+    (cz, j, n).
+
+    cz = m - 1 + 2a rises with the Tamura element a, so the elements of
+    every set up to spectrum_sets' bound, concatenated in j order (n
+    ascending within each set) and sorted stably by a, are already in
     (cz, j, n) order and complete.
 
     The list is built with the cyclic garbage collector paused, and the
@@ -152,7 +159,6 @@ def spectrum(e, max_degree):
     (2 per `sh` on W3 to degree 200,002, which builds 10**5 orbits twice).
     """
     m = e.m
-    sets = _spectrum_sets(e, max_degree)
     a = np.concatenate(sets)
     order = np.argsort(a, kind="stable")
     label = np.repeat(np.arange(m), [len(s) for s in sets])[order]   # j - 1
@@ -250,9 +256,12 @@ def _reeb_freqs(e):
 
 
 def _periods(e, j, ns):
-    """Periods n*pi*a_j of gamma_j^n, n in ns, rounded as _reeb_freqs rounds."""
+    """Periods n*pi*a_j of gamma_j^n, n in ns, rounded as _reeb_freqs rounds:
+    with pi*a_j = num/den from a Fraction near it, n*num/den is a division
+    of exact integers, correctly rounded, so it is float(n * (num/den))."""
     pi_a = _PI * _near_fraction(e.weights[j - 1])
-    return [float(n * pi_a) for n in ns]
+    num, den = pi_a.numerator, pi_a.denominator
+    return [n * num / den for n in ns]
 
 
 def _default_samples(freqs, duration):
@@ -263,10 +272,10 @@ def _default_samples(freqs, duration):
     return max(4096, int(128 * turns) + 16)
 
 
-def family_samples(e, n_max):
-    """Grid size of cross_check_family(e, n_max)'s one search (0 for an empty
-    n_max), computed without building the path."""
-    ends = [_periods(e, j, [n])[0] for j, n in n_max.items()]
+def family_samples(e, elements):
+    """Grid size of cross_check_family(e, elements)'s one search (0 for an
+    empty mapping), computed without building the path."""
+    ends = [_periods(e, j, [len(a)])[0] for j, a in elements.items()]
     return _default_samples(_reeb_freqs(e), max(ends)) if ends else 0
 
 
@@ -320,17 +329,24 @@ def _catenated_twice(crossings, ends, gap):
     return out
 
 
-def cross_check_family(e, n_max):
-    """{j: CrossCheck records of gamma_j^n for n = 1, ..., n_max[j], in order
-    of n} for every j in the mapping n_max, from one crossing search.
+def cross_check_family(e, elements):
+    """{j: CrossCheck records of gamma_j^n for n = 1, ..., N_j, in order of n}
+    for every j in the mapping `elements`, from one crossing search.
+
+    elements[j] holds the Tamura elements A_j(1), ..., A_j(N_j), as an array
+    of spectrum_sets gives them: N_j is its length, and the formula index of
+    gamma_j^n is m - 1 + 2*A_j(n), so this route makes no exact call of its
+    own.  Raises ValueError, before any search, for a j outside 1..m or an
+    empty family, and HypothesisViolation when a weight ratio is rational.
 
     The linearized Reeb flow does not depend on j, so every iterate of every
     simple orbit is a prefix of one rotation path.  find_crossings runs once on
-    it over [0, T_max], T_max = max_j n_max[j]*pi*a_j, with the family_samples
+    it over [0, T_max], T_max = max_j N_j*pi*a_j, with the family_samples
     grid of that path.  Each T_n = n*pi*a_j, rounded as cross_check_index rounds
     its duration, is matched to the crossing within the isolation gap
     ISOLATION_FACTOR*T_max of it, and cz(gamma_j^n) is the sum of the signatures
-    in (0, T_n) plus half those at 0 and at T_n.  An empty n_max runs no search.
+    in (0, T_n) plus half those at 0 and at T_n.  An empty mapping runs no
+    search.
 
     Every family goes through cross_check_index instead, one orbit at a time,
     when the search raises CrossingError, a crossing is degenerate, or a T_n has
@@ -338,13 +354,17 @@ def cross_check_family(e, n_max):
     T_n, and so is every index read past it.  So an index is never guessed, and
     each inconclusive record names its own orbit's failure.
     """
-    for j, n in n_max.items():
-        orbit_index(e, j, n)  # checks j, n and the hypothesis before the search
-    if not n_max:
+    e.require_hypothesis()
+    for j, a in elements.items():
+        if not 1 <= j <= e.m:
+            raise ValueError(f"set label j must be in 1..{e.m}, got {j}")
+        if not len(a):
+            raise ValueError(f"family {j} has no iterates")
+    if not elements:
         return {}
-    ends = {j: _periods(e, j, range(1, n + 1)) for j, n in sorted(n_max.items())}
+    ends = {j: _periods(e, j, range(1, len(a) + 1)) for j, a in sorted(elements.items())}
     t_max = max(t[-1] for t in ends.values())
-    path = RotationPath(_reeb_freqs(e), t_max, sample_count=family_samples(e, n_max))
+    path = RotationPath(_reeb_freqs(e), t_max, sample_count=family_samples(e, elements))
     try:
         crossings = find_crossings(path)
         twice = {j: _catenated_twice(crossings, t, ISOLATION_FACTOR * t_max)
@@ -352,13 +372,12 @@ def cross_check_family(e, n_max):
     except CrossingError:
         twice = dict.fromkeys(ends)
     if None in twice.values():
-        return {j: [cross_check_index(e, j, n) for n in range(1, n_max[j] + 1)]
+        return {j: [cross_check_index(e, j, n) for n in range(1, len(elements[j]) + 1)]
                 for j in ends}
     out = {}
     for j, tw_j in twice.items():
-        a = e.family.elements(j, e.family.element(j, n_max[j])).tolist()
         out[j] = []
-        for n, (tw, a_n) in enumerate(zip(tw_j, a, strict=True), start=1):
+        for n, (tw, a_n) in enumerate(zip(tw_j, elements[j].tolist(), strict=True), start=1):
             formula = e.m - 1 + 2 * a_n
             numeric = Fraction(tw, 2)
             out[j].append(CrossCheck(j=j, n=n, formula=formula, numeric=numeric,

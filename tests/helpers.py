@@ -246,6 +246,27 @@ def split_at_peaks(sigma, start, end):
     return list(zip([start] + peaks, peaks + [end]))
 
 
+def v_fit(ts, sigma, first, last):
+    """The V-fit estimate of the minimizer of sigma on the piece of samples
+    first..last of one window, one piece at a time: at its lowest sample k
+    (the first on a tie), the sample itself when k is the piece's first or
+    last; with two samples on each side, where the falling line through
+    samples k - 2, k - 1 meets the rising one through k + 1, k + 2, clipped
+    to [ts[k - 1], ts[k + 1]]; NaN otherwise."""
+    k = first + int(np.argmin(sigma[first:last + 1]))
+    if k in (first, last):
+        return float(ts[k])
+    if k - 2 < first or k + 2 > last:
+        return math.nan
+    t, s = ts[k - 2:k + 3], sigma[k - 2:k + 3]
+    left = (s[1] - s[0]) / (t[1] - t[0])
+    right = (s[4] - s[3]) / (t[4] - t[3])
+    if not (left < 0.0 and right > 0.0):
+        return math.nan
+    meet = t[1] + (s[3] - s[1] - right * (t[3] - t[1])) / (left - right)
+    return float(min(max(meet, t[1]), t[3]))
+
+
 def loop_candidate_times(path):
     """(candidate times, Counter of rescan branches) of czindex.find_crossings
     on `path`, up to its LAPACK verdicts: the grid's windows from
@@ -253,7 +274,9 @@ def loop_candidate_times(path):
     with its own np.linspace, candidate_runs and split_at_peaks.  Every gate
     is gate_slope * step + TOL_ACCEPT, gate_slope being half the path's
     Lipschitz bound when it has one, else twice the grid's largest slope.
-    The branch names are "piece" (handed to golden-section search), "rescan"
+    Each final piece takes its v_fit estimate from its own window's samples,
+    and czindex._refine certifies the estimates or runs golden section.
+    The branch names are "piece" (handed to the refinement), "rescan"
     (65 samples) and "rescan4x" (four times the window's samples)."""
     a, b = path.a, path.b
     span = b - a
@@ -276,7 +299,7 @@ def loop_candidate_times(path):
         for lo, hi, depth, hint, key in level:
             width = hi - lo
             if width <= width_floor or depth >= 24:
-                pieces.append((key, lo, hi))
+                pieces.append((key, lo, hi, math.nan))
                 continue
             if width > 16.0 * width_floor:
                 count = hint
@@ -301,7 +324,8 @@ def loop_candidate_times(path):
                     w_hi = float(ts[min(e + 1, count - 1)])
                     if resolved or (w_hi - w_lo) <= width_floor:
                         branches["piece"] += 1
-                        pieces.append((key + (0, found), w_lo, w_hi))
+                        estimate = v_fit(ts, sigma, max(s - 1, 0), min(e + 1, count - 1))
+                        pieces.append((key + (0, found), w_lo, w_hi, estimate))
                     elif w_hi - w_lo > 0.7 * width:
                         branches["rescan4x"] += 1
                         level.append((w_lo, w_hi, depth + 1,
@@ -311,9 +335,9 @@ def loop_candidate_times(path):
                         level.append((w_lo, w_hi, depth + 1, 65, key + (1, -found)))
     if not pieces:
         return [], branches
-    keys, lo, hi = zip(*sorted(pieces))
+    keys, lo, hi, estimates = zip(*sorted(pieces))
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    ts = czindex._golden_lockstep(path, lo, hi, xatol)
+    ts = czindex._refine(path, lo, hi, np.array(estimates, dtype=float), xatol)
     wall = (((ts - lo <= 4.0 * xatol) & (lo != a))
             | ((hi - ts <= 4.0 * xatol) & (hi != b)))
     return [t for t, drop in zip(ts.tolist(), wall.tolist()) if not drop], branches

@@ -16,7 +16,7 @@ import reebspec
 import reebspec.cli as cli
 import reebspec.ellipsoid
 import reebspec.errors
-from reebspec import FieldContext, czindex
+from reebspec import FieldContext, TamuraFamily, czindex
 from reebspec.cli import main
 from reebspec.homology import ShComparison, compare, first_difference
 
@@ -246,11 +246,13 @@ def test_spectrum_cross_check_grid_above_the_cap_is_usage_error(capsys, monkeypa
 
 
 def test_spectrum_cross_check_at_max_degree_exits_before_the_spectrum(capsys, monkeypatch):
-    # the cap needs only each family's largest n, so no orbit is built
+    # the cap needs only each family's largest n, so no orbit, check or row
+    # is built
     def refuse(*args, **kwargs):
         raise AssertionError("the spectrum was built")
 
-    monkeypatch.setattr(cli, "spectrum", refuse)
+    monkeypatch.setattr(cli, "spectrum_orbits", refuse)
+    monkeypatch.setattr(cli, "cross_check_family", refuse)
     start = time.perf_counter()
     code, out, err = run(capsys, "spectrum", "--d", "2", "--weights", "1; sqrt(2); 1+sqrt(2)",
                          "--max-degree", str(cli.MAX_DEGREE), "--cross-check")
@@ -279,10 +281,13 @@ def test_spectrum_cross_check_grid_at_the_cap_runs_the_search(capsys, monkeypatc
 
 
 def test_spectrum_cross_check_keeps_its_sample_schedule(capsys, monkeypatch):
-    # W3 to degree 160: the grid, every rescan level, the golden iterations,
-    # the probes and the verdict stack take exactly these samples, with the
-    # rotation path's exact Lipschitz bound in the candidate gates (the
-    # observed-slope gate, about four times wider, took 39,718 in 44 calls)
+    # W3 to degree 160: the grid, every rescan level and the one check of
+    # the V-fit estimates take exactly these samples, with the rotation
+    # path's exact Lipschitz bound in the candidate gates; no piece falls
+    # back to golden section, no probe runs, and the verdicts read the one
+    # LAPACK stack.  (Golden section with a sampled verdict stack took
+    # 30,858 in 42 calls; with the observed-slope gate, about four times
+    # wider, 39,718 in 44.)
     real, calls, searches = czindex._sigma_min_many, [], []
 
     def counted(path, ts, lapack=False, check_symplectic=False):
@@ -298,14 +303,14 @@ def test_spectrum_cross_check_keeps_its_sample_schedule(capsys, monkeypatch):
     assert code == 0
     assert len(searches) == 1
     assert [n for n, grid in calls if grid] == [10334]
-    assert sum(n for n, _ in calls) == 30858
-    assert len(calls) == 42
+    assert sum(n for n, _ in calls) == 28123
+    assert len(calls) == 6
 
 
 def test_spectrum_cross_check_steers_without_stacks(capsys, monkeypatch):
     # W3 to degree 160: the rotation path builds full matrices only for the
-    # construction probe, the verdict stack at 80 refined times and the two
-    # ends, and Psi and its derivative at the 80 crossings
+    # construction probe, the one LAPACK stack at 80 refined times and the
+    # two ends, which also classifies, and the derivative at the 80 crossings
     real, built = czindex.RotationPath._rotations, []
 
     def spy(self, ts):
@@ -316,7 +321,24 @@ def test_spectrum_cross_check_steers_without_stacks(capsys, monkeypatch):
     code, _, _ = run(capsys, "spectrum", "--d", "2", "--weights",
                      "1; sqrt(2); 1+sqrt(2)", "--max-degree", "160", "--cross-check")
     assert code == 0
-    assert built == [1, 82, 80, 80]
+    assert built == [1, 82, 80]
+
+
+def test_spectrum_cross_check_enumerates_each_tamura_set_once(capsys, monkeypatch):
+    # W3 to degree 160: one enumeration per set gives the cap check's counts,
+    # the family route's formula values and the rows; no element is read
+    # one at a time
+    calls = []
+    for name in ("elements", "element"):
+        real = getattr(TamuraFamily, name)
+        monkeypatch.setattr(TamuraFamily, name,
+                            lambda self, *args, name=name, real=real:
+                            calls.append(name) or real(self, *args))
+    code, out, _ = run(capsys, "spectrum", "--d", "2", "--weights",
+                       "1; sqrt(2); 1+sqrt(2)", "--max-degree", "160", "--cross-check")
+    assert code == 0
+    assert calls == ["elements"] * 3
+    assert len(json.loads(out)["orbits"]) == 79
 
 
 def test_spectrum_samples_selects_the_per_orbit_route(capsys, monkeypatch):
@@ -601,7 +623,7 @@ def test_max_degree_above_the_cap_exits_before_any_work(capsys, monkeypatch, com
         raise AssertionError("the pipeline ran")
 
     monkeypatch.setattr(cli, "compare", refuse)
-    monkeypatch.setattr(cli, "spectrum", refuse)
+    monkeypatch.setattr(cli, "spectrum_sets", refuse)
     argv = (command, "--d", "2", "--weights", "1; sqrt(2)", "--max-degree")
     for degree in (cli.MAX_DEGREE + 1, 10**12):
         code, out, err = run(capsys, *argv, str(degree))

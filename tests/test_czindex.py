@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reebspec.cli as cli
-from reebspec import czindex
+import reebspec.ellipsoid as ell
+from reebspec import Ellipsoid, FieldContext, czindex
 from reebspec.czindex import (
     RotationPath,
     SymplecticPath,
@@ -925,3 +926,179 @@ def test_level_pass_equals_the_loop_on_a_conjugated_path(monkeypatch):
     branches = assert_level_pass_equals_the_loop(path)
     assert sum(branches.values()) > 0
     assert sum(calls) > 2 * path.sample_count
+
+
+# ---------------------------------------------------------------------------
+# refinement: certified V-fit estimates, golden section as the fallback
+# ---------------------------------------------------------------------------
+
+def refined_pieces(path, monkeypatch):
+    """(lo, hi, estimates, xatol, refined times) of the one _refine call of
+    find_crossings(path), which still runs."""
+    real, got = czindex._refine, []
+
+    def spy(path, lo, hi, est, xatol):
+        out = real(path, lo, hi, est, xatol)
+        got.append((lo, hi, est, xatol, out))
+        return out
+
+    monkeypatch.setattr(czindex, "_refine", spy)
+    try:
+        find_crossings(path)
+    except CrossingError:
+        pass  # the pieces were refined before any verdict
+    assert len(got) == 1
+    return got[0]
+
+
+def golden_pieces(monkeypatch):
+    """The list of piece counts of every _golden_lockstep call, which still runs."""
+    real, sizes = czindex._golden_lockstep, []
+    monkeypatch.setattr(czindex, "_golden_lockstep",
+                        lambda path, lo, hi, xatol: sizes.append(len(lo))
+                        or real(path, lo, hi, xatol))
+    return sizes
+
+
+def w3_family_path():
+    """The one rotation path of the W3 cross-check to degree 160."""
+    e = Ellipsoid([FieldContext(2).parse(w) for w in ("1", "sqrt(2)", "1+sqrt(2)")])
+    elements = {j: a for j, a in enumerate(ell.spectrum_sets(e, 160), start=1) if len(a)}
+    t_max = max(ell._periods(e, j, [len(a)])[0] for j, a in elements.items())
+    path = RotationPath(ell._reeb_freqs(e), t_max,
+                        sample_count=ell.family_samples(e, elements))
+    assert path.sample_count == 10334
+    return path
+
+
+def crossing_data(path):
+    return [(c.t, c.signature, c.kernel_dim, c.degenerate) for c in find_crossings(path)]
+
+
+@given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+       st.floats(0.2, 12.0))
+@settings(max_examples=60)
+def test_refined_times_are_within_two_xatol_of_golden_section(freqs, turns):
+    # both refinements meet golden section's contract on every piece: within
+    # xatol of the minimizer, so within 2 xatol of each other
+    duration = TWO_PI * turns
+    path = RotationPath(freqs, duration,
+                        sample_count=max(4096, min_rotation_samples(freqs, duration)))
+    with pytest.MonkeyPatch.context() as mp:
+        lo, hi, est, xatol, out = refined_pieces(path, mp)
+    assert xatol == czindex.REFINE_FACTOR * duration
+    golden = czindex._golden_lockstep(path, lo, hi, xatol)
+    assert np.all(np.abs(out - golden) <= 2.0 * xatol)
+    assert np.all((lo <= out) & (out <= hi))
+
+
+def test_the_family_path_refines_without_golden_section(monkeypatch):
+    # W3 to degree 160: every one of the 80 pieces takes its certified V-fit
+    path = w3_family_path()
+    sizes = golden_pieces(monkeypatch)
+    lo, hi, est, xatol, out = refined_pieces(path, monkeypatch)
+    assert len(lo) == 80 and not np.isnan(est).any()
+    assert sizes == []
+    assert out.tobytes() == est.tobytes()
+
+
+def test_a_displaced_estimate_is_rejected_by_the_check(monkeypatch):
+    # every estimate moved 10 xatol off the minimizer fails its check, and
+    # golden section then gives the crossings of a search without estimates
+    path = RotationPath([1.0, math.sqrt(2.0), math.sqrt(3.0)], TWO_PI * 7.3)
+    xatol = czindex.REFINE_FACTOR * path.b
+    real_fit = czindex._v_fit
+
+    monkeypatch.setattr(czindex, "_v_fit", lambda *args: np.full_like(real_fit(*args), np.nan))
+    want = crossing_data(path)
+    monkeypatch.setattr(czindex, "_v_fit", lambda *args: real_fit(*args) + 10.0 * xatol)
+    sizes = golden_pieces(monkeypatch)
+    lo, _, est, _, _ = refined_pieces(path, monkeypatch)
+    assert not np.isnan(est).any()
+    assert sizes == [len(lo)]
+    assert crossing_data(path) == want
+
+
+def test_a_squared_rotation_takes_the_golden_fallback(monkeypatch):
+    # sigma ~ t^2 at the t = 0 contact: its window is rescanned 24 levels
+    # deep and never sampled as a final piece, so it has no estimate
+    path = squared_rotation()
+    real_fit = czindex._v_fit
+    monkeypatch.setattr(czindex, "_v_fit", lambda *args: np.full_like(real_fit(*args), np.nan))
+    want = crossing_data(path)
+    monkeypatch.undo()
+    sizes = golden_pieces(monkeypatch)
+    lo, _, est, _, _ = refined_pieces(path, monkeypatch)
+    assert np.isnan(est).all() and sizes == [len(lo)]
+    assert crossing_data(path) == want
+    assert [c[3] for c in want] == [True]
+
+
+def test_v_fit_meets_the_arms_of_a_sampled_v():
+    # samples of 3|t - 0.3| on t = 0, 0.1, ..., 1 in two pieces, plus an
+    # edge minimum and a piece with one sample left of its lowest
+    ts = np.linspace(0.0, 1.0, 11)
+    sigma = 3.0 * np.abs(ts - 0.3)
+    first, last = np.array([0, 0, 3, 2]), np.array([10, 6, 10, 6])
+    est = czindex._v_fit(ts, sigma, first, last)
+    assert est[0] == pytest.approx(0.3, abs=1e-15)
+    assert est[1] == pytest.approx(0.3, abs=1e-15)
+    assert est[2] == ts[3]       # lowest at the piece's first sample
+    assert math.isnan(est[3])    # one sample left of the lowest
+    assert czindex._v_fit(ts, sigma, first[:0], last[:0]).size == 0
+    # a left line that rises has no estimate; lines that meet past
+    # ts[k + 1] are clipped to it
+    steps, one = np.arange(5.0), (np.array([0]), np.array([4]))
+    rising = czindex._v_fit(steps, np.array([1.0, 2.0, 0.0, 2.0, 4.0]), *one)
+    clipped = czindex._v_fit(steps, np.array([4.0, 3.9, 0.5, 1.0, 2.0]), *one)
+    assert math.isnan(rising[0]) and clipped[0] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# one LAPACK stack decides and classifies
+# ---------------------------------------------------------------------------
+
+def shifted_turns(shift):
+    """A R(t - shift) A^-1 on [0, 4*pi], A a fixed non-orthogonal symplectic
+    matrix: the rows of its crossings' stacks differ in their last bits
+    wherever their times do."""
+    a = np.array([[1.0, 0.7], [0.2, 1.14]])
+    a_inv = np.linalg.inv(a)
+    k = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return SymplecticPath(0.0, 2.0 * TWO_PI, lambda ts: a @ rots(ts - shift) @ a_inv,
+                          derivative=lambda ts: a @ k @ rots(ts - shift) @ a_inv)
+
+
+@pytest.mark.parametrize("shift", [0.0, 3.0, -3.0])
+def test_endpoint_crossings_read_the_endpoint_rows(shift):
+    # the crossings at 0 and at b of two full turns, shifted by `shift`
+    # xatol, each classified from its row of the verdict stack, equal a
+    # stack built at that time alone.  Shifted forward, the first refined
+    # time lies 3 xatol after 0; shifted back, the last lies 3 xatol before
+    # b: each is snapped to its endpoint and reads the endpoint's row
+    xatol = czindex.REFINE_FACTOR * 2.0 * TWO_PI
+    path = shifted_turns(shift * xatol)
+    assert symplectic_defect(path.evaluate(1.0)) < 1e-12
+    times = stacked_candidate_times(path)
+    snapped = [t for t in times if 0.0 < min(t - path.a, path.b - t) < 10.0 * xatol]
+    assert len(snapped) == (1 if shift else 0)
+    crossings = find_crossings(path)
+    assert [c.t for c in crossings][::2] == [0.0, path.b]
+    for c in (crossings[0], crossings[-1]):
+        alone = czindex._classify(path, [c.t], czindex._svd_stack(path, [c.t]))[0]
+        assert c.kernel_basis.tobytes() == alone.kernel_basis.tobytes()
+        assert c.form.tobytes() == alone.form.tobytes()
+        assert c.form.tobytes() == crossing_form(path, c.t).tobytes()
+
+
+def test_one_svd_per_search_on_the_family_path(monkeypatch):
+    # W3 to degree 160: the verdicts and the 80 classifications read one
+    # stacked SVD of 82 matrices, the 80 refined times and the two ends
+    path = w3_family_path()
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda mats, *args, **kwargs: calls.append(len(mats))
+                        or svd(mats, *args, **kwargs))
+    crossings = find_crossings(path)
+    assert len(crossings) == 80
+    assert calls == [82]

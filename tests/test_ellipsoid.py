@@ -26,7 +26,7 @@ from reebspec import (
 )
 from reebspec.errors import FlatCrossingError, NonIsolatedCrossingError
 from reebspec.partitions import TamuraFamily
-from reebspec.quadfield import QuadIrrational
+from reebspec.quadfield import QuadIrrational, _near_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +334,20 @@ def test_reeb_flow_of_a_320_digit_radicand():
     _assert_flow_is_rounded_from_mpmath(weights, [1, 7, 10**6], dps=400)
 
 
+@pytest.mark.parametrize("seed", range(11))
+def test_periods_are_the_fraction_route_rounded(seed):
+    # n*num/den divides exact integers, correctly rounded, so it is bitwise
+    # float(n * Fraction(num, den)) for every n
+    rng = random.Random(seed)
+    d = rng.choice((2, 5))
+    e = Ellipsoid(random_weights(rng, d, 3))
+    ns = range(1, 10**4 + 1)
+    for j in (1, 2, 3):
+        pi_a = ell._PI * _near_fraction(e.weights[j - 1])
+        want = [float(n * pi_a) for n in ns]
+        assert np.array(ell._periods(e, j, ns)).tobytes() == np.array(want).tobytes()
+
+
 def test_pi_literal():
     with mpmath.workdps(80):
         pi = mpmath.mpf(ell._PI.numerator) / ell._PI.denominator
@@ -390,6 +404,12 @@ def iterates(e, max_degree):
     return n_max
 
 
+def prefixes(e, n_max):
+    """{j: the array A_j(1), ..., A_j(n_max[j])}: the elements
+    cross_check_family reads its formula values from."""
+    return {j: e.family.elements(j, e.family.element(j, n)) for j, n in n_max.items()}
+
+
 def per_orbit(e, j, n_max):
     return [cross_check_index(e, j, n) for n in range(1, n_max + 1)]
 
@@ -414,7 +434,7 @@ def test_family_route_equals_the_per_orbit_oracle(name, monkeypatch):
     e = family_ellipsoid(name)
     n_max = iterates(e, 160)
     searches = spy(monkeypatch, "find_crossings")
-    checks = cross_check_family(e, n_max)
+    checks = cross_check_family(e, prefixes(e, n_max))
     assert len(searches) == 1
     assert sorted(checks) == sorted(n_max)
     for j, family in checks.items():
@@ -426,7 +446,7 @@ def test_family_route_equals_the_per_orbit_oracle(name, monkeypatch):
 def test_family_route_matches_the_formula_to_degree_1000():
     e = family_ellipsoid("W3")
     n_max = iterates(e, 1000)
-    checks = cross_check_family(e, n_max)
+    checks = cross_check_family(e, prefixes(e, n_max))
     assert sorted(checks) == sorted(n_max)
     for j, family in checks.items():
         assert len(family) == n_max[j]
@@ -442,7 +462,7 @@ def test_family_formulas_equal_orbit_index(name):
     # the family route reads A_j(1..n_max) in one block, not per orbit
     e = family_ellipsoid(name)
     n_max = iterates(e, 300)
-    checks = cross_check_family(e, n_max)
+    checks = cross_check_family(e, prefixes(e, n_max))
     assert sorted(checks) == sorted(n_max)
     for j, family in checks.items():
         assert [c.n for c in family] == list(range(1, n_max[j] + 1))
@@ -479,7 +499,7 @@ def test_half_angle_grid_finds_the_block_closed_form_crossings(name, max_degree,
     # instead, the family search finds the same times and signatures
     e = family_ellipsoid(name)
     searches = spy(monkeypatch, "find_crossings")
-    cross_check_family(e, iterates(e, max_degree))
+    cross_check_family(e, prefixes(e, iterates(e, max_degree)))
     (path,), = searches
     want = [(c.t, c.signature) for c in czindex.find_crossings(path)]
     grids = block_closed_form_grids(monkeypatch)
@@ -493,7 +513,7 @@ def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
 
     monkeypatch.setattr(ell, "find_crossings", refuse)
     calls = spy(monkeypatch, "cross_check_index")
-    checks = cross_check_family(e3, {3: 4, 1: 4})
+    checks = cross_check_family(e3, prefixes(e3, {3: 4, 1: 4}))
     # every family goes to the oracle, in (j, n) order
     assert [c[1:] for c in calls] == [(j, n) for j in (1, 3) for n in range(1, 5)]
     assert checks == {j: per_orbit(e3, j, 4) for j in (1, 3)}
@@ -504,7 +524,7 @@ def test_family_falls_back_when_the_long_search_raises(e3, monkeypatch):
         raise FlatCrossingError(repr(path.b))
 
     monkeypatch.setattr(ell, "cz_index", flat)
-    checks = cross_check_family(e3, {1: 4, 3: 4})
+    checks = cross_check_family(e3, prefixes(e3, {1: 4, 3: 4}))
     for j, a_j in ((1, 1.0), (3, 1.0 + math.sqrt(2.0))):
         assert [c.n for c in checks[j]] == [1, 2, 3, 4]
         for n, c in enumerate(checks[j], start=1):
@@ -517,11 +537,13 @@ def test_family_checks_its_input_before_the_search(e3, ctx2, monkeypatch):
         raise AssertionError("a crossing search ran")
 
     monkeypatch.setattr(ell, "find_crossings", refuse)
-    for n_max in ({0: 3}, {4: 3}, {1: 0}, {1: 3, 4: 3}, {2: 3, 1: 0}):
+    three, none = np.arange(1, 4), np.arange(1, 1)
+    for elements in ({0: three}, {4: three}, {1: none}, {1: three, 4: three},
+                     {2: three, 1: none}):
         with pytest.raises(ValueError):
-            cross_check_family(e3, n_max)
+            cross_check_family(e3, elements)
     with pytest.raises(HypothesisViolation):
-        cross_check_family(Ellipsoid([ctx2.element(1), ctx2.element(2)]), {1: 3})
+        cross_check_family(Ellipsoid([ctx2.element(1), ctx2.element(2)]), {1: three})
     # an empty spectrum asks for nothing and runs no search
     assert cross_check_family(e3, {}) == {}
 
@@ -562,7 +584,7 @@ def test_family_never_guesses_an_unmatched_end(e3, monkeypatch, edit):
     searches = spy(monkeypatch, "find_crossings")
     calls = spy(monkeypatch, "cross_check_index")
     n_max = {1: 5, 3: 4}
-    checks = cross_check_family(e3, n_max)
+    checks = cross_check_family(e3, prefixes(e3, n_max))
     assert len(searches) == 1
     assert [c[1:] for c in calls] == [
         (j, n) for j in (1, 3) for n in range(1, n_max[j] + 1)]
