@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,7 +166,7 @@ def spectrum_orbits(e, sets):
     j = (label + 1).tolist()
     n = np.concatenate([np.arange(1, len(s) + 1) for s in sets])[order].tolist()
     # an int64 element is a sum of m floors, each below 2**32 in magnitude
-    # by the kernel's guard, so its degree cannot overflow; object arrays
+    # by the int64 guard, so its degree cannot overflow; object arrays
     # compute in Python ints
     cz = (m - 1 + 2 * a[order]).tolist()
     weights = map(e.weights.__getitem__, label.tolist())
@@ -293,6 +294,7 @@ def cross_check_index(e, j, n, sample_count=None):
     This is the independent oracle of cross_check_family and the route it
     falls back to.
     """
+    n = operator.index(n)
     formula = orbit_index(e, j, n)
     freqs, (duration,) = _reeb_freqs(e), _periods(e, j, [n])
     if sample_count is None:

@@ -8,19 +8,20 @@ with 1/alpha + 1/beta = 1.  Tamura sets, Beatty sets and the naive sets
 times a fixed list of slopes, for n = 1, 2, ..., computed a block of n at
 a time by _floor_blocks.  A rational slope divides exactly; an irrational
 one reads its floors off the Sturmian word of its fractional part while
-they fit the int64 guard, and past it from the block kernel, in which a
-float may propose a floor but only an exact integer sign test decides it.
-So a "partition" verdict up to N is a proof, not a floating-point
-impression, and a scan within int64 makes no float proposal at all.  Array
-readers (TamuraFamily.elements, and so the Reeb spectrum) take the blocks
-whole.  The partition scanners pull the streams' values in chunks and
-count them one window of values at a time with a bincount, which needs no
-table sized by the limit and reports the smallest violating value together
-with both producing (set, n) witnesses.
+they fit the int64 guard, and past it takes each floor from the scalar
+exact floor.  A single element (TamuraFamily.element) is a sum of scalar
+exact floors.  No float takes part, so a "partition" verdict up to N is a
+proof, not a floating-point impression.  Array readers
+(TamuraFamily.elements, and so the Reeb spectrum) take the blocks whole.
+The partition scanners pull the streams' values in chunks and count them
+one window of values at a time with a bincount, which needs no table
+sized by the limit and reports the smallest violating value together with
+both producing (set, n) witnesses.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import itemgetter
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import HypothesisViolation
 from .quadfield import (
     QuadIrrational,
-    _floor_scaled,
+    _floor_exact,
     _slope_blocks,
     pairwise_rational_ratio,
 )
@@ -52,12 +53,6 @@ _BLOCK_FIRST = 64
 _BLOCK_MAX = 1024
 
 
-def _floor_sum(triples, d, n_lo, n_hi):
-    """Array of sum_k floor(n * x_k) for n in [n_lo, n_hi), over slopes
-    x_k = (p + q*sqrt(d)) / c, each floor from the random-access kernel."""
-    return sum(_floor_scaled(p, q, c, d, n_lo, n_hi) for p, q, c in triples)
-
-
 def _block_bounds():
     """The (n_lo, n_hi) of every block: 64 n, doubling up to 1024."""
     n_lo, size = 1, _BLOCK_FIRST
@@ -74,9 +69,8 @@ def _floor_blocks(triples, d, limit):
 
     Each slope's floors come from its own _slope_blocks: exact division for
     a rational slope, and for an irrational one the Sturmian word of its
-    fractional part while the kernel's int64 guard holds, then the kernel
-    _floor_scaled from the first block outside the guard on.  So a stream
-    whose floors fit the guard makes no float proposal.  The sum never
+    fractional part while the int64 guard holds, then one scalar exact
+    floor per n from the first block outside the guard on.  The sum never
     decreases in n, so every block before the last lies within the limit.
     A block is an int64 array, or an object array of Python ints where the
     guard fails for one of its slopes.
@@ -94,13 +88,13 @@ def _floor_stream(triples, d, label, limit):
     skipping every value <= the last one yielded.
 
     The floors come a block at a time from _floor_blocks (Sturmian words
-    and exact division within the int64 guard, the kernel past it), and one
-    mask per block keeps the values that rise above their predecessor and
-    lie within the limit; since the sum never decreases in n, a value that
-    rises above its predecessor rises above every value before it.  For
-    Tamura and Beatty sets the sum strictly increases and the mask keeps
-    every in-limit value; for slopes below 1 it drops the zeros and the
-    repeats, since a set contains each value once.
+    and exact division within the int64 guard, scalar exact floors past
+    it), and one mask per block keeps the values that rise above their
+    predecessor and lie within the limit; since the sum never decreases in
+    n, a value that rises above its predecessor rises above every value
+    before it.  For Tamura and Beatty sets the sum strictly increases and
+    the mask keeps every in-limit value; for slopes below 1 it drops the
+    zeros and the repeats, since a set contains each value once.
     """
     last = 0
     for n_lo, values in _floor_blocks(triples, d, limit):
@@ -148,11 +142,14 @@ class TamuraFamily:
         return self._ratio_triples[j - 1]
 
     def element(self, j, n):
-        """The n-th element of A_j, exactly."""
+        """The n-th element of A_j, sum_k floor(n * a_j / a_k), one scalar
+        exact floor per k.  n must be an integer (a numpy one is read as
+        a Python int) and at least 1."""
         triples = self._triples(j)
+        n = operator.index(n)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return int(_floor_sum(triples, self._d, n, n + 1)[0])
+        return sum(_floor_exact(n * p, n * q, c, self._d) for p, q, c in triples)
 
     def generator(self, j, limit):
         """Yield (value, j, n) with value ascending, stopping past limit."""
@@ -160,8 +157,8 @@ class TamuraFamily:
 
     def elements(self, j, limit):
         """Array of A_j(n) <= limit for n = 1, 2, ...; A_j(n) sits at index
-        n - 1.  Its dtype is object when a block fell outside the kernel's
-        int64 guard."""
+        n - 1.  Its dtype is object when a block fell outside the int64
+        guard."""
         blocks = [values for _, values in
                   _floor_blocks(self._triples(j), self._d, limit)]
         values = np.concatenate(blocks)

@@ -7,21 +7,22 @@ and the sign of p + q*sqrt(d) is decidable by comparing p^2 against q^2*d
 when p and q differ in sign.  That exact sign test is the substrate for
 certified comparisons and certified floors.
 
-Floors come in blocks of consecutive n, by two routes.  _floor_scaled is
-the random-access kernel: for a rational slope it divides exactly, n*p // c;
-for an irrational one a float64 product proposes each floor and only exact
-integer sign tests decide it, in int64 where a guard computed on Python
-ints proves that no product can overflow, and on Python ints everywhere
-else, so no floating point value ever decides a floor.  _slope_blocks walks
-n = 1, 2, ... upward: an irrational slope x there takes its floors from the
-characteristic Sturmian word of {x}, built from the continued fraction of x
-with isqrt alone, and hands over to the kernel at the first block outside
-the int64 guard.  A stream within int64 therefore makes no float proposal.
+Every floor of n*x comes from one of two integer-only routes, and no float
+takes part in either.  _floor_exact is the scalar route: an isqrt seed
+settled by exact sign tests, for one n at a time (floor_product,
+TamuraFamily.element).  _slope_blocks is the block route for n = 1, 2, ...
+upward: a rational slope divides exactly, n*p // c, and an irrational slope
+x reads its floors off the characteristic Sturmian word of {x}, built from
+the continued fraction of x with isqrt alone.  Its blocks are int64 while
+the int64 guard _int64_bound holds; from the first block outside it on,
+_floor_scaled computes each floor with _floor_exact, as Python ints.
+Floats appear only at the numeric boundary, in __float__.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,8 +94,12 @@ _INT64_LIMIT = 1 << 63
 
 def _int64_bound(p, q, c, d, n_lo, n_hi):
     """F with |floor(n*x)| <= F for x = (p + q*sqrt(d))/c and n in
-    [n_lo, n_hi), when the certificate's products for any f in [-F, F] stay
-    below 2**63 in magnitude; None otherwise.  Python ints only."""
+    [n_lo, n_hi), when every product of the int64 sign tests of
+    f <= n*x < f+1, for any f in [-F, F], stays below 2**63 in magnitude;
+    None otherwise.  Python ints only.  A block is int64 where this guard
+    holds and an object array of Python ints where it fails, and the
+    Sturmian route of _slope_blocks hands over to _floor_scaled at the
+    first block outside it."""
     big_n = max(abs(n_lo), abs(n_hi - 1), 1)
     bound = big_n * (abs(p) + abs(q) * (isqrt(d) + 1)) // c + 2
     a_max = big_n * abs(p) + (bound + 1) * c    # |n*p - f*c|, |n*p - (f+1)*c|
@@ -104,42 +109,19 @@ def _int64_bound(p, q, c, d, n_lo, n_hi):
     return None
 
 
-def _propose_floors(p, q, c, d, n):
-    """float64 guesses of floor(n * (p + q*sqrt(d)) / c); never trusted."""
-    return np.floor(n * ((p + q * math.sqrt(d)) / c))
-
-
 def _floor_scaled(p, q, c, d, n_lo, n_hi):
     """floor(n * (p + q*sqrt(d)) / c) for each n in [n_lo, n_hi), as an array.
 
-    p, q, c are integers with c > 0 and d is non-square.  Where the int64
-    guard holds, a rational slope (q = 0) is n*p // c in int64, and for an
-    irrational one float64 proposes each floor f and exact int64 sign tests
-    check f <= n*x < f+1, using sign(a + b*sqrt(d)) = sign(a) if
-    a^2 > b^2*d, else sign(b); entries that fail are recomputed by
-    _floor_exact.  A block outside the guard is computed by _floor_exact
-    whole, as an object array of Python ints.
+    p, q, c are integers with c > 0 and d is non-square.  A rational slope
+    (q = 0) inside the int64 guard is n*p // c in int64; every other block
+    is _floor_exact at each n, in int64 inside the guard and as an object
+    array of Python ints outside it.
     """
     bound = _int64_bound(p, q, c, d, n_lo, n_hi)
-    if bound is None:
-        return np.array([_floor_exact(n * p, n * q, c, d)
-                         for n in range(n_lo, n_hi)], dtype=object)
-    n = np.arange(n_lo, n_hi, dtype=np.int64)
-    if q == 0:
-        return n * p // c
-    # fmax/fmin also map NaN into [-bound, bound], so every product below
-    # stays inside the guard whatever the proposal is
-    f = np.fmin(np.fmax(_propose_floors(p, q, c, d, n), -bound), bound)
-    f = f.astype(np.int64)
-    a = n * p - f * c       # n*x - f has the sign of a + b*sqrt(d)
-    b = n * q
-    b2d = b * b * d
-    e = a - c               # n*x - (f+1) has the sign of e + b*sqrt(d)
-    certified = (np.where(a * a > b2d, a > 0, b >= 0)
-                 & np.where(e * e > b2d, e < 0, b < 0))
-    for i in np.flatnonzero(~certified).tolist():
-        f[i] = _floor_exact((n_lo + i) * p, (n_lo + i) * q, c, d)
-    return f
+    if q == 0 and bound is not None:
+        return np.arange(n_lo, n_hi, dtype=np.int64) * p // c
+    return np.array([_floor_exact(n * p, n * q, c, d) for n in range(n_lo, n_hi)],
+                    dtype=object if bound is None else np.int64)
 
 
 def _continued_fraction(p, q, c, d):
@@ -227,11 +209,12 @@ def _slope_blocks(p, q, c, d, bounds):
     for the consecutive ranges (n_lo, n_hi) of `bounds`, which start at
     n = 1; each array has the dtype _floor_scaled gives it.
 
-    A rational slope takes every block from _floor_scaled.  An irrational
-    slope x is n*floor(x) plus the running sum of the Sturmian letters of
-    {x} (_sturmian_letters), in int64 and with no float, while the kernel's
+    A rational slope takes every block from _floor_scaled, which divides
+    exactly.  An irrational slope x is n*floor(x) plus the running sum of
+    the Sturmian letters of {x} (_sturmian_letters), in int64, while the
     int64 guard holds; the guard only fails for larger n, so from the first
-    block outside it on, every block comes from _floor_scaled.
+    block outside it on, every block comes from _floor_scaled, one
+    _floor_exact floor per n.
     """
     bounds = iter(bounds)
     if q:
@@ -429,14 +412,16 @@ class QuadIrrational:
 def floor_product(n, x):
     """The unique integer f with f <= n*x < f+1, certified by exact comparison.
 
-    n must be a positive integer and x > 0.
+    n must be a positive integer (a numpy one is read as a Python int; a
+    float or Fraction raises TypeError) and x > 0.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if x.sign() <= 0:
         raise ValueError(f"x must be positive, got {x}")
     p, q, c = x.scaled_triple()
-    return int(_floor_scaled(p, q, c, x.d, n, n + 1)[0])
+    return _floor_exact(n * p, n * q, c, x.d)
 
 
 def pairwise_rational_ratio(weights):

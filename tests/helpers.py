@@ -1,8 +1,9 @@
 """Shared random generators for property tests (seeded by each caller),
-stacked path evaluators, a runner for a fresh interpreter, and the loop
-references that the array routes are checked against.  The reference floor
-streams read only the scalar exact floor quadfield._floor_exact, never the
-block routes they check."""
+stacked path evaluators, a runner for a fresh interpreter, the loop
+references that the array routes are checked against, and the int64
+certificate of a block of floors.  The reference floor streams read only
+the scalar exact floor quadfield._floor_exact, never the block routes they
+check."""
 
 import heapq
 import math
@@ -16,11 +17,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 import reebspec
-from reebspec import czindex
+from reebspec import czindex, partitions, quadfield
 from reebspec.czindex import TOL_ACCEPT, TOL_EIG, TOL_KERNEL, standard_j
 from reebspec.ellipsoid import GoodnessReport, orbit_index
 from reebspec.partitions import PartitionReport
-from reebspec.quadfield import QuadIrrational, _floor_exact, pairwise_rational_ratio
+from reebspec.quadfield import (
+    QuadIrrational,
+    _floor_exact,
+    _int64_bound,
+    pairwise_rational_ratio,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,6 +128,47 @@ def random_weights(rng, d, m, num_bound=12, den_bound=7):
               for _ in range(m)]
         if pairwise_rational_ratio(ws) is None:
             return ws
+
+
+def certified_floors(p, q, c, d, n_lo, floors):
+    """True exactly when f <= n*x < f+1 for x = (p + q*sqrt(d))/c and every
+    floor f of `floors`, at n = n_lo, n_lo + 1, ...; p, q, c are integers
+    with c > 0 and d is non-square.
+
+    Decided by exact int64 sign tests: n*x - f has the sign of
+    a + b*sqrt(d) with a = n*p - f*c and b = n*q, which is sign(a) when
+    a^2 > b^2*d and sign(b) otherwise.  A floor past the bound F of
+    quadfield._int64_bound is wrong, and every other one keeps those
+    products below 2**63, so nothing overflows.  Raises ValueError for a
+    block outside that guard, which int64 cannot decide."""
+    floors = np.asarray(floors)
+    bound = _int64_bound(p, q, c, d, n_lo, n_lo + len(floors))
+    if bound is None:
+        raise ValueError("the block is outside the int64 guard")
+    if len(floors) and not -bound <= floors.min() <= floors.max() <= bound:
+        return False
+    f = floors.astype(np.int64)
+    n = np.arange(n_lo, n_lo + len(f), dtype=np.int64)
+    a = n * p - f * c       # n*x - f has the sign of a + b*sqrt(d)
+    b = n * q
+    b2d = b * b * d
+    e = a - c               # n*x - (f+1) has the sign of e + b*sqrt(d)
+    return bool(np.all(np.where(a * a > b2d, a > 0, b >= 0)
+                       & np.where(e * e > b2d, e < 0, b < 0)))
+
+
+def count_exact_calls(monkeypatch):
+    """Record the arguments of every _floor_exact call, through each module
+    that binds it, for the length of the test."""
+    calls = []
+
+    def counting(P, Q, C, d):
+        calls.append((P, Q, C, d))
+        return _floor_exact(P, Q, C, d)
+
+    for module in (quadfield, partitions):
+        monkeypatch.setattr(module, "_floor_exact", counting)
+    return calls
 
 
 def reference_stream(triples, d, label, limit):

@@ -1,26 +1,33 @@
-"""Adversarial checks of the block floor kernel quadfield._floor_scaled.
+"""Adversarial checks of the exact floor routes of quadfield.
 
-Every block is compared entry by entry with the scalar exact routine
-quadfield._floor_exact, and with the interval oracle, which shares no code
-with either.  The blocks are drawn where a float proposal is most likely to
-be wrong: slopes with negative parts, Pell convergents that sit next to
-integers, proposals forced off by one, blocks at the edge of the int64
-guard, and streams that end at a block boundary.
+The block route _floor_scaled is compared entry by entry with the scalar
+exact routine quadfield._floor_exact, and with the interval oracle, which
+shares no code with either.  The blocks are drawn where a floor is hardest
+to get right: slopes with negative parts, Pell convergents that sit next to
+integers, blocks at the edge of the int64 guard, and streams that end at a
+block boundary.  The int64 certificate of tests/helpers.certified_floors,
+which checks the Sturmian blocks, is itself checked here to reject wrong
+floors.  The random-access readers (floor_product, TamuraFamily.element,
+orbit_index) take one scalar exact floor per slope and an integral n only.
 """
 
+import ast
+import inspect
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import HUGE_D, reference_stream
+from helpers import HUGE_D, certified_floors, count_exact_calls, reference_stream
 from interval_oracle import interval_floor_product
-from reebspec import quadfield
+from reebspec import Ellipsoid, quadfield
 from reebspec.cli import main
-from reebspec.partitions import TamuraFamily, _floor_stream, verify_partition
+from reebspec.ellipsoid import cross_check_index, orbit_index
+from reebspec.partitions import TamuraFamily, _floor_stream
 from reebspec.quadfield import (
     FieldContext,
     QuadIrrational,
@@ -53,29 +60,6 @@ def pell_convergents(q_max):
         out.append((p, q))
         p, q = p + 2 * q, p + q
     return out
-
-
-def count_exact_calls(monkeypatch):
-    calls = []
-
-    def counting(P, Q, C, d):
-        calls.append((P, Q, C, d))
-        return _floor_exact(P, Q, C, d)
-
-    monkeypatch.setattr(quadfield, "_floor_exact", counting)
-    return calls
-
-
-def count_proposals(monkeypatch, propose):
-    """Install `propose` as the float proposal, recording each call."""
-    calls = []
-
-    def counting(p, q, c, d, n):
-        calls.append((p, q, c, d, len(n)))
-        return propose(p, q, c, d, n)
-
-    monkeypatch.setattr(quadfield, "_propose_floors", counting)
-    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -121,81 +105,143 @@ def test_pell_convergent_blocks(pk, qk):
     assert got == oracle_block(0, 1, 1, 2, lo, hi)
 
 
-def test_float_proposal_is_wrong_next_to_pell_convergents(monkeypatch):
-    # 93222358*sqrt(2) lies 2.7e-10 below an integer, but float64 rounds
-    # sqrt(2) up by 5e-17, enough to propose the integer itself
-    pk, qk = 131836323, 93222358
-    assert pk * pk - 2 * qk * qk == 1
-    calls = count_exact_calls(monkeypatch)
-    got = _floor_scaled(0, 1, 1, 2, qk - 2, qk + 3).tolist()
-    assert calls == [(0, qk, 1, 2)]
-    assert got[2] == pk - 1
-    assert got == oracle_block(0, 1, 1, 2, qk - 2, qk + 3)
-
-
-# ---------------------------------------------------------------------------
-# forced fallback: a float may propose a floor, but never decide it
-# ---------------------------------------------------------------------------
-
-def off_by_one(propose):
-    def wrong(p, q, c, d, n):
-        guess = propose(p, q, c, d, n)
-        return guess + np.where(n % 2 == 0, 1.0, -1.0)
-    return wrong
-
-
-@pytest.mark.parametrize("p, q, c, d, n_lo, n_hi", [
-    (-1, 1, 1, 2, 1, 300),
-    (1, 1, 1, 2, 1, 300),
-    (1, 3, 2, 5, 10**6, 10**6 + 300),
-    (-7, 2, 3, 13, 0, 300),
-])
-def test_forced_off_by_one_proposals_are_all_caught(monkeypatch, p, q, c, d, n_lo, n_hi):
-    expected = exact_block(p, q, c, d, n_lo, n_hi)
-    monkeypatch.setattr(quadfield, "_propose_floors",
-                        off_by_one(quadfield._propose_floors))
-    calls = count_exact_calls(monkeypatch)
-    got = _floor_scaled(p, q, c, d, n_lo, n_hi)
-    assert got.dtype == np.int64
-    assert got.tolist() == expected
-    assert len(calls) == n_hi - n_lo
-
-
 @pytest.mark.parametrize("p, c, n_lo, n_hi", [
     (5, 3, 1, 300),
     (-7, 3, 0, 300),
     (10**6, 1, 10**3, 10**3 + 300),
 ])
 def test_rational_slopes_divide_exactly(monkeypatch, p, c, n_lo, n_hi):
-    # q = 0: exact int64 division, with no proposal to check
-    proposals = count_proposals(monkeypatch, off_by_one(quadfield._propose_floors))
+    # q = 0 within the guard: exact int64 division, with no scalar floor
     calls = count_exact_calls(monkeypatch)
     got = _floor_scaled(p, 0, c, 2, n_lo, n_hi)
     assert got.dtype == np.int64
     assert got.tolist() == [n * p // c for n in range(n_lo, n_hi)]
-    assert proposals == []
     assert calls == []
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300, -1e300])
-def test_non_finite_and_huge_proposals_are_caught(monkeypatch, value):
-    expected = exact_block(-1, 1, 1, 2, 1, 100)
-    monkeypatch.setattr(quadfield, "_propose_floors",
-                        lambda p, q, c, d, n: np.full(len(n), value))
-    assert _floor_scaled(-1, 1, 1, 2, 1, 100).tolist() == expected
+@pytest.mark.parametrize("name", ("_sign_int", "_floor_exact", "_int64_bound",
+                                  "_floor_scaled", "_continued_fraction",
+                                  "_sturmian_letters", "_slope_blocks"))
+def test_no_exact_floor_route_evaluates_a_float(name):
+    # no true division, float literal, square root or float floor, and no
+    # call out to a float proposal
+    tree = ast.parse(inspect.getsource(getattr(quadfield, name)))
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.Div)
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
+        named = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        assert named not in ("sqrt", "float", "float64", "floor", "_propose_floors")
 
 
-def test_forced_fallback_leaves_scans_unchanged(monkeypatch, w3):
-    # within the int64 guard a scan takes its irrational floors from
-    # Sturmian words and its rational ones from exact division: wrong
-    # proposals cannot reach it, because it asks for none
-    before = verify_partition(w3, 3000, collect_owners=True)
-    proposals = count_proposals(monkeypatch, off_by_one(quadfield._propose_floors))
+# ---------------------------------------------------------------------------
+# the int64 certificate that checks the Sturmian blocks
+# ---------------------------------------------------------------------------
+
+def sqrt2_block(n_lo, n_hi):
+    return np.array(exact_block(0, 1, 1, 2, n_lo, n_hi), dtype=np.int64)
+
+
+def test_certificate_accepts_the_exact_floors():
+    pk, qk = 131836323, 93222358      # pk**2 - 2*qk**2 = 1
+    floors = sqrt2_block(qk - 2, qk + 3)
+    # qk*sqrt(2) lies 2.7e-10 below the integer pk
+    assert floors[2] == pk - 1
+    assert certified_floors(0, 1, 1, 2, qk - 2, floors)
+    assert certified_floors(-1, 1, 1, 2, 1, exact_block(-1, 1, 1, 2, 1, 300))
+    assert certified_floors(5, 0, 3, 2, 0, [5 * n // 3 for n in range(300)])
+    assert certified_floors(0, 1, 1, 2, 1, [])
+
+
+@pytest.mark.parametrize("shift", (1, -1))
+@pytest.mark.parametrize("at", (0, 2, 4))
+def test_certificate_rejects_a_floor_off_by_one(shift, at):
+    pk, qk = 131836323, 93222358
+    floors = sqrt2_block(qk - 2, qk + 3)
+    floors[at] += shift
+    assert not certified_floors(0, 1, 1, 2, qk - 2, floors)
+    rational = np.array([5 * n // 3 for n in range(1, 6)])
+    rational[at] += shift
+    assert not certified_floors(5, 0, 3, 2, 1, rational)
+
+
+def test_certificate_rejects_a_floor_past_the_guard_bound():
+    n_lo, n_hi = 1, 300
+    bound = _int64_bound(0, 1, 1, 2, n_lo, n_hi)
+    # unchecked, the huge floors would wrap f*c and a*a around in int64
+    for wrong in (bound + 1, -bound - 1, 2**62, -2**62, 2**63 - 1):
+        floors = sqrt2_block(n_lo, n_hi)
+        floors[-1] = wrong
+        assert not certified_floors(0, 1, 1, 2, n_lo, floors)
+
+
+def test_certificate_refuses_a_block_outside_the_guard():
+    end = last_guarded_end(0, 1, 1, 2, 8)
+    with pytest.raises(ValueError, match="int64 guard"):
+        certified_floors(0, 1, 1, 2, end - 7, exact_block(0, 1, 1, 2, end - 7, end + 1))
+
+
+# ---------------------------------------------------------------------------
+# random access: one scalar exact floor per slope, for an integral n only
+# ---------------------------------------------------------------------------
+
+def test_random_access_takes_one_scalar_floor_per_slope(monkeypatch, w3, ctx2):
+    family, e = TamuraFamily(w3), Ellipsoid(w3)
+    expected = (family.element(2, 10**15), orbit_index(e, 3, 10**9),
+                floor_product(10**15, ctx2.element(1, 1)))
     calls = count_exact_calls(monkeypatch)
-    after = verify_partition(w3, 3000, collect_owners=True)
-    assert after == before
-    assert proposals == []
-    assert calls == []
+    blocks = []
+    monkeypatch.setattr(quadfield, "_floor_scaled",
+                        lambda *args: blocks.append(args))
+    assert family.element(2, 10**15) == expected[0]
+    assert len(calls) == 3
+    assert orbit_index(e, 3, 10**9) == expected[1]
+    assert len(calls) == 6
+    assert floor_product(10**15, ctx2.element(1, 1)) == expected[2]
+    assert calls[6:] == [(10**15, 10**15, 1, 2)]
+    assert blocks == []
+
+
+def test_a_numpy_n_does_not_overflow(w3):
+    n = 3456025388713226321
+    assert TamuraFamily(w3).element(2, np.int64(n)) == 10368076166139678962
+    assert TamuraFamily(w3).element(2, n) == 10368076166139678962
+    assert sum(interval_floor_product(n, w3[1] / a) for a in w3) == 10368076166139678962
+
+
+def test_a_numpy_n_floors_as_the_python_int(ctx2):
+    rng = random.Random(20)
+    slopes = [ctx2.sqrt_d(), ctx2.element(1, 1), ctx2.element(-1, 1),
+              ctx2.element(Fraction(3, 7), Fraction(5, 11))]
+    for _ in range(500):
+        x = rng.choice(slopes)
+        n = rng.randint(1, 2**63 - 1)
+        want = interval_floor_product(n, x)
+        for kind in (np.int64, np.uint64, int):
+            assert floor_product(kind(n), x) == want
+    for kind in (np.int8, np.int32, np.uint16):
+        assert floor_product(kind(100), ctx2.sqrt_d()) == 141
+
+
+@pytest.mark.parametrize("n", (2.5, Fraction(5, 2), 3.0, np.float64(3.0)),
+                         ids=("float", "fraction", "whole_float", "numpy_float"))
+def test_a_non_integral_n_is_refused(n, ctx2, w3):
+    e = Ellipsoid(w3)
+    with pytest.raises(TypeError):
+        floor_product(n, ctx2.sqrt_d())
+    with pytest.raises(TypeError):
+        TamuraFamily(w3).element(2, n)
+    with pytest.raises(TypeError):
+        orbit_index(e, 2, n)
+    with pytest.raises(TypeError):
+        cross_check_index(e, 2, n)
+
+
+def test_cross_check_index_takes_a_numpy_n(w3):
+    e = Ellipsoid(w3)
+    record = cross_check_index(e, 2, np.int64(3))
+    assert record == cross_check_index(e, 2, 3)
+    assert type(record.n) is int
+    assert record.agree
 
 
 # ---------------------------------------------------------------------------

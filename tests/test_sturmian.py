@@ -1,6 +1,6 @@
-"""The float-free stream route quadfield._slope_blocks, against both exact
-routes it replaces in a scan: the block kernel quadfield._floor_scaled and
-the scalar floor quadfield._floor_exact.
+"""The float-free stream route quadfield._slope_blocks, against the int64
+certificate tests/helpers.certified_floors and the scalar floor
+quadfield._floor_exact; within the int64 guard the route calls neither.
 
 An irrational slope x takes its floors from the characteristic Sturmian
 word of {x}, built from the continued fraction of x; a rational slope
@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import reference_stream
-from reebspec import quadfield
+from helpers import certified_floors, count_exact_calls, reference_stream
 from reebspec.partitions import (
     TamuraFamily,
     _block_bounds,
@@ -32,7 +31,6 @@ from reebspec.quadfield import (
     _WORD_MAX,
     _continued_fraction,
     _floor_exact,
-    _floor_scaled,
     _int64_bound,
     _slope_blocks,
     _sturmian_letters,
@@ -150,28 +148,32 @@ def test_long_partial_quotients_come_out_tiled(head):
 @example(slope=(-1, 1, 10**6), d=2, count=40, picks=[])    # a_1 = 2414213
 @example(slope=(7, 0, 3), d=3, count=12, picks=[])         # rational
 def test_stream_blocks_equal_the_kernel_and_the_exact_floor(slope, d, count, picks):
+    # every int64 block is certified whole; past the guard the blocks are
+    # scalar floors, checked at the picks like the rest
     p, q, c = positive(*slope, d)
     stream = _slope_blocks(p, q, c, d, _block_bounds())
     blocks = list(islice(zip(_block_bounds(), stream), count))
     for (n_lo, n_hi), floors in blocks:
         assert floors.dtype == guarded_dtype([(p, q, c)], d, n_lo, n_hi)
+        assert len(floors) == n_hi - n_lo
+        if floors.dtype == np.int64:
+            assert certified_floors(p, q, c, d, n_lo, floors)
     n_end = blocks[-1][0][1]
     floors = np.concatenate([floors for _, floors in blocks])
-    assert floors.tolist() == _floor_scaled(p, q, c, d, 1, n_end).tolist()
     for n in [1, n_end - 1] + [1 + k % (n_end - 1) for k in picks]:
         assert floors[n - 1] == _floor_exact(n * p, n * q, c, d)
 
 
 def test_one_plus_sqrt2_to_ten_million():
-    # the kernel checks the route a chunk of about 2**20 n at a time
+    # the int64 certificate checks the route a chunk of about 2**20 n at a
+    # time
     parts, n_start = [], 1
     blocks = zip(_block_bounds(), _slope_blocks(1, 1, 1, 2, _block_bounds()))
     while n_start <= 10**7:
         (_, n_hi), floors = next(blocks)
         parts.append(floors)
         if n_hi - n_start >= 2**20 or n_hi > 10**7:
-            assert np.array_equal(np.concatenate(parts),
-                                  _floor_scaled(1, 1, 1, 2, n_start, n_hi))
+            assert certified_floors(1, 1, 1, 2, n_start, np.concatenate(parts))
             parts, n_start = [], n_hi
 
 
@@ -212,21 +214,16 @@ def test_stream_across_the_int64_guard():
 
 
 # ---------------------------------------------------------------------------
-# a scan within int64 asks for no float
+# a scan within int64 takes no scalar floor
 # ---------------------------------------------------------------------------
 
 def test_scan_makes_no_proposal_and_no_scalar_floor(monkeypatch, w3):
+    # every floor of the scan comes from a Sturmian word or exact division
     family = TamuraFamily(w3)
     dtypes = {values.dtype for j in (1, 2, 3)
               for _, values in _floor_blocks(family._triples(j), 2, 10**5)}
     assert dtypes == {np.dtype(np.int64)}
-    expected = verify_partition(w3, 10**5)
-    proposals, exact = [], []
-    propose = quadfield._propose_floors
-    monkeypatch.setattr(quadfield, "_propose_floors",
-                        lambda *args: proposals.append(args) or propose(*args))
-    monkeypatch.setattr(quadfield, "_floor_exact",
-                        lambda *args: exact.append(args) or _floor_exact(*args))
-    assert verify_partition(w3, 10**5) == expected
-    assert proposals == []
-    assert exact == []
+    expected = verify_partition(w3, 10**5, collect_owners=True)
+    calls = count_exact_calls(monkeypatch)
+    assert verify_partition(w3, 10**5, collect_owners=True) == expected
+    assert calls == []
