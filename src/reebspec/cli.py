@@ -84,13 +84,17 @@ def _fraction_json(fr):
     return f"{fr.numerator}/{fr.denominator}"
 
 
+def _split_items(text, sep, flag):
+    """The stripped items of a sep-separated list; an empty one is refused."""
+    items = [item.strip() for item in text.split(sep)]
+    if not all(items):
+        raise _UsageError(f"{flag} has an empty item in {text!r}")
+    return items
+
+
 def _parse_weights(args):
     context = FieldContext(args.d)
-    parts = [p.strip() for p in args.weights.split(";")]
-    parts = [p for p in parts if p]
-    if not parts:
-        raise _UsageError("no weight expressions given")
-    return [context.parse(p) for p in parts]
+    return [context.parse(p) for p in _split_items(args.weights, ";", "--weights")]
 
 
 def _positive_int(text):
@@ -149,8 +153,8 @@ def build_parser():
     p_sp.add_argument("--cross-check", action="store_true",
                       help="verify each index against the numeric engine")
     p_sp.add_argument("--samples", type=_sample_count, default=None,
-                      help="cross-check each orbit on its own path with this "
-                           "grid size over [0, n*pi*a_j] (at most "
+                      help="with --cross-check, check each orbit on its own "
+                           "path with this grid size over [0, n*pi*a_j] (at most "
                            f"{MAX_SAMPLES}); by default every iterate of "
                            "every simple orbit is read from one crossing search")
 
@@ -171,10 +175,10 @@ def build_parser():
 
 def cmd_cz(args):
     try:
-        freqs = [float(tok) for tok in args.freqs.split(",") if tok.strip()]
+        freqs = [float(tok) for tok in _split_items(args.freqs, ",", "--freqs")]
     except ValueError as err:
         raise _UsageError(f"bad --freqs: {err}")
-    if not freqs or not all(0 < f < math.inf for f in freqs):
+    if not all(0 < f < math.inf for f in freqs):
         raise _UsageError("--freqs must be a comma list of finite positive numbers")
     if not 0 < args.duration < math.inf:
         raise _UsageError(f"--duration must be finite and positive, got {args.duration}")
@@ -211,6 +215,8 @@ def cmd_cz(args):
 
 
 def cmd_spectrum(args):
+    if args.samples is not None and not args.cross_check:
+        raise _UsageError("--samples takes effect only with --cross-check")
     weights = _parse_weights(args)
     rendered = [render(w) for w in weights]
     e = Ellipsoid(weights)

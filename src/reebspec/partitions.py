@@ -7,16 +7,16 @@ with 1/alpha + 1/beta = 1.  Tamura sets, Beatty sets and the naive sets
 {floor(n * a)} are all one kind of stream: the sum of exact floors of n
 times a fixed list of slopes, for n = 1, 2, ..., computed a block of n at
 a time by _floor_blocks.  A rational slope divides exactly; an irrational
-one reads its floors off the Sturmian word of its fractional part while
-they fit the int64 guard, and past it takes each floor from the scalar
-exact floor.  A single element (TamuraFamily.element) is a sum of scalar
-exact floors.  No float takes part, so a "partition" verdict up to N is a
-proof, not a floating-point impression.  Array readers
-(TamuraFamily.elements, and so the Reeb spectrum) take the blocks whole.
-The partition scanners pull the streams' values in chunks and count them
-one window of values at a time with a bincount, which needs no table
-sized by the limit and reports the smallest violating value together with
-both producing (set, n) witnesses.
+one reads its floors off the Sturmian word of its fractional part, in int64
+while they fit the int64 guard and in Python ints past it.  A single
+element (TamuraFamily.element) is a sum of scalar exact floors.  No float
+takes part, so a "partition" verdict up to N is a proof, not a
+floating-point impression.  Array readers (TamuraFamily.elements, and so
+the Reeb spectrum) take the blocks whole.  The partition scanners pull
+the streams' values in chunks and count them one window of values at a
+time with a bincount, which needs no table sized by the limit and reports
+the smallest violating value together with both producing (set, n)
+witnesses.
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ def _floor_blocks(triples, d, limit):
 
     Each slope's floors come from its own _slope_blocks: exact division for
     a rational slope, and for an irrational one the Sturmian word of its
-    fractional part while the int64 guard holds, then one scalar exact
-    floor per n from the first block outside the guard on.  The sum never
-    decreases in n, so every block before the last lies within the limit.
-    A block is an int64 array, or an object array of Python ints where the
-    guard fails for one of its slopes.
+    fractional part.  The sum never decreases in n, so every block before
+    the last lies within the limit.  A block is an int64 array, or an
+    object array of Python ints where the int64 guard fails for one of its
+    slopes.
     """
     slopes = [_slope_blocks(p, q, c, d, _block_bounds()) for p, q, c in triples]
     for (n_lo, _), floors in zip(_block_bounds(), zip(*slopes)):
@@ -88,13 +87,13 @@ def _floor_stream(triples, d, label, limit):
     skipping every value <= the last one yielded.
 
     The floors come a block at a time from _floor_blocks (Sturmian words
-    and exact division within the int64 guard, scalar exact floors past
-    it), and one mask per block keeps the values that rise above their
-    predecessor and lie within the limit; since the sum never decreases in
-    n, a value that rises above its predecessor rises above every value
-    before it.  For Tamura and Beatty sets the sum strictly increases and
-    the mask keeps every in-limit value; for slopes below 1 it drops the
-    zeros and the repeats, since a set contains each value once.
+    and exact division), and one mask per block keeps the values that rise
+    above their predecessor and lie within the limit; since the sum never
+    decreases in n, a value that rises above its predecessor rises above
+    every value before it.  For Tamura and Beatty sets the sum strictly
+    increases and the mask keeps every in-limit value; for slopes below 1
+    it drops the zeros and the repeats, since a set contains each value
+    once.
     """
     last = 0
     for n_lo, values in _floor_blocks(triples, d, limit):

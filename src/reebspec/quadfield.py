@@ -11,12 +11,12 @@ Every floor of n*x comes from one of two integer-only routes, and no float
 takes part in either.  _floor_exact is the scalar route: an isqrt seed
 settled by exact sign tests, for one n at a time (floor_product,
 TamuraFamily.element).  _slope_blocks is the block route for n = 1, 2, ...
-upward: a rational slope divides exactly, n*p // c, and an irrational slope
-x reads its floors off the characteristic Sturmian word of {x}, built from
-the continued fraction of x with isqrt alone.  Its blocks are int64 while
-the int64 guard _int64_bound holds; from the first block outside it on,
-_floor_scaled computes each floor with _floor_exact, as Python ints.
-Floats appear only at the numeric boundary, in __float__.
+upward: a rational slope divides exactly, n*p // c (_floor_scaled), and an
+irrational slope x reads its floors off the characteristic Sturmian word of
+{x}, built from the continued fraction of x with isqrt alone, at every n.
+Its blocks are int64 while the int64 guard _int64_bound holds and object
+arrays of Python ints from the first block outside it on.  Floats appear
+only at the numeric boundary, in __float__.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import isqrt
 
 import numpy as np
@@ -96,10 +95,9 @@ def _int64_bound(p, q, c, d, n_lo, n_hi):
     """F with |floor(n*x)| <= F for x = (p + q*sqrt(d))/c and n in
     [n_lo, n_hi), when every product of the int64 sign tests of
     f <= n*x < f+1, for any f in [-F, F], stays below 2**63 in magnitude;
-    None otherwise.  Python ints only.  A block is int64 where this guard
-    holds and an object array of Python ints where it fails, and the
-    Sturmian route of _slope_blocks hands over to _floor_scaled at the
-    first block outside it."""
+    None otherwise.  Python ints only.  A block of _slope_blocks is int64
+    where this guard holds and an object array of Python ints where it
+    fails."""
     big_n = max(abs(n_lo), abs(n_hi - 1), 1)
     bound = big_n * (abs(p) + abs(q) * (isqrt(d) + 1)) // c + 2
     a_max = big_n * abs(p) + (bound + 1) * c    # |n*p - f*c|, |n*p - (f+1)*c|
@@ -109,19 +107,12 @@ def _int64_bound(p, q, c, d, n_lo, n_hi):
     return None
 
 
-def _floor_scaled(p, q, c, d, n_lo, n_hi):
-    """floor(n * (p + q*sqrt(d)) / c) for each n in [n_lo, n_hi), as an array.
-
-    p, q, c are integers with c > 0 and d is non-square.  A rational slope
-    (q = 0) inside the int64 guard is n*p // c in int64; every other block
-    is _floor_exact at each n, in int64 inside the guard and as an object
-    array of Python ints outside it.
-    """
-    bound = _int64_bound(p, q, c, d, n_lo, n_hi)
-    if q == 0 and bound is not None:
-        return np.arange(n_lo, n_hi, dtype=np.int64) * p // c
-    return np.array([_floor_exact(n * p, n * q, c, d) for n in range(n_lo, n_hi)],
-                    dtype=object if bound is None else np.int64)
+def _floor_scaled(p, c, d, n_lo, n_hi):
+    """floor(n * p / c) for each n in [n_lo, n_hi), as an array: the block
+    of a rational slope p/c, c > 0, by exact division, in int64 where the
+    int64 guard of (p + 0*sqrt(d))/c holds and in Python ints where not."""
+    inside = _int64_bound(p, 0, c, d, n_lo, n_hi) is not None
+    return np.arange(n_lo, n_hi, dtype=np.int64 if inside else object) * p // c
 
 
 def _continued_fraction(p, q, c, d):
@@ -182,7 +173,9 @@ def _sturmian_letters(quotients):
                 yield from standard(i)
             return
         full, part = divmod(r, per)
-        yield from repeat(run, full)
+        while full:         # itertools.repeat takes no count past int64
+            yield run
+            full -= 1
         if part:
             yield run[:part * len(word)]
 
@@ -207,41 +200,37 @@ def _sturmian_letters(quotients):
 def _slope_blocks(p, q, c, d, bounds):
     """Yield the arrays floor(n * (p + q*sqrt(d)) / c), n in [n_lo, n_hi),
     for the consecutive ranges (n_lo, n_hi) of `bounds`, which start at
-    n = 1; each array has the dtype _floor_scaled gives it.
+    n = 1; a block is int64 where the int64 guard _int64_bound holds and
+    an object array of Python ints where it fails.
 
     A rational slope takes every block from _floor_scaled, which divides
     exactly.  An irrational slope x is n*floor(x) plus the running sum of
-    the Sturmian letters of {x} (_sturmian_letters), in int64, while the
-    int64 guard holds; the guard only fails for larger n, so from the first
-    block outside it on, every block comes from _floor_scaled, one
-    _floor_exact floor per n.
+    the Sturmian letters of {x} (_sturmian_letters), at every n.
     """
-    bounds = iter(bounds)
-    if q:
-        quotients = _continued_fraction(p, q, c, d)
-        whole = next(quotients)
-        letters = _sturmian_letters(quotients)
-        rest = np.empty(0, np.int8)     # letters drawn past the last block
-        last = 0                        # floor((n_lo - 1) * x)
+    if not q:
         for n_lo, n_hi in bounds:
-            if _int64_bound(p, q, c, d, n_lo, n_hi) is None:
-                yield _floor_scaled(p, q, c, d, n_lo, n_hi)
-                break
-            size = n_hi - n_lo
-            parts = [rest]
-            have = len(rest)
-            while have < size:
-                parts.append(next(letters))
-                have += len(parts[-1])
-            drawn = np.concatenate(parts)
-            rest = drawn[size:]
-            floors = np.add(drawn[:size], whole, dtype=np.int64)
-            floors[0] += last
-            floors.cumsum(out=floors)
-            last = int(floors[-1])
-            yield floors
+            yield _floor_scaled(p, c, d, n_lo, n_hi)
+        return
+    quotients = _continued_fraction(p, q, c, d)
+    whole = next(quotients)
+    letters = _sturmian_letters(quotients)
+    rest = np.empty(0, np.int8)     # letters drawn past the last block
+    last = 0                        # floor((n_lo - 1) * x)
     for n_lo, n_hi in bounds:
-        yield _floor_scaled(p, q, c, d, n_lo, n_hi)
+        size = n_hi - n_lo
+        parts = [rest]
+        have = len(rest)
+        while have < size:
+            parts.append(next(letters))
+            have += len(parts[-1])
+        drawn = np.concatenate(parts)
+        rest = drawn[size:]
+        inside = _int64_bound(p, q, c, d, n_lo, n_hi) is not None
+        floors = np.add(drawn[:size], whole, dtype=np.int64 if inside else object)
+        floors[0] += last
+        floors.cumsum(out=floors)
+        last = int(floors[-1])
+        yield floors
 
 
 def _near_fraction(x):

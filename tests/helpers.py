@@ -33,6 +33,8 @@ TWO_PI = 2.0 * math.pi
 # 321 digits; (10**160)**2 < HUGE_D < (10**160 + 1)**2, so not a square
 HUGE_D = 10**320 + 1
 
+NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
+
 # rationals with numerators up to 10**6 and denominators up to 10**3
 FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
 

@@ -73,6 +73,14 @@ def test_cz_non_finite_input_is_usage_error(capsys, freqs, duration):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("freqs", ["1,,2", "1,2,", ",1", "1, ,2", ""])
+def test_cz_empty_freqs_item_is_usage_error(capsys, freqs):
+    code, out, err = run(capsys, "cz", "--freqs", freqs, "--duration", "1")
+    assert code == 64
+    assert out == ""
+    assert "--freqs has an empty item" in err
+
+
 def test_cz_numeric_inconclusive(capsys):
     # rotation stops just short of a crossing: ambiguous for the engine
     duration = 2 * math.pi * 0.99998
@@ -226,6 +234,32 @@ def test_spectrum_cross_check_runs_one_crossing_search(capsys, monkeypatch,
     assert len(calls) == searches
     rows = json.loads(out)["orbits"]
     assert len(rows) == orbits and all(o["agree"] for o in rows)
+
+
+@pytest.mark.parametrize("weights", ["1;;sqrt(2)", "1;sqrt(2);", ";1", "1; ;sqrt(2)", ""])
+@pytest.mark.parametrize("command, extra", [
+    ("spectrum", ("--max-degree", "5")),
+    ("partition", ("--limit", "10")),
+    ("sh", ("--max-degree", "5")),
+])
+def test_empty_weights_item_is_usage_error(capsys, command, extra, weights):
+    code, out, err = run(capsys, command, "--d", "2", "--weights", weights, *extra)
+    assert code == 64
+    assert out == ""
+    assert "--weights has an empty item" in err
+
+
+def test_spectrum_samples_without_cross_check_is_usage_error(capsys, monkeypatch):
+    # --samples sizes the cross-check's grids, so alone it would do nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectrum was enumerated")
+
+    monkeypatch.setattr(cli, "spectrum_sets", refuse)
+    code, out, err = run(capsys, "spectrum", "--d", "2", "--weights", "1; sqrt(2)",
+                         "--max-degree", "5", "--samples", "4096")
+    assert code == 64
+    assert out == ""
+    assert "--samples takes effect only with --cross-check" in err
 
 
 def test_spectrum_cross_check_grid_above_the_cap_is_usage_error(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 """Adversarial checks of the exact floor routes of quadfield.
 
-The block route _floor_scaled is compared entry by entry with the scalar
-exact routine quadfield._floor_exact, and with the interval oracle, which
-shares no code with either.  The blocks are drawn where a floor is hardest
-to get right: slopes with negative parts, Pell convergents that sit next to
-integers, blocks at the edge of the int64 guard, and streams that end at a
-block boundary.  The int64 certificate of tests/helpers.certified_floors,
+The scalar exact routine quadfield._floor_exact is compared entry by entry
+with the interval oracle, which shares no code with it, and so are the
+stream route _slope_blocks (Sturmian words for an irrational slope) and
+its rational division _floor_scaled, where a stream from n = 1 reaches the
+window.  The windows are drawn where a floor is hardest to get right:
+slopes with negative parts, Pell convergents that sit next to integers,
+blocks at the edge of the int64 guard, n past 2**63, and streams that end
+at a block boundary.  The int64 certificate of tests/helpers.certified_floors,
 which checks the Sturmian blocks, is itself checked here to reject wrong
 floors.  The random-access readers (floor_product, TamuraFamily.element,
 orbit_index) take one scalar exact floor per slope and an integral n only.
@@ -22,7 +24,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from helpers import HUGE_D, certified_floors, count_exact_calls, reference_stream
+from helpers import (
+    HUGE_D,
+    NON_SQUARES,
+    certified_floors,
+    count_exact_calls,
+    reference_stream,
+)
 from interval_oracle import interval_floor_product
 from reebspec import Ellipsoid, quadfield
 from reebspec.cli import main
@@ -34,10 +42,10 @@ from reebspec.quadfield import (
     _floor_exact,
     _floor_scaled,
     _int64_bound,
+    _slope_blocks,
     floor_product,
 )
 
-NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
 INT64_LIMIT = 2**63
 
 
@@ -76,10 +84,11 @@ starts = st.one_of(st.integers(0, 10**7), st.integers(2**28, 2**40))
 @example(p=-1, q=-1, c=1, d=2, n_lo=1, length=24)      # a negative slope
 @example(p=5, q=0, c=3, d=2, n_lo=0, length=24)        # a rational slope
 def test_block_matches_exact_and_oracle(p, q, c, d, n_lo, length):
-    got = _floor_scaled(p, q, c, d, n_lo, n_lo + length)
+    got = exact_block(p, q, c, d, n_lo, n_lo + length)
     assert len(got) == length
-    assert got.tolist() == exact_block(p, q, c, d, n_lo, n_lo + length)
-    assert got.tolist() == oracle_block(p, q, c, d, n_lo, n_lo + length)
+    assert got == oracle_block(p, q, c, d, n_lo, n_lo + length)
+    if q == 0:
+        assert _floor_scaled(p, c, d, n_lo, n_lo + length).tolist() == got
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +105,12 @@ def test_pell_convergent_blocks(pk, qk):
         (pk, qk, 7),
     ]
     for p, q, c in triples:
-        assert (_floor_scaled(p, q, c, 2, 1, 40).tolist()
-                == oracle_block(p, q, c, 2, 1, 40))
+        want = oracle_block(p, q, c, 2, 1, 40)
+        assert exact_block(p, q, c, 2, 1, 40) == want
+        assert next(_slope_blocks(p, q, c, 2, [(1, 40)])).tolist() == want
     # n*sqrt(2) is within 1/(2*q_k) of p_k at n = q_k
     lo, hi = max(qk - 3, 0), qk + 3
-    got = _floor_scaled(0, 1, 1, 2, lo, hi).tolist()
-    assert got == exact_block(0, 1, 1, 2, lo, hi)
-    assert got == oracle_block(0, 1, 1, 2, lo, hi)
+    assert exact_block(0, 1, 1, 2, lo, hi) == oracle_block(0, 1, 1, 2, lo, hi)
 
 
 @pytest.mark.parametrize("p, c, n_lo, n_hi", [
@@ -113,7 +121,7 @@ def test_pell_convergent_blocks(pk, qk):
 def test_rational_slopes_divide_exactly(monkeypatch, p, c, n_lo, n_hi):
     # q = 0 within the guard: exact int64 division, with no scalar floor
     calls = count_exact_calls(monkeypatch)
-    got = _floor_scaled(p, 0, c, 2, n_lo, n_hi)
+    got = _floor_scaled(p, c, 2, n_lo, n_hi)
     assert got.dtype == np.int64
     assert got.tolist() == [n * p // c for n in range(n_lo, n_hi)]
     assert calls == []
@@ -278,27 +286,40 @@ def last_guarded_end(p, q, c, d, length):
 
 
 @pytest.mark.parametrize("p, q, c, d", [
-    (0, 1, 1, 2), (-1, 1, 1, 2), (1, 3, 2, 5), (7, -2, 3, 13), (5, 0, 3, 2),
+    (10**6, 1, 1, 2),                   # 10**6 + sqrt 2
+    (-10**5, 10**5, 1, 2),              # 10**5 * (sqrt 2 - 1)
+    (10**6, -10**5, 3, 13),             # a negative surd part
+    (-1, 1, 2**21, 2**40 + 1),          # below 1, a radicand near 2**40
+    (5, 0, 3, 2),                       # rational
 ])
 def test_blocks_either_side_of_the_guard(p, q, c, d):
+    # an irrational slope streams from n = 1 through the guard's edge, so
+    # the edge lies within 10**4 n; a rational one divides at the edge
     end = last_guarded_end(p, q, c, d, 8)
-    inside = _floor_scaled(p, q, c, d, end - 8, end)
-    outside = _floor_scaled(p, q, c, d, end - 7, end + 1)
+    if q:
+        assert end <= 10**4
+        _, inside, outside = _slope_blocks(p, q, c, d, [(1, end - 8), (end - 8, end),
+                                                        (end, end + 8)])
+    else:
+        inside = _floor_scaled(p, c, d, end - 8, end)
+        outside = _floor_scaled(p, c, d, end, end + 8)
     assert inside.dtype == np.int64
     assert outside.dtype == object
     assert inside.tolist() == exact_block(p, q, c, d, end - 8, end)
-    assert outside.tolist() == exact_block(p, q, c, d, end - 7, end + 1)
+    assert outside.tolist() == exact_block(p, q, c, d, end, end + 8)
     assert inside.tolist()[-3:] == oracle_block(p, q, c, d, end - 3, end)
-    assert outside.tolist()[-3:] == oracle_block(p, q, c, d, end - 2, end + 1)
+    assert outside.tolist()[:3] == oracle_block(p, q, c, d, end, end + 3)
 
 
 def test_n_beyond_int64(ctx2):
     n = 2**64 + 3
     assert floor_product(n, ctx2.sqrt_d()) == interval_floor_product(n, ctx2.sqrt_d())
     lo, hi = 2**63 - 2, 2**63 + 2
-    got = _floor_scaled(-1, 1, 1, 2, lo, hi)
-    assert got.tolist() == exact_block(-1, 1, 1, 2, lo, hi)
-    assert got.tolist() == oracle_block(-1, 1, 1, 2, lo, hi)
+    assert exact_block(-1, 1, 1, 2, lo, hi) == oracle_block(-1, 1, 1, 2, lo, hi)
+    got = _floor_scaled(-7, 3, 2, lo, hi)
+    assert got.dtype == object
+    assert got.tolist() == exact_block(-7, 0, 3, 2, lo, hi)
+    assert got.tolist() == oracle_block(-7, 0, 3, 2, lo, hi)
 
 
 def test_radicand_too_big_for_a_float():
@@ -306,7 +327,7 @@ def test_radicand_too_big_for_a_float():
     for n in (1, 2, 1000):
         assert floor_product(n, ctx.sqrt_d()) == math.isqrt(n * n * HUGE_D)
     # a rational slope never needs sqrt(d), but d alone is past the guard
-    got = _floor_scaled(5, 0, 3, HUGE_D, 1, 50)
+    got = _floor_scaled(5, 3, HUGE_D, 1, 50)
     assert got.tolist() == [5 * n // 3 for n in range(1, 50)]
 
 

@@ -1,13 +1,14 @@
 """The float-free stream route quadfield._slope_blocks, against the int64
 certificate tests/helpers.certified_floors and the scalar floor
-quadfield._floor_exact; within the int64 guard the route calls neither.
+quadfield._floor_exact; the route calls neither, at any n.
 
 An irrational slope x takes its floors from the characteristic Sturmian
-word of {x}, built from the continued fraction of x; a rational slope
+word of {x}, built from the continued fraction of x, at every n: int64
+blocks within the int64 guard and Python ints past it.  A rational slope
 divides exactly.  The slopes are drawn where a word is hardest to get
 right: surd parts of either sign, slopes below 1, {x} above 1/2 (a_1 = 1),
-large floor(x), huge partial quotients, and streams that leave the int64
-guard partway through.
+large floor(x), partial quotients past int64, radicands past a float, and
+streams that leave the int64 guard partway through or at n = 1.
 """
 
 import tracemalloc
@@ -18,12 +19,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import certified_floors, count_exact_calls, reference_stream
+from helpers import (
+    HUGE_D,
+    NON_SQUARES,
+    certified_floors,
+    count_exact_calls,
+    reference_stream,
+)
 from reebspec.partitions import (
     TamuraFamily,
     _block_bounds,
     _floor_blocks,
     _floor_stream,
+    rayleigh_pair,
+    uspensky_scan,
     verify_partition,
 )
 from reebspec.quadfield import (
@@ -149,7 +158,7 @@ def test_long_partial_quotients_come_out_tiled(head):
 @example(slope=(7, 0, 3), d=3, count=12, picks=[])         # rational
 def test_stream_blocks_equal_the_kernel_and_the_exact_floor(slope, d, count, picks):
     # every int64 block is certified whole; past the guard the blocks are
-    # scalar floors, checked at the picks like the rest
+    # Python ints, checked at the picks like the rest
     p, q, c = positive(*slope, d)
     stream = _slope_blocks(p, q, c, d, _block_bounds())
     blocks = list(islice(zip(_block_bounds(), stream), count))
@@ -162,6 +171,32 @@ def test_stream_blocks_equal_the_kernel_and_the_exact_floor(slope, d, count, pic
     floors = np.concatenate([floors for _, floors in blocks])
     for n in [1, n_end - 1] + [1 + k % (n_end - 1) for k in picks]:
         assert floors[n - 1] == _floor_exact(n * p, n * q, c, d)
+
+
+@given(p=st.integers(-10**12, 10**12), q=st.integers(-10**6, 10**6),
+       c=st.integers(1, 10**6), d=st.sampled_from(NON_SQUARES + [HUGE_D]))
+@example(p=10**6, q=1, c=1, d=2)                # leaves the guard near n = 1500
+@example(p=-10**12, q=-10**6, c=1, d=HUGE_D)    # negative, past a float
+def test_every_n_streams_the_exact_floor(p, q, c, d):
+    # in and past the int64 guard, at every one of the first 5,000 n
+    stream = _slope_blocks(p, q, c, d, _block_bounds())
+    for (n_lo, n_hi), floors in zip(_block_bounds(), stream):
+        assert floors.dtype == guarded_dtype([(p, q, c)], d, n_lo, n_hi)
+        assert floors.tolist() == [_floor_exact(n * p, n * q, c, d)
+                                   for n in range(n_lo, n_hi)]
+        if n_hi > 5000:
+            break
+
+
+@pytest.mark.parametrize("p", (0, -2**75), ids=("sqrt_d", "sqrt_d_minus_2_75"))
+def test_partial_quotients_past_int64(p):
+    # sqrt(2**150 + 1) = [2**75; 2**76, 2**76, ...], so a run of the
+    # Sturmian word has more copies than an int64 counts
+    d = 2**150 + 1
+    assert list(islice(_continued_fraction(0, 1, 1, d), 3)) == [2**75, 2**76, 2**76]
+    floors = next(_slope_blocks(p, 1, 1, d, [(1, 5001)]))
+    assert floors.dtype == object
+    assert floors.tolist() == [_floor_exact(n * p, n, 1, d) for n in range(1, 5001)]
 
 
 def test_one_plus_sqrt2_to_ten_million():
@@ -226,4 +261,21 @@ def test_scan_makes_no_proposal_and_no_scalar_floor(monkeypatch, w3):
     expected = verify_partition(w3, 10**5, collect_owners=True)
     calls = count_exact_calls(monkeypatch)
     assert verify_partition(w3, 10**5, collect_owners=True) == expected
+    assert calls == []
+
+
+def test_streams_past_the_guard_take_no_scalar_floor(monkeypatch, ctx2):
+    # every ratio of these weights but 1 leaves the guard within the first
+    # 1,520 n, and the reciprocals of the large weights at n = 1: the
+    # streams run on their Sturmian words there too
+    weights = [ctx2.element(1), ctx2.element(10**6, 1), ctx2.element(10**6, 2)]
+    calls = count_exact_calls(monkeypatch)
+    assert verify_partition(weights, 10**5).ok
+    ones = TamuraFamily(weights).elements(1, 10**5)
+    assert ones.dtype == object
+    assert ones.tolist() == list(range(1, 10**5 + 1))    # A_1(n) = n below 10**6
+    assert rayleigh_pair(weights[1], 10**5).ok
+    report = uspensky_scan(weights, 2 * 10**6)
+    assert (report.verdict, report.value) == ("collision", 10**6 + 1)
+    assert (report.first, report.second) == ((1, 10**6 + 1), (2, 1))
     assert calls == []
