@@ -8,8 +8,9 @@ index
     m - 1 + 2 * sum_k floor(n * a_j / a_k) = m - 1 + 2 * A_j(n),
 
 where A_j(n) is the n-th element of the j-th Tamura set of the weights.  So
-an Ellipsoid is a view of the TamuraFamily of its weights: orbit indices
-are its certified elements, and the spectrum is the m element arrays of
+an Ellipsoid is the TamuraFamily of its weights, and like it refuses a
+rational weight ratio at construction: orbit indices are its certified
+elements, and the spectrum is the m element arrays of
 spectrum_sets concatenated in j order, sorted stably by element and mapped
 to degrees.  One spectrum_sets call can serve a whole `spectrum
 --cross-check`: its lengths size the family search, its elements are the
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .czindex import ISOLATION_FACTOR, RotationPath, cz_index, find_crossings
-from .errors import CrossingError, HypothesisViolation
+from .errors import CrossingError
 from .partitions import TamuraFamily
 from .quadfield import QuadIrrational, _near_fraction
 
@@ -65,35 +66,14 @@ __all__ = [
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510")
 
 
-class Ellipsoid:
+class Ellipsoid(TamuraFamily):
     """E(a_1, ..., a_m) with exact positive weights in one Q(sqrt(d)).
 
-    The weights are checked by TamuraFamily.  A rational weight ratio is
-    not an error at construction: the ellipsoid keeps the violation and
-    raises it from require_hypothesis(), when the index formula is used.
+    It is the TamuraFamily of its weights: construction raises TypeError,
+    ValueError or HypothesisViolation as TamuraFamily's does, so every
+    Ellipsoid satisfies the pairwise-irrational hypothesis of the index
+    formula.
     """
-
-    def __init__(self, weights):
-        self.weights = tuple(weights)
-        self.family = None
-        self._violation = None
-        try:
-            self.family = TamuraFamily(self.weights)
-        except HypothesisViolation as err:
-            self._violation = err
-
-    @property
-    def m(self):
-        return len(self.weights)
-
-    @property
-    def hypothesis_ok(self):
-        """True iff every ratio a_j/a_k (j != k) is irrational."""
-        return self._violation is None
-
-    def require_hypothesis(self):
-        if self._violation is not None:
-            raise self._violation.with_traceback(None)
 
     def __repr__(self):
         inner = ", ".join(str(w) for w in self.weights)
@@ -118,23 +98,18 @@ class ReebOrbit(NamedTuple):
 
 
 def orbit_index(e, j, n):
-    """Conley-Zehnder index of gamma_j^n: m - 1 + 2*A_j(n).
-
-    Refuses (rather than guessing) when the irrationality hypothesis fails,
-    since the formula is not valid there.
-    """
-    e.require_hypothesis()
-    return e.m - 1 + 2 * e.family.element(j, n)
+    """Conley-Zehnder index of gamma_j^n: m - 1 + 2*A_j(n)."""
+    return e.m - 1 + 2 * e.element(j, n)
 
 
 def spectrum_sets(e, max_degree):
     """The Tamura elements a of every set, in j order, whose orbits have
     cz = m - 1 + 2a <= max_degree: a <= (max_degree - m + 1) // 2.  The
     array of set j holds A_j(1), ..., A_j(N_j), so N_j is its length, the
-    number of iterates of gamma_j in spectrum(e, max_degree)."""
-    e.require_hypothesis()
-    limit = (max_degree - e.m + 1) // 2
-    return [e.family.elements(j, limit) for j in range(1, e.m + 1)]
+    number of iterates of gamma_j in spectrum(e, max_degree).  A max_degree
+    that is not an integer raises TypeError."""
+    limit = (operator.index(max_degree) - e.m + 1) // 2
+    return [e.elements(j, limit) for j in range(1, e.m + 1)]
 
 
 def spectrum(e, max_degree):
@@ -213,6 +188,7 @@ def check_goodness_and_lacunarity(e, max_degree):
     Good means cz(gamma_j^n) == cz(gamma_j) mod 2; lacunary means no two
     consecutive integers occur among the indices up to max_degree.
     """
+    max_degree = operator.index(max_degree)
     orbits = spectrum(e, max_degree)
     j, n, cz = _orbit_columns(orbits)
     parity = np.full(e.m + 1, -1)   # parity[k] = cz(gamma_k) mod 2
@@ -250,10 +226,24 @@ class CrossCheck:
     note: str = ""
 
 
+def _doubles(e, l, quantity, values):
+    """The list of values(), the quantity of weight a_l as doubles, or
+    ValueError naming a_l when one is not a finite positive double."""
+    try:
+        out = values()
+    except OverflowError:
+        out = [math.inf]
+    if not all(0 < x < math.inf for x in out):
+        raise ValueError(f"weight a_{l} = {e.weights[l - 1]} is outside the numeric "
+                         f"engine's range: {quantity} is not a finite positive double")
+    return out
+
+
 def _reeb_freqs(e):
     """Frequencies 2/a_l of the linearized Reeb flow, which do not depend on
     j, each rounded to double from a Fraction near it."""
-    return [float(2 / _near_fraction(w)) for w in e.weights]
+    return [_doubles(e, l, f"2/a_{l}", lambda: [float(2 / _near_fraction(w))])[0]
+            for l, w in enumerate(e.weights, start=1)]
 
 
 def _periods(e, j, ns):
@@ -262,7 +252,7 @@ def _periods(e, j, ns):
     of exact integers, correctly rounded, so it is float(n * (num/den))."""
     pi_a = _PI * _near_fraction(e.weights[j - 1])
     num, den = pi_a.numerator, pi_a.denominator
-    return [n * num / den for n in ns]
+    return _doubles(e, j, f"n*pi*a_{j}", lambda: [n * num / den for n in ns])
 
 
 def _default_samples(freqs, duration):
@@ -339,7 +329,7 @@ def cross_check_family(e, elements):
     of spectrum_sets gives them: N_j is its length, and the formula index of
     gamma_j^n is m - 1 + 2*A_j(n), so this route makes no exact call of its
     own.  Raises ValueError, before any search, for a j outside 1..m or an
-    empty family, and HypothesisViolation when a weight ratio is rational.
+    empty family.
 
     The linearized Reeb flow does not depend on j, so every iterate of every
     simple orbit is a prefix of one rotation path.  find_crossings runs once on
@@ -356,7 +346,6 @@ def cross_check_family(e, elements):
     T_n, and so is every index read past it.  So an index is never guessed, and
     each inconclusive record names its own orbit's failure.
     """
-    e.require_hypothesis()
     for j, a in elements.items():
         if not 1 <= j <= e.m:
             raise ValueError(f"set label j must be in 1..{e.m}, got {j}")

@@ -19,6 +19,7 @@ the two arrays differ.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,7 @@ class DegreeVector:
 
 def sh_dims_formula(m, k_max):
     """Dimension 1 at k = m + 2j - 1 for j >= 1, else 0, on [0, k_max]."""
+    k_max = operator.index(k_max)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if k_max < 0:
@@ -94,6 +96,7 @@ def sh_dims_formula(m, k_max):
 
 def sh_dims_gutt(e, k_max):
     """Dimensions by counting good distinct Reeb orbits per degree."""
+    k_max = operator.index(k_max)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     guard = check_goodness_and_lacunarity(e, k_max)
@@ -143,6 +146,6 @@ def compare(e, k_max):
     formula = sh_dims_formula(e.m, k_max)
     orbits = sh_dims_gutt(e, k_max)
     return ShComparison(
-        m=e.m, k_max=k_max, formula=formula, orbits=orbits,
+        m=e.m, k_max=formula.k_max, formula=formula, orbits=orbits,
         first_difference=first_difference(formula, orbits),
     )

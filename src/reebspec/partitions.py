@@ -105,6 +105,19 @@ def _floor_stream(triples, d, label, limit):
                            (keep + n_lo).tolist())
 
 
+def _require_quad(w):
+    """The check every entry point makes of a weight's type."""
+    if not isinstance(w, QuadIrrational):
+        raise TypeError(f"weights must be QuadIrrational, got {type(w).__name__}")
+
+
+def _require_positive(weights):
+    for w in weights:
+        _require_quad(w)
+        if w.sign() <= 0:
+            raise ValueError(f"weights must be positive, got {w}")
+
+
 class TamuraFamily:
     """The m generators n -> sum_k floor(n * a_j / a_k) for fixed weights.
 
@@ -117,11 +130,7 @@ class TamuraFamily:
         weights = tuple(weights)
         if not weights:
             raise ValueError("need at least one weight")
-        for w in weights:
-            if not isinstance(w, QuadIrrational):
-                raise TypeError(f"weights must be QuadIrrational, got {type(w).__name__}")
-            if w.sign() <= 0:
-                raise ValueError(f"weights must be positive, got {w}")
+        _require_positive(weights)
         violation = pairwise_rational_ratio(weights)
         if violation is not None:
             raise HypothesisViolation.rational_ratio(*violation)
@@ -151,13 +160,15 @@ class TamuraFamily:
         return sum(_floor_exact(n * p, n * q, c, self._d) for p, q, c in triples)
 
     def generator(self, j, limit):
-        """Yield (value, j, n) with value ascending, stopping past limit."""
-        return _floor_stream(self._triples(j), self._d, j, limit)
+        """Yield (value, j, n) with value ascending, stopping past limit.
+        A limit that is not an integer raises TypeError at the call."""
+        return _floor_stream(self._triples(j), self._d, j, operator.index(limit))
 
     def elements(self, j, limit):
         """Array of A_j(n) <= limit for n = 1, 2, ...; A_j(n) sits at index
         n - 1.  Its dtype is object when a block fell outside the int64
         guard."""
+        limit = operator.index(limit)
         blocks = [values for _, values in
                   _floor_blocks(self._triples(j), self._d, limit)]
         values = np.concatenate(blocks)
@@ -219,6 +230,9 @@ def _scan_cover(open_stream, m, limit, collect_owners):
     including the item that revealed the violation, and no key for a set
     with no item merged.
     """
+    limit = operator.index(limit)
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     # every value is at most limit, so int64 holds them below 2**63
     dtype = np.int64 if limit < 2**63 else object
     streams = [open_stream(j) for j in range(1, m + 1)]
@@ -289,14 +303,13 @@ def verify_partition(weights, limit, collect_owners=False):
     data (a report), not errors; a rational weight ratio raises
     HypothesisViolation before any scanning.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     family = TamuraFamily(weights)
     return _scan_cover(lambda j: family.generator(j, limit), family.m, limit,
                        collect_owners)
 
 
 def _require_beatty_slope(alpha):
+    _require_quad(alpha)
     if alpha.is_rational():
         raise HypothesisViolation(
             f"alpha = {alpha} is rational; a Beatty slope must be irrational")
@@ -306,7 +319,7 @@ def _require_beatty_slope(alpha):
 
 def _beatty_generator(a, label, limit):
     """The set {floor(n*a) : n >= 1} within [1..limit], ascending."""
-    return _floor_stream([a.scaled_triple()], a.d, label, limit)
+    return _floor_stream([a.scaled_triple()], a.d, label, operator.index(limit))
 
 
 def beatty_set(alpha, limit):
@@ -324,8 +337,6 @@ def rayleigh_conjugate(alpha):
 
 def rayleigh_pair(alpha, limit, collect_owners=False):
     """Scan the Beatty pair (alpha, alpha/(alpha-1)) against [1..limit]."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
     slopes = (alpha, rayleigh_conjugate(alpha))
     return _scan_cover(lambda j: _beatty_generator(slopes[j - 1], j, limit),
                        2, limit, collect_owners)
@@ -342,10 +353,6 @@ def uspensky_scan(weights, limit):
     if len(weights) < 3:
         raise ValueError(
             f"the naive-family scan needs m >= 3 sets, got {len(weights)}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    for w in weights:
-        if w.sign() <= 0:
-            raise ValueError(f"weights must be positive, got {w}")
+    _require_positive(weights)
     return _scan_cover(lambda j: _beatty_generator(weights[j - 1], j, limit),
                        len(weights), limit, collect_owners=False)

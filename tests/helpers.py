@@ -14,6 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 import reebspec
@@ -37,6 +38,19 @@ NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
 
 # rationals with numerators up to 10**6 and denominators up to 10**3
 FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
+
+# integral or not, none of these is an int
+NOT_INTEGERS = (10.5, Fraction(21, 2), 10.0, np.float64(10))
+
+
+def assert_integer_bound(call, read=repr):
+    """call(bound) refuses every bound in NOT_INTEGERS with operator.index's
+    TypeError, and reads np.int64(10) as the Python int 10: read() of the two
+    results is equal, and repr tells np.int64(10) from 10."""
+    for bound in NOT_INTEGERS:
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(bound)
+    assert read(call(np.int64(10))) == read(call(10))
 
 
 def fresh_env():

@@ -171,6 +171,20 @@ def test_spectrum_hypothesis_violation_exit(capsys):
     assert "1/2" in err  # the offending rational ratio is rendered
 
 
+@pytest.mark.parametrize("weights, label", [("1/1" + "0" * 400 + ";sqrt(2)", "a_1"),
+                                            ("1;1" + "0" * 400 + "*sqrt(2)", "a_2")],
+                         ids=["tiny_a_1", "huge_a_2"])
+@pytest.mark.parametrize("samples", [(), ("--samples", "5000")], ids=["family", "samples"])
+def test_spectrum_cross_check_names_a_weight_outside_the_double_range(capsys, weights,
+                                                                      label, samples):
+    # 10**-400 and 10**400*sqrt(2) have no finite positive double 2/a or n*pi*a
+    code, out, err = run(capsys, "spectrum", "--d", "2", "--weights", weights,
+                         "--max-degree", "20", "--cross-check", *samples)
+    assert (code, out) == (64, "")
+    assert err.startswith(f"invalid input: weight {label} = ")
+    assert err.endswith(" is not a finite positive double\n")
+
+
 def test_spectrum_single_weight(capsys):
     code, out, _ = run(capsys, "spectrum", "--d", "5", "--weights", "1",
                        "--max-degree", "4")

@@ -3,16 +3,17 @@ import dataclasses
 import gc
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reebspec.ellipsoid as ell
-from helpers import (FRACTIONS, HUGE_D, fresh_python, goodness_by_dicts, merged_spectrum,
-                     random_weights)
+from helpers import (FRACTIONS, HUGE_D, assert_integer_bound, fresh_python, goodness_by_dicts,
+                     merged_spectrum, random_weights)
 from reebspec import (
     Ellipsoid,
     FieldContext,
@@ -26,7 +27,7 @@ from reebspec import (
 )
 from reebspec.errors import FlatCrossingError, NonIsolatedCrossingError
 from reebspec.partitions import TamuraFamily
-from reebspec.quadfield import QuadIrrational, _near_fraction
+from reebspec.quadfield import QuadIrrational, _near_fraction, pairwise_rational_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -40,35 +41,53 @@ def test_weights_must_be_positive(ctx2):
         Ellipsoid([ctx2.element(1) - ctx2.sqrt_d()])
 
 
-def test_hypothesis_flag(e2, ctx2):
-    assert e2.hypothesis_ok
-    rational = Ellipsoid([ctx2.element(1), ctx2.element(2)])
-    assert not rational.hypothesis_ok
-    with pytest.raises(HypothesisViolation) as info:
-        orbit_index(rational, 1, 1)
-    assert info.value.ratio == ctx2.element(Fraction(1, 2))
-
-
-def test_violation_matches_tamura_family(ctx2, ctx5):
-    # the deferred violation carries the pair and ratio TamuraFamily reports
+def test_rational_ratio_refused_at_construction(e2, ctx2, ctx5):
+    # an Ellipsoid is its weights' TamuraFamily, and refuses what it refuses,
+    # with the same pair and ratio
+    assert isinstance(e2, TamuraFamily)
     for weights in ([ctx2.element(1), ctx2.element(2)],
                     [ctx2.element(1, 1), ctx2.sqrt_d(), ctx2.element(2, 2)],
                     [ctx5.sqrt_d(), ctx5.element(3), ctx5.element(0, Fraction(2, 3))]):
         with pytest.raises(HypothesisViolation) as expected:
             TamuraFamily(weights)
-        e = Ellipsoid(weights)
-        for _ in range(2):
-            with pytest.raises(HypothesisViolation) as info:
-                e.require_hypothesis()
-            got, want = info.value, expected.value
-            assert (got.j, got.k, got.ratio) == (want.j, want.k, want.ratio)
+        with pytest.raises(HypothesisViolation) as info:
+            Ellipsoid(weights)
+        got, want = info.value, expected.value
+        assert (got.j, got.k, got.ratio) == (want.j, want.k, want.ratio)
+    with pytest.raises(HypothesisViolation) as info:
+        Ellipsoid([ctx2.element(1), ctx2.element(2)])
+    assert info.value.ratio == ctx2.element(Fraction(1, 2))
 
 
-def test_index_formula_refused_without_hypothesis(ctx2):
-    # parallel pair: (2+2sqrt2)/(1+sqrt2) = 2 is rational
-    bad = Ellipsoid([ctx2.element(1, 1), ctx2.element(2, 2)])
-    with pytest.raises(HypothesisViolation):
-        spectrum(bad, 10)
+@settings(max_examples=80)
+@given(d=st.sampled_from([2, 3, 5]),
+       draws=st.lists(st.tuples(st.sampled_from((False, False, True)),
+                                FRACTIONS, FRACTIONS.filter(bool)),
+                      min_size=1, max_size=4))
+def test_ellipsoid_is_the_tamura_family_of_its_weights(d, draws):
+    # each weight is p + q*sqrt(d), or, when `multiple` is drawn (one time in
+    # three), q times an earlier weight, whose ratio to it is rational
+    weights = []
+    for multiple, p, q in draws:
+        w = (weights[p.numerator % len(weights)] * q if multiple and weights
+             else QuadIrrational(p, q, d))
+        weights.append(w if w.sign() > 0 else -w)
+    try:
+        family = TamuraFamily(weights)
+    except HypothesisViolation as want:
+        with pytest.raises(HypothesisViolation) as got:
+            Ellipsoid(weights)
+        assert (got.value.j, got.value.k, got.value.ratio) == (want.j, want.k, want.ratio)
+        return
+    e = Ellipsoid(weights)
+    assert isinstance(e, TamuraFamily)
+    for j in range(1, len(weights) + 1):
+        assert e.elements(j, 200).tolist() == family.elements(j, 200).tolist()
+
+
+@pytest.mark.parametrize("entry", [spectrum, ell.spectrum_sets, check_goodness_and_lacunarity])
+def test_max_degree_must_be_an_integer(e3, entry):
+    assert_integer_bound(lambda n: entry(e3, n))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +210,7 @@ def big_ellipsoid():
 
 
 def test_big_coefficients_give_object_element_arrays():
-    family = big_ellipsoid().family
+    family = big_ellipsoid()
     assert family.elements(1, 1000).dtype == object
     assert family.elements(2, 1000).dtype == object
     assert family.elements(3, 1000).size == 0
@@ -322,6 +341,7 @@ def test_reeb_flow_is_the_50_digit_flow_rounded(d, coefficients):
     # q != 0 makes each weight nonzero; a negative one is flipped
     weights = [QuadIrrational(p, q, d) for p, q in coefficients]
     weights = [w if w.sign() > 0 else -w for w in weights]
+    assume(pairwise_rational_ratio(weights) is None)
     _assert_flow_is_rounded_from_mpmath(weights, [1, 2, 3, 10, 997, 10**6])
 
 
@@ -352,6 +372,23 @@ def test_pi_literal():
     with mpmath.workdps(80):
         pi = mpmath.mpf(ell._PI.numerator) / ell._PI.denominator
         assert 0 <= mpmath.pi - pi < mpmath.mpf(10) ** -50
+
+
+# a_1 = 10**-400 and a_2 = 10**400*sqrt(2): 2/a_1 overflows a double, n*pi*a_1
+# and 2/a_2 underflow to 0
+FAR_WEIGHTS = [(("1/1" + "0" * 400, "sqrt(2)"), 1),
+               (("1", "1" + "0" * 400 + "*sqrt(2)"), 2)]
+
+
+@pytest.mark.parametrize("exprs, l", FAR_WEIGHTS, ids=["tiny_a_1", "huge_a_2"])
+def test_cross_checks_name_a_weight_outside_the_double_range(exprs, l):
+    context = FieldContext(2)
+    e = Ellipsoid([context.parse(x) for x in exprs])
+    named = f"weight a_{l} = {exprs[l - 1]} is outside the numeric engine's range"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        cross_check_index(e, 1, 1)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        cross_check_family(e, {1: e.elements(1, e.element(1, 3))})
 
 
 def test_cross_check_small_orbits(e2):
@@ -407,7 +444,7 @@ def iterates(e, max_degree):
 def prefixes(e, n_max):
     """{j: the array A_j(1), ..., A_j(n_max[j])}: the elements
     cross_check_family reads its formula values from."""
-    return {j: e.family.elements(j, e.family.element(j, n)) for j, n in n_max.items()}
+    return {j: e.elements(j, e.element(j, n)) for j, n in n_max.items()}
 
 
 def per_orbit(e, j, n_max):

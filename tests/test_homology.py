@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_weights
+from helpers import assert_integer_bound, random_weights
 from reebspec import Ellipsoid, HypothesisViolation
 from reebspec.homology import (
     DegreeVector,
@@ -30,6 +30,12 @@ def test_formula_validation():
         sh_dims_formula(0, 5)
     with pytest.raises(ValueError):
         sh_dims_formula(2, -1)
+
+
+@pytest.mark.parametrize("entry", [lambda e, k: sh_dims_formula(e.m, k), sh_dims_gutt, compare],
+                         ids=["sh_dims_formula", "sh_dims_gutt", "compare"])
+def test_k_max_must_be_an_integer(e3, entry):
+    assert_integer_bound(lambda k: entry(e3, k))
 
 
 def test_degree_vector_window():
@@ -76,9 +82,8 @@ def test_gutt_multiplicity_at_most_one():
 
 
 def test_gutt_propagates_hypothesis(ctx2):
-    bad = Ellipsoid([ctx2.element(1), ctx2.element(3)])
     with pytest.raises(HypothesisViolation):
-        sh_dims_gutt(bad, 20)
+        Ellipsoid([ctx2.element(1), ctx2.element(3)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import beatty_stream, merged_cover, random_quad, random_weights, tamura_streams
+from helpers import (assert_integer_bound, beatty_stream, merged_cover, random_quad,
+                     random_weights, tamura_streams)
 from reebspec import FieldContext, HypothesisViolation, QuadIrrational, floor_product
 from reebspec.partitions import (
     PartitionReport,
@@ -84,6 +85,40 @@ def test_floor_blocks_stop_after_the_first_block_past_the_limit(w3):
     assert [len(values) for _, values in blocks] == [64, 128, 256, 512, 1024, 1024]
     assert all(values[-1] <= 5000 for _, values in blocks[:-1])
     assert blocks[-1][1][-1] > 5000
+
+
+BOUND_CALLS = {
+    "verify_partition": lambda w3, a, n: verify_partition(w3, n),
+    "rayleigh_pair": lambda w3, a, n: rayleigh_pair(a, n),
+    "uspensky_scan": lambda w3, a, n: uspensky_scan([a, a * a, a + 3], n),
+    "beatty_set": lambda w3, a, n: beatty_set(a, n),
+    "elements": lambda w3, a, n: TamuraFamily(w3).elements(1, n),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_CALLS)
+def test_limits_must_be_integers(name, w3, ctx5):
+    assert_integer_bound(lambda n: BOUND_CALLS[name](w3, phi(ctx5), n))
+
+
+def test_generator_refuses_a_non_integer_limit_when_called(w3):
+    # the TypeError comes from the call, not from the first next()
+    family = TamuraFamily(w3)
+    assert_integer_bound(lambda n: family.generator(1, n), read=list)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: uspensky_scan([1, 2, 3], 10),
+    lambda: rayleigh_pair(3, 10),
+    lambda: beatty_set(3, 10),
+    lambda: rayleigh_conjugate(3),
+], ids=["uspensky_scan", "rayleigh_pair", "beatty_set", "rayleigh_conjugate"])
+def test_weights_of_another_type_raise_tamura_familys_type_error(call):
+    with pytest.raises(TypeError) as want:
+        TamuraFamily([3])
+    with pytest.raises(TypeError) as got:
+        call()
+    assert str(got.value) == str(want.value) == "weights must be QuadIrrational, got int"
 
 
 def test_tamura_hypothesis_checked(ctx2):
