@@ -41,10 +41,17 @@ def test_weights_must_be_positive(ctx2):
         Ellipsoid([ctx2.element(1) - ctx2.sqrt_d()])
 
 
-def test_rational_ratio_refused_at_construction(e2, ctx2, ctx5):
-    # an Ellipsoid is its weights' TamuraFamily, and refuses what it refuses,
-    # with the same pair and ratio
+def test_hypothesis_flag(e2, ctx2):
+    # an Ellipsoid is its weights' TamuraFamily, so a rational ratio raises
+    # at construction
     assert isinstance(e2, TamuraFamily)
+    with pytest.raises(HypothesisViolation) as info:
+        Ellipsoid([ctx2.element(1), ctx2.element(2)])
+    assert info.value.ratio == ctx2.element(Fraction(1, 2))
+
+
+def test_violation_matches_tamura_family(ctx2, ctx5):
+    # the violation carries the pair and ratio TamuraFamily reports
     for weights in ([ctx2.element(1), ctx2.element(2)],
                     [ctx2.element(1, 1), ctx2.sqrt_d(), ctx2.element(2, 2)],
                     [ctx5.sqrt_d(), ctx5.element(3), ctx5.element(0, Fraction(2, 3))]):
@@ -54,8 +61,13 @@ def test_rational_ratio_refused_at_construction(e2, ctx2, ctx5):
             Ellipsoid(weights)
         got, want = info.value, expected.value
         assert (got.j, got.k, got.ratio) == (want.j, want.k, want.ratio)
+
+
+def test_index_formula_refused_without_hypothesis(ctx2):
+    # parallel pair: (1+sqrt2)/(2+2sqrt2) = 1/2 is rational, so no Ellipsoid
+    # exists to hand to spectrum
     with pytest.raises(HypothesisViolation) as info:
-        Ellipsoid([ctx2.element(1), ctx2.element(2)])
+        Ellipsoid([ctx2.element(1, 1), ctx2.element(2, 2)])
     assert info.value.ratio == ctx2.element(Fraction(1, 2))
 
 
