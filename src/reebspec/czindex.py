@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -158,13 +159,14 @@ class SymplecticPath:
     def __init__(self, a, b, evaluator, derivative=None, sample_count=4096):
         if not b > a:
             raise ValueError(f"empty domain [{a}, {b}]")
+        sample_count = operator.index(sample_count)
         if sample_count < 16:
             raise ValueError("sample_count must be at least 16")
         self.a = float(a)
         self.b = float(b)
         self._evaluator = evaluator
         self._derivative = derivative or self._finite_differences
-        self.sample_count = int(sample_count)
+        self.sample_count = sample_count
         probe = np.asarray(evaluator(np.array([self.a])), dtype=float)
         if (probe.ndim != 3 or probe.shape[0] != 1 or probe.shape[1] != probe.shape[2]
                 or probe.shape[1] % 2):
@@ -250,6 +252,7 @@ class RotationPath(SymplecticPath):
     """
 
     def __init__(self, freqs, duration, sample_count=4096):
+        sample_count = operator.index(sample_count)
         freqs = [float(f) for f in freqs]
         if not freqs:
             raise ValueError("freqs must be nonempty")

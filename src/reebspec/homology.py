@@ -84,6 +84,7 @@ class DegreeVector:
 
 def sh_dims_formula(m, k_max):
     """Dimension 1 at k = m + 2j - 1 for j >= 1, else 0, on [0, k_max]."""
+    m = operator.index(m)
     k_max = operator.index(k_max)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

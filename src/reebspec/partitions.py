@@ -12,8 +12,10 @@ while they fit the int64 guard and in Python ints past it.  A single
 element (TamuraFamily.element) is a sum of scalar exact floors.  No float
 takes part, so a "partition" verdict up to N is a proof, not a
 floating-point impression.  Array readers (TamuraFamily.elements, and so
-the Reeb spectrum) take the blocks whole.  The partition scanners pull
-the streams' values in chunks and count them one window of values at a
+the Reeb spectrum) take the blocks whole.  A stream of (value, j, n)
+elements is a chain of one C-level zip per block, so it costs one Python
+step per block, not per element.  The partition scanners pull the
+streams' values in chunks and count them one window of values at a
 time with a bincount, which needs no table sized by the limit and reports
 the smallest violating value together with both producing (set, n)
 witnesses.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -48,13 +50,14 @@ __all__ = [
 
 
 # The first block of a stream is small, so short scans stay cheap; later
-# blocks double up to the cap, which bounds the memory a stream holds.
+# blocks double up to the cap, which bounds the memory a stream holds: 64
+# n, doubling to 2048.
 _BLOCK_FIRST = 64
-_BLOCK_MAX = 1024
+_BLOCK_MAX = 2048
 
 
 def _block_bounds():
-    """The (n_lo, n_hi) of every block: 64 n, doubling up to 1024."""
+    """The (n_lo, n_hi) of every block: 64 n, doubling up to 2048."""
     n_lo, size = 1, _BLOCK_FIRST
     while True:
         yield n_lo, n_lo + size
@@ -64,7 +67,7 @@ def _block_bounds():
 
 def _floor_blocks(triples, d, limit):
     """Yield (n_lo, values): the floor sums at n = n_lo, n_lo + 1, ... of
-    one block, in blocks of 64 n that double up to 1024, stopping after the
+    one block, in blocks of 64 n that double up to 2048, stopping after the
     first block whose last value passes limit.
 
     Each slope's floors come from its own _slope_blocks: exact division for
@@ -83,26 +86,36 @@ def _floor_blocks(triples, d, limit):
 
 
 def _floor_stream(triples, d, label, limit):
-    """Yield (value, label, n) for value = the floor sum at n, up to limit,
-    skipping every value <= the last one yielded.
+    """An iterator of (value, label, n) for value = the floor sum at n, up
+    to limit, skipping every value <= the last one it gave.
 
     The floors come a block at a time from _floor_blocks (Sturmian words
-    and exact division), and one mask per block keeps the values that rise
-    above their predecessor and lie within the limit; since the sum never
-    decreases in n, a value that rises above its predecessor rises above
-    every value before it.  For Tamura and Beatty sets the sum strictly
-    increases and the mask keeps every in-limit value; for slopes below 1
-    it drops the zeros and the repeats, since a set contains each value
-    once.
+    and exact division), and each block becomes one zip of C iterators, so
+    an element costs no Python step.  The sum never decreases in n, so a
+    block's in-limit values are a prefix of it, and a value that rises above
+    its predecessor rises above every value before it.  For Tamura and
+    Beatty sets the sum strictly increases, so the whole prefix rises and
+    its n are a range; for slopes below 1 a mask drops the zeros and the
+    repeats, since a set contains each value once.
     """
+    return chain.from_iterable(_stream_blocks(triples, d, label, limit))
+
+
+def _stream_blocks(triples, d, label, limit):
+    """One zip(values, repeat(label), ns) per block, for _floor_stream."""
     last = 0
     for n_lo, values in _floor_blocks(triples, d, limit):
-        keep = np.flatnonzero((values > np.concatenate(([last], values[:-1])))
-                              & (values <= limit))
-        if keep.size:
-            last = values[keep[-1]]
-            yield from zip(values[keep].tolist(), repeat(label),
-                           (keep + n_lo).tolist())
+        values = values[:np.searchsorted(values, limit, side="right")]
+        rising = values > np.concatenate(([last], values[:-1]))
+        if rising.all():
+            ns = range(n_lo, n_lo + len(values))
+        else:
+            keep = np.flatnonzero(rising)
+            values = values[keep]
+            ns = (keep + n_lo).tolist()
+        if len(values):
+            last = values[-1]
+            yield zip(values.tolist(), repeat(label), ns)
 
 
 def _require_quad(w):
@@ -145,6 +158,7 @@ class TamuraFamily:
         return len(self.weights)
 
     def _triples(self, j):
+        j = operator.index(j)
         if not 1 <= j <= self.m:
             raise ValueError(f"set label j must be in 1..{self.m}, got {j}")
         return self._ratio_triples[j - 1]
@@ -160,8 +174,10 @@ class TamuraFamily:
         return sum(_floor_exact(n * p, n * q, c, self._d) for p, q, c in triples)
 
     def generator(self, j, limit):
-        """Yield (value, j, n) with value ascending, stopping past limit.
-        A limit that is not an integer raises TypeError at the call."""
+        """An iterator of (value, j, n) with value ascending, stopping past
+        limit.  A label or limit that is not an integer raises TypeError at
+        the call."""
+        j = operator.index(j)
         return _floor_stream(self._triples(j), self._d, j, operator.index(limit))
 
     def elements(self, j, limit):

@@ -39,18 +39,23 @@ NON_SQUARES = [d for d in range(2, 200) if math.isqrt(d) ** 2 != d]
 # rationals with numerators up to 10**6 and denominators up to 10**3
 FRACTIONS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**3))
 
-# integral or not, none of these is an int
-NOT_INTEGERS = (10.5, Fraction(21, 2), 10.0, np.float64(10))
+
+def not_integers(value):
+    """value + 1/2 as a float and as a Fraction, and value as a float and as
+    a numpy float: integral or not, none of these is an int, and
+    operator.index refuses all four."""
+    return (value + 0.5, Fraction(2 * value + 1, 2), float(value), np.float64(value))
 
 
-def assert_integer_bound(call, read=repr):
-    """call(bound) refuses every bound in NOT_INTEGERS with operator.index's
-    TypeError, and reads np.int64(10) as the Python int 10: read() of the two
-    results is equal, and repr tells np.int64(10) from 10."""
-    for bound in NOT_INTEGERS:
+def assert_integer_bound(call, read=repr, value=10):
+    """call(bound) refuses every bound in not_integers(value) with
+    operator.index's TypeError, and reads np.int64(value) as the Python int
+    value: read() of the two results is equal, and repr tells np.int64(10)
+    from 10."""
+    for bound in not_integers(value):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call(bound)
-    assert read(call(np.int64(10))) == read(call(10))
+    assert read(call(np.int64(value))) == read(call(value))
 
 
 def fresh_env():

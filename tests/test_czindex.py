@@ -24,6 +24,7 @@ from reebspec.czindex import (
     symplectic_defect,
 )
 from helpers import (
+    assert_integer_bound,
     candidate_runs,
     constant,
     loop_candidate_times,
@@ -175,6 +176,15 @@ def test_analytic_values():
     assert cz_rotation_analytic([1.0], 3 * math.pi) == 3
     assert cz_rotation_analytic([1.0, 1.0], math.pi) == 2
     assert cz_rotation_analytic([1.0], TWO_PI) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: RotationPath([1.0, 2.0], 10.0, sample_count=s),
+    lambda s: SymplecticPath(0.0, 1.0, constant(np.eye(2)), sample_count=s),
+], ids=["RotationPath", "SymplecticPath"])
+def test_sample_count_must_be_an_integer(make):
+    # a grid size is a count: 5000.5 is refused, not truncated to 5000
+    assert_integer_bound(lambda s: make(s).sample_count, value=5000)
 
 
 def test_analytic_rejects_non_finite_turns():

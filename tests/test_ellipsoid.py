@@ -102,6 +102,18 @@ def test_max_degree_must_be_an_integer(e3, entry):
     assert_integer_bound(lambda n: entry(e3, n))
 
 
+def test_orbit_index_takes_an_integer_label(e3):
+    assert_integer_bound(lambda j: orbit_index(e3, j, 1), value=1)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        orbit_index(e3, Fraction(1), 1)
+
+
+def test_cross_check_sample_count_must_be_an_integer(e3):
+    # a grid size is a count: 5000.5 is refused, not truncated to 5000
+    assert_integer_bound(lambda s: cross_check_index(e3, 1, 3, sample_count=s),
+                         value=5000)
+
+
 # ---------------------------------------------------------------------------
 # the index formula
 # ---------------------------------------------------------------------------

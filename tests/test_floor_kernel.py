@@ -343,8 +343,9 @@ def test_partition_with_a_320_digit_radicand(capsys):
 # stream edges
 # ---------------------------------------------------------------------------
 
-# the stream's blocks end at n = 64, 192, 448, 960, 1984, ...
-BLOCK_ENDS = (64, 192, 448, 960, 1984)
+# the stream's blocks end at n = 64, 192, 448, 960, 1984, 4032, 6080, ...:
+# 4032 and 6080 end the first two blocks of the 2048 cap
+BLOCK_ENDS = (64, 192, 448, 960, 1984, 4032, 6080)
 
 
 @pytest.mark.parametrize("end", BLOCK_ENDS)
@@ -377,6 +378,7 @@ def test_limit_below_the_first_value():
     ((-1, 1, 1), 1000),        # sqrt(2) - 1 = 0.414...
     ((99, -70, 1), 12),        # 99 - 70*sqrt(2) = 0.00505...
     ((1, 1, 7), 700),          # (1 + sqrt(2))/7 = 0.345...
+    ((-1, 1, 1), 3000),        # n = 7243: two cap-sized blocks masked whole
 ])
 def test_slopes_below_one_span_many_blocks(triple, limit):
     got = list(_floor_stream([triple], 2, 1, limit))

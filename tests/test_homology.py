@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ def test_formula_validation():
                          ids=["sh_dims_formula", "sh_dims_gutt", "compare"])
 def test_k_max_must_be_an_integer(e3, entry):
     assert_integer_bound(lambda k: entry(e3, k))
+
+
+def test_m_must_be_an_integer():
+    # m is a count: a float is refused before it becomes a slice start
+    assert_integer_bound(lambda m: sh_dims_formula(m, 10), value=1)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sh_dims_formula(Fraction(1), 10)
 
 
 def test_degree_vector_window():

@@ -57,6 +57,19 @@ def test_elements_reject_bad_label(w3):
             TamuraFamily(w3).elements(j, 10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda family, j: family.element(j, 10),
+    lambda family, j: family.elements(j, 10).tolist(),
+    lambda family, j: list(family.generator(j, 10)),
+], ids=["element", "elements", "generator"])
+def test_set_labels_must_be_integers(call, w3):
+    # a label is an index: 1.0 is refused, not range-checked and then indexed
+    family = TamuraFamily(w3)
+    assert_integer_bound(lambda j: call(family, j), value=1)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(family, Fraction(1))
+
+
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
        d=st.sampled_from((2, 3, 5)), limit=st.integers(-2, 5000))
@@ -82,7 +95,7 @@ def test_floor_blocks_stop_after_the_first_block_past_the_limit(w3):
     # A_1(n) is about 2.12 n, so 5000 is passed at n = 2358
     blocks = list(_floor_blocks(triples, 2, 5000))
     assert [n_lo for n_lo, _ in blocks] == [1, 65, 193, 449, 961, 1985]
-    assert [len(values) for _, values in blocks] == [64, 128, 256, 512, 1024, 1024]
+    assert [len(values) for _, values in blocks] == [64, 128, 256, 512, 1024, 2048]
     assert all(values[-1] <= 5000 for _, values in blocks[:-1])
     assert blocks[-1][1][-1] > 5000
 
