@@ -20,8 +20,9 @@ These limits exit before any grid is built; the cross-check's is checked
 from the Tamura element counts, before the spectrum is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
 exits 64 above it, before any array is allocated.  At the cap, one `sh`
-process on W3, stdout to /dev/null, peaks at 521 MB resident (ru_maxrss),
-mostly its Reeb orbit tuples, in 4.3-5.6 s wall (3 runs, 2-vCPU x86_64).
+main() call on W3, stdout to /dev/null, peaks at 500 MB resident
+(ru_maxrss), mostly its Reeb orbit tuples, in 4.1-4.5 s wall (3 runs,
+2-vCPU x86_64).
 `partition --limit` has no cap: without the owner table the scan's memory
 stays bounded whatever the limit, and its time grows linearly with it.
 JSON output has sorted keys and no timestamps, so identical flags give

@@ -36,7 +36,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -127,12 +127,9 @@ def spectrum_orbits(e, sets):
     ascending within each set) and sorted stably by a, are already in
     (cz, j, n) order and complete.
 
-    The list is built with the cyclic garbage collector paused, and the
-    collector is left enabled or disabled as it was found.  A ReebOrbit
-    holds three ints and one of the caller's weights, so it cannot be part
-    of a cycle, and refcounting frees it.  With the collector running, one
-    new tracked tuple per orbit sets off full collections that find nothing
-    (2 per `sh` on W3 to degree 200,002, which builds 10**5 orbits twice).
+    The list is built with the cyclic collector paused, then left as found:
+    a ReebOrbit (three ints and a caller's weight) is in no cycle, and
+    refcounting frees it.  _spectrum_columns keeps it paused until freed.
     """
     m = e.m
     a = np.concatenate(sets)
@@ -171,15 +168,25 @@ class GoodnessReport:
         return self.all_good and self.lacunary
 
 
-def _orbit_columns(orbits):
-    """The j, n and cz columns of orbits as int64 arrays, read in one pass
-    (cz as an object array when one index does not fit int64)."""
-    rows = map(attrgetter("j", "n", "cz"), orbits)
+def _spectrum_columns(e, max_degree, names):
+    """The fields `names` of spectrum(e, max_degree)'s orbits as int64 arrays
+    (object arrays past int64).  The cyclic collector stays paused until the
+    orbit list is freed, then is left as found: running, it would scan the
+    10**5 new tuples of an `sh` to degree 200,002 and find nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return np.fromiter(chain.from_iterable(rows), np.int64, 3 * len(orbits)).reshape(-1, 3).T
-    except OverflowError:
-        j, n, cz = np.array(list(map(attrgetter("j", "n", "cz"), orbits)), dtype=object).T
-        return j.astype(np.int64), n.astype(np.int64), cz
+        orbits, columns = spectrum(e, max_degree), []
+        for read in map(attrgetter, names):
+            try:
+                columns.append(np.fromiter(map(read, orbits), np.int64, len(orbits)))
+            except OverflowError:
+                columns.append(np.fromiter(map(read, orbits), object, len(orbits)))
+        del orbits
+        return columns
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def check_goodness_and_lacunarity(e, max_degree):
@@ -189,8 +196,7 @@ def check_goodness_and_lacunarity(e, max_degree):
     consecutive integers occur among the indices up to max_degree.
     """
     max_degree = operator.index(max_degree)
-    orbits = spectrum(e, max_degree)
-    j, n, cz = _orbit_columns(orbits)
+    j, n, cz = _spectrum_columns(e, max_degree, ("j", "n", "cz"))
     parity = np.full(e.m + 1, -1)   # parity[k] = cz(gamma_k) mod 2
     simple = n == 1
     parity[j[simple]] = cz[simple] % 2
@@ -202,15 +208,9 @@ def check_goodness_and_lacunarity(e, max_degree):
     indices = cz[np.diff(cz, prepend=cz[:1] - 1) != 0]
     followed = indices[:-1][np.diff(indices) == 1].tolist()  # x with x + 1 an index too
     pair = (followed[0], followed[0] + 1) if followed else None
-    return GoodnessReport(
-        max_degree=max_degree,
-        all_good=not bad,
-        lacunary=pair is None,
-        orbit_count=len(orbits),
-        indices=indices.tolist(),
-        bad_orbits=bad,
-        consecutive_pair=pair,
-    )
+    return GoodnessReport(max_degree=max_degree, all_good=not bad, lacunary=pair is None,
+                          orbit_count=len(j), indices=indices.tolist(), bad_orbits=bad,
+                          consecutive_pair=pair)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ellipsoid import check_goodness_and_lacunarity, spectrum
+from .ellipsoid import _spectrum_columns, check_goodness_and_lacunarity
 
 __all__ = [
     "DegreeVector",
@@ -49,11 +49,15 @@ class DegreeVector:
     counts: np.ndarray = None
 
     def __post_init__(self):
+        self.k_max = operator.index(self.k_max)
+        if self.k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
         if self.counts is None:
             self.counts = np.zeros(self.k_max + 1, dtype=np.int64)
-        if self.counts.shape != (self.k_max + 1,):
-            raise ValueError(
-                f"{self.counts.shape[0]} counts for the window [0, {self.k_max}]")
+        if not isinstance(self.counts, np.ndarray) or self.counts.dtype != np.int64:
+            raise TypeError(f"counts must be an int64 ndarray, got {type(self.counts)}")
+        if self.counts.shape != (self.k_max + 1,) or (self.counts < 0).any():
+            raise ValueError(f"[0, {self.k_max}] needs {self.k_max + 1} counts, each >= 0")
 
     def __eq__(self, other):
         if not isinstance(other, DegreeVector):
@@ -61,12 +65,12 @@ class DegreeVector:
         return self.k_max == other.k_max and np.array_equal(self.counts, other.counts)
 
     def _check(self, k):
-        if not 0 <= k <= self.k_max:
+        if not 0 <= operator.index(k) <= self.k_max:
             raise ValueError(f"degree {k} outside window [0, {self.k_max}]")
+        return operator.index(k)
 
     def multiplicity(self, k):
-        self._check(k)
-        return int(self.counts[k])
+        return int(self.counts[self._check(k)])
 
     def support_rows(self):
         """support() as a (k, 2) int64 array of (degree, multiplicity) rows."""
@@ -78,38 +82,34 @@ class DegreeVector:
         return list(map(tuple, self.support_rows().tolist()))
 
     def add(self, k, mult=1):
-        self._check(k)
-        self.counts[k] += mult
+        if operator.index(mult) < 0:
+            raise ValueError(f"multiplicity must be >= 0, got {mult}")
+        self.counts[self._check(k)] += operator.index(mult)
 
 
 def sh_dims_formula(m, k_max):
     """Dimension 1 at k = m + 2j - 1 for j >= 1, else 0, on [0, k_max]."""
     m = operator.index(m)
-    k_max = operator.index(k_max)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
     vec = DegreeVector(k_max)
     vec.counts[m + 1::2] = 1
     return vec
 
 
 def sh_dims_gutt(e, k_max):
-    """Dimensions by counting good distinct Reeb orbits per degree."""
+    """Dimensions by counting good distinct Reeb orbits per degree: once the
+    guard licenses it, the bincount of the cz column of spectrum(e, k_max)."""
     k_max = operator.index(k_max)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     guard = check_goodness_and_lacunarity(e, k_max)
     if not guard.passed:
         # cannot happen for irrational ellipsoids; guards against regressions
-        raise RuntimeError(
-            f"orbit counting not licensed: good={guard.all_good}, "
-            f"lacunary={guard.lacunary}"
-        )
+        raise RuntimeError(f"orbit counting not licensed: good={guard.all_good}, "
+                           f"lacunary={guard.lacunary}")
     del guard  # its index list holds one Python int per degree
-    orbits = spectrum(e, k_max)
-    degrees = np.fromiter((o.cz for o in orbits), np.int64, len(orbits))
+    (degrees,) = _spectrum_columns(e, k_max, ("cz",))
     return DegreeVector(k_max, np.bincount(degrees, minlength=k_max + 1))
 
 

@@ -26,6 +26,7 @@ from reebspec import (
     spectrum,
 )
 from reebspec.errors import FlatCrossingError, NonIsolatedCrossingError
+from reebspec.homology import sh_dims_gutt
 from reebspec.partitions import TamuraFamily
 from reebspec.quadfield import QuadIrrational, _near_fraction, pairwise_rational_ratio
 
@@ -268,14 +269,26 @@ def test_spectrum_leaves_the_collector_as_it_found_it(e3, monkeypatch, enabled, 
     if raises:
         # tuple.__new__(int, ...) raises: int is not a subtype of tuple
         monkeypatch.setattr(ell, "ReebOrbit", int)
-    was = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        with pytest.raises(TypeError) if raises else contextlib.nullcontext():
-            spectrum(e3, 61)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
+    # each entry with the spectrum calls it makes through the module global
+    # (spectrum makes none); a raise in the guard's call ends sh_dims_gutt
+    for call, calls in [(spectrum, 0), (check_goodness_and_lacunarity, 1),
+                        (sh_dims_gutt, 1 if raises else 2)]:
+        seen = []   # the collector's state at each call
+
+        def spy(e, max_degree):
+            seen.append(gc.isenabled())
+            return spectrum(e, max_degree)
+
+        monkeypatch.setattr(ell, "spectrum", spy)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(TypeError) if raises else contextlib.nullcontext():
+                call(e3, 61)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * calls
 
 
 def test_sh_ladder_runs_no_full_collection():
@@ -290,6 +303,37 @@ def test_sh_ladder_runs_no_full_collection():
         "                   '--max-degree', '200002'])\n"
         "print(status, gc.isenabled(), gc.get_stats()[2]['collections'] - before)\n")
     assert proc.stdout == "0 True 0\n", proc.stderr
+
+
+def test_sh_compare_runs_no_collection():
+    # with the collector running while the orbit lists of compare's two
+    # spectrum calls are read, this runs 2 generation-0 collections
+    proc = fresh_python(
+        "import gc\n"
+        "from reebspec import Ellipsoid, FieldContext\n"
+        "from reebspec.homology import compare\n"
+        "ctx = FieldContext(2)\n"
+        "w3 = Ellipsoid([ctx.parse(x) for x in ('1', 'sqrt(2)', '1+sqrt(2)')])\n"
+        "gc.collect()\n"
+        "before = [g['collections'] for g in gc.get_stats()]\n"
+        "equal = compare(w3, 200002).equal\n"
+        "print(equal, gc.isenabled(), [g['collections'] - b\n"
+        "                              for g, b in zip(gc.get_stats(), before)])\n")
+    assert proc.stdout == "True True [0, 0, 0]\n", proc.stderr
+
+
+@pytest.mark.parametrize("family, max_degree", [
+    ("W3", 2001), ("d=5", 1001), ("big", 3000), ("below m", 2)])
+def test_sh_dims_gutt_counts_the_spectrum_orbit_by_orbit(e3, family, max_degree):
+    e = {"W3": e3, "below m": e3, "big": big_ellipsoid(),
+         "d=5": Ellipsoid(random_weights(random.Random(5), 5, 4))}[family]
+    counts = [0] * (max_degree + 1)
+    for orbit in spectrum(e, max_degree):
+        counts[orbit.cz] += 1
+    vec = sh_dims_gutt(e, max_degree)
+    assert vec.counts.dtype == np.int64
+    assert vec.counts.tolist() == counts
+    assert (sum(counts) == 0) == (family == "below m")
 
 
 def test_period_coefficient(e2):

@@ -56,6 +56,58 @@ def test_degree_vector_window():
         vec.multiplicity(-1)
 
 
+def test_degree_vector_reads_integers():
+    # a float degree, multiplicity or window is refused, not truncated
+    assert_integer_bound(lambda k_max: DegreeVector(k_max))
+    assert_integer_bound(lambda k: sh_dims_formula(2, 11).multiplicity(k), value=5)
+
+    def added(k=4, mult=1):
+        vec = DegreeVector(10)
+        vec.add(k, mult)
+        return vec.support()
+
+    assert_integer_bound(lambda k: added(k=k))
+    assert_integer_bound(lambda mult: added(mult=mult))
+    assert added(4, 2) == [(4, 2)] and added(4, 0) == []
+
+
+def test_degree_vector_refuses_negative_windows_and_multiplicities():
+    with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+        DegreeVector(-1)
+    assert DegreeVector(0).support() == []
+    vec = sh_dims_formula(2, 9)
+    with pytest.raises(ValueError, match="multiplicity must be >= 0, got -3"):
+        vec.add(5, -3)
+    assert vec == sh_dims_formula(2, 9)
+    with pytest.raises(ValueError, match="needs 4 counts, each >= 0"):
+        DegreeVector(3, np.array([0, 1, -1, 0], np.int64))
+
+
+@pytest.mark.parametrize("counts", [
+    np.array([0.0, 0.0, 0.0, 1.5]),
+    np.array([False, True, False, True]),
+    np.array([0, 0, 0, 127], np.int8),   # add(3) would wrap to -128
+    [0, 0, 0, 1],
+    (0, 0, 0, 1),
+], ids=["float", "bool", "int8", "list", "tuple"])
+def test_degree_vector_counts_must_be_an_int64_array(counts):
+    with pytest.raises(TypeError, match="counts must be an int64 ndarray"):
+        DegreeVector(3, counts)
+
+
+@pytest.mark.parametrize("counts", [np.zeros(3, np.int64), np.zeros((1, 4), np.int64)],
+                         ids=["short", "2-d"])
+def test_degree_vector_counts_must_fill_the_window(counts):
+    with pytest.raises(ValueError, match=r"\[0, 3\] needs 4 counts"):
+        DegreeVector(3, counts)
+
+
+def test_degree_vector_keeps_its_counts_array():
+    counts = np.array([0, 0, 0, 1], np.int64)
+    vec = DegreeVector(3, counts)
+    assert vec.counts is counts and vec.support() == [(3, 1)]
+
+
 # ---------------------------------------------------------------------------
 # the orbit-counting side
 # ---------------------------------------------------------------------------
