@@ -20,8 +20,8 @@ These limits exit before any grid is built; the cross-check's is checked
 from the Tamura element counts, before the spectrum is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
 exits 64 above it, before any array is allocated.  At the cap, one `sh`
-main() call on W3, stdout to /dev/null, peaks at 500 MB resident
-(ru_maxrss), mostly its Reeb orbit tuples, in 4.1-4.5 s wall (3 runs,
+main() call on W3, stdout to /dev/null, peaks at 431 MB resident
+(ru_maxrss), mostly its Reeb orbit tuples, in 2.6-3.2 s wall (3 runs,
 2-vCPU x86_64).
 `partition --limit` has no cap: without the owner table the scan's memory
 stays bounded whatever the limit, and its time grows linearly with it.
@@ -41,12 +41,13 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
 from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
 from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, family_samples
-from .ellipsoid import spectrum_orbits, spectrum_sets
+from .ellipsoid import _periods, _reeb_freqs, spectrum_orbits, spectrum_sets
 from .errors import CrossingError, ExprSyntaxError, HypothesisViolation, RadicandError
 from .homology import compare
 from .partitions import rayleigh_conjugate, rayleigh_pair, uspensky_scan, verify_partition
@@ -110,6 +111,13 @@ def _sample_count(text):
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
     return value
+
+
+def _require_samples(samples, needed, what):
+    if samples < needed:
+        raise _UsageError(f"--samples {samples} is too coarse for {what}: need --samples "
+                          f"{needed} or more" + (f", above the cap {MAX_SAMPLES}"
+                                                 if needed > MAX_SAMPLES else ""))
 
 
 def _nonneg_int(text):
@@ -192,12 +200,8 @@ def cmd_cz(args):
     if want_analytic:
         payload["analytic"] = cz_rotation_analytic(freqs, args.duration)
     if want_numeric:
-        needed = min_rotation_samples(freqs, args.duration)
-        if args.samples < needed:
-            raise _UsageError(
-                f"--samples {args.samples} is too coarse for this path: "
-                f"need --samples {needed} or more"
-                + (f", above the cap {MAX_SAMPLES}" if needed > MAX_SAMPLES else ""))
+        _require_samples(args.samples, min_rotation_samples(freqs, args.duration),
+                         "this path")
         path = RotationPath(freqs, args.duration, sample_count=args.samples)
         try:
             numeric = cz_index(path)
@@ -222,17 +226,21 @@ def cmd_spectrum(args):
     rendered = [render(w) for w in weights]
     e = Ellipsoid(weights)
     # one enumeration of the Tamura sets serves the whole command.  --samples
-    # N means N samples on each orbit's own path, so it takes the per-orbit
-    # route; otherwise one crossing search serves every iterate of every
-    # simple orbit, its grid is checked against the cap before any orbit is
-    # built, and the sets are its formula values.
+    # N takes the per-orbit route, N samples on each orbit's own path, checked
+    # against each set's longest path before any search.  Otherwise one
+    # crossing search serves every iterate of every simple orbit, its grid is
+    # capped before any orbit is built, and the sets are its formula values.
     sets = spectrum_sets(e, args.max_degree)
+    elements = {j: a for j, a in enumerate(sets, start=1) if len(a)}
     if args.cross_check and args.samples is None:
-        elements = {j: a for j, a in enumerate(sets, start=1) if len(a)}
         if (needed := family_samples(e, elements)) > MAX_SAMPLES:
             raise _UsageError(f"--cross-check to --max-degree {args.max_degree} needs a "
                               f"grid of {needed} samples, above the cap {MAX_SAMPLES}")
         checks = cross_check_family(e, elements)
+    elif args.samples is not None and elements:
+        needed = min_rotation_samples(_reeb_freqs(e), max(
+            _periods(e, j, [len(a)])[0] for j, a in elements.items()))
+        _require_samples(args.samples, needed, f"--max-degree {args.max_degree}")
     orbits = spectrum_orbits(e, sets)
     rows = []
     status = EXIT_OK
@@ -408,56 +416,58 @@ def _json(value, indent=2):
     dicts are joined here, and a non-empty 2-D int64 ndarray is written as
     the list of its rows with one row template.  Every other value (floats,
     NaN and the infinities, dicts with other keys, unserializable objects)
-    goes to json.dumps itself and is re-indented.  An ndarray object that
-    occurs more than once at one indentation is rendered once, and its text
-    is reused.
+    goes to json.dumps itself and is re-indented.  The text goes to one list
+    of pieces, joined once; a finished list or dict there becomes one piece
+    unless it holds an ndarray's rows text, which is rendered once per
+    object and indentation and only ever appended by reference.
     """
-    return _render(value, "\n", " " * indent, {})
+    out = []
+    _render(value, "\n", " " * indent, {}, out)
+    return "".join(out)
 
 
-def _render(value, newline, step, memo):
-    # newline is "\n" followed by the indentation of value's first line;
-    # memo maps (id, newline) of every ndarray rendered so far to its text
+def _render(value, newline, step, memo, out):
+    # appends value's text to out; True if it holds ndarray rows text.  memo
+    # maps (id, newline) to rows text; newline is "\n" + value's indentation
+    inner, start, held = newline + step, len(out), False
     if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + step
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ("," + inner).join(_render(x, inner, step, memo) for x in value)
-        return "[" + inner + items + newline + "]"
-    if isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 2:
+        out.append(_encode_str(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        for sep, x in zip(chain(["[" + inner], repeat("," + inner)), value):
+            out.append(sep)
+            held = _render(x, inner, step, memo, out) or held
+        out.append(newline + "]" if value else "[]")
+    elif isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 2:
+        if not value.size:
+            return _render(value.tolist(), newline, step, memo, out)
         key = (id(value), newline)
         if key not in memo:
-            memo[key] = _int64_rows(value, newline, step)
-        return memo[key]
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        if not value:
-            return "{}"
-        members = (_encode_str(k) + ": " + _render(v, inner, step, memo)
-                   for k, v in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(members) + newline + "}"
-    # a JSON string never holds a raw newline, so this re-indents safely
-    return json.dumps(value, sort_keys=True, indent=len(step)).replace("\n", newline)
+            memo[key] = _int64_rows(value, inner, step)
+        out += ("[" + inner, memo[key], newline + "]")
+        return True
+    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        for sep, k in zip(chain(["{" + inner], repeat("," + inner)), sorted(value)):
+            out += (sep, _encode_str(k), ": ")
+            held = _render(value[k], inner, step, memo, out) or held
+        out.append(newline + "}" if value else "{}")
+    else:
+        # a JSON string never holds a raw newline, so this re-indents safely
+        out.append(json.dumps(value, sort_keys=True, indent=len(step)).replace("\n", newline))
+    if not held and len(out) > start + 1:   # a finished container is one piece
+        out[start:] = ["".join(out[start:])]
+    return held
 
 
-def _int64_rows(value, newline, step):
-    """A 2-D int64 array as the JSON list of its rows, with one row template."""
-    if not value.size:
-        return _render(value.tolist(), newline, step, {})
-    inner = newline + step
+def _int64_rows(value, inner, step):
+    """The rows of a non-empty 2-D int64 array, each a JSON list at
+    indentation inner, joined by commas: one row template filled by one %."""
     deeper = inner + step
     row = "[" + deeper + ("," + deeper).join(["%d"] * value.shape[1]) + inner + "]"
-    rows = ("," + inner).join([row] * len(value)) % tuple(value.ravel().tolist())
-    return "[" + inner + rows + newline + "]"
+    return ("," + inner).join([row] * len(value)) % tuple(value.ravel().tolist())
 
 
 def _emit(args, payload):

@@ -64,6 +64,7 @@ __all__ = [
 
 # pi to 50 decimals, truncated: relative error below 10**-50
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+_CHUNK = 4096   # orbits per step of spectrum_orbits' list build
 
 
 class Ellipsoid(TamuraFamily):
@@ -127,25 +128,29 @@ def spectrum_orbits(e, sets):
     ascending within each set) and sorted stably by a, are already in
     (cz, j, n) order and complete.
 
-    The list is built with the cyclic collector paused, then left as found:
-    a ReebOrbit (three ints and a caller's weight) is in no cycle, and
-    refcounting frees it.  _spectrum_columns keeps it paused until freed.
+    One list is extended in place, _CHUNK orbits at a time, from two
+    full-length arrays (the elements and their stable sort order), with the
+    cyclic collector paused, then left as found: a ReebOrbit (three
+    ints and one of e.weights' own objects) is in no cycle, and refcounting
+    frees it.  _spectrum_columns keeps it paused until freed.
     """
-    m = e.m
+    sizes = [len(s) for s in sets]
+    ends = np.cumsum(sizes)
     a = np.concatenate(sets)
     order = np.argsort(a, kind="stable")
-    label = np.repeat(np.arange(m), [len(s) for s in sets])[order]   # j - 1
-    j = (label + 1).tolist()
-    n = np.concatenate([np.arange(1, len(s) + 1) for s in sets])[order].tolist()
-    # an int64 element is a sum of m floors, each below 2**32 in magnitude
-    # by the int64 guard, so its degree cannot overflow; object arrays
-    # compute in Python ints
-    cz = (m - 1 + 2 * a[order]).tolist()
-    weights = map(e.weights.__getitem__, label.tolist())
-    enabled = gc.isenabled()
+    offset, weights = ends - sizes - 1, np.fromiter(e.weights, object, e.m)
+    enabled, orbits = gc.isenabled(), []
     gc.disable()
     try:
-        return list(map(tuple.__new__, repeat(ReebOrbit), zip(j, n, weights, cz)))
+        for lo in range(0, len(a), _CHUNK):
+            k = order[lo:lo + _CHUNK]
+            j = np.searchsorted(ends, k, side="right")   # the label j - 1
+            # an int64 element is a sum of m floors below 2**32 by the int64
+            # guard, so cz cannot overflow; object arrays compute in Python ints
+            orbits.extend(map(tuple.__new__, repeat(ReebOrbit), zip(
+                (j + 1).tolist(), (k - offset[j]).tolist(), weights.take(j).tolist(),
+                (e.m - 1 + 2 * a[k]).tolist())))
+        return orbits
     finally:
         if enabled:
             gc.enable()

@@ -276,6 +276,30 @@ def test_spectrum_samples_without_cross_check_is_usage_error(capsys, monkeypatch
     assert "--samples takes effect only with --cross-check" in err
 
 
+# each bound is min_rotation_samples of W3's longest orbit path to the degree
+@pytest.mark.parametrize("max_degree, needed", [(400, 770), (12, 39)])
+def test_spectrum_samples_are_checked_before_any_search(capsys, monkeypatch, max_degree,
+                                                        needed):
+    # without the early check, one sample short of the longest path runs
+    # every shorter orbit's search, then exits with the engine's own message
+    calls = []
+
+    def per_orbit(e, j, n, sample_count=None):
+        calls.append((j, n))
+        return reebspec.cross_check_index(e, j, n, sample_count=sample_count)
+
+    monkeypatch.setattr(cli, "cross_check_index", per_orbit)
+    argv = ("spectrum", "--d", "2", "--weights", "1; sqrt(2); 1+sqrt(2)",
+            "--max-degree", str(max_degree), "--cross-check", "--samples")
+    code, out, err = run(capsys, *argv, str(needed - 1))
+    assert (code, out, calls) == (64, "", [])
+    assert err == (f"usage error: --samples {needed - 1} is too coarse for --max-degree "
+                   f"{max_degree}: need --samples {needed} or more\n")
+    code, out, _ = run(capsys, *argv, str(needed))
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["orbits"]) > 0
+
+
 def test_spectrum_cross_check_grid_above_the_cap_is_usage_error(capsys, monkeypatch):
     # the one search's default grid obeys the cap that --samples obeys: W3
     # passes it from degree 16,384, and exits before any grid or search
@@ -756,6 +780,40 @@ def test_sh_passes_two_ladders_on_a_first_difference(monkeypatch):
     expected = {**payload, "formula_degrees": formula.tolist(),
                 "orbit_degrees": orbits.tolist()}
     assert cli._json(payload) == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def test_json_of_the_sh_ladder_peaks_under_twice_its_length():
+    # the pieces, the rows text once, and one join: about 1.74 times the
+    # document.  Concatenating the rows text into each enclosing container
+    # peaked at 2.5 times
+    args = cli.build_parser().parse_args(
+        ["sh", "--d", "2", "--weights", "1;sqrt(2);1+sqrt(2)", "--max-degree", "200002"])
+    _, payload = cli.cmd_sh(args)
+    tracemalloc.start()
+    try:
+        text = cli._json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 6889127
+    assert peak < 2 * len(text)
+
+
+def test_json_of_a_spectrum_joins_each_finished_container():
+    # each finished row becomes one piece: about 2.75 times the document.
+    # Keeping every key, value and separator as its own piece until the one
+    # join peaked at 8.4 times, and nested concatenation at 3.0 times
+    args = cli.build_parser().parse_args(
+        ["spectrum", "--d", "2", "--weights", "1;sqrt(2);1+sqrt(2)", "--max-degree", "20002"])
+    _, payload = cli.cmd_spectrum(args)
+    tracemalloc.start()
+    try:
+        text = cli._json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(payload["orbits"]) == 10000
+    assert peak < 2.9 * len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -261,6 +262,49 @@ def test_object_array_spectrum_equals_the_merge_reference(max_degree):
     orbits = spectrum(e, max_degree)
     assert [(o.j, o.n, o.cz) for o in orbits] == merged_spectrum(e, max_degree)
     assert all(type(o.cz) is int for o in orbits)
+
+
+def _orbit_by_orbit(e, max_degree):
+    # every (j, n) indexed on its own, while cz (rising with n) is in range
+    out = []
+    for j in range(1, e.m + 1):
+        n = 1
+        while (cz := orbit_index(e, j, n)) <= max_degree:
+            out.append((cz, j, n))
+            n += 1
+    return sorted(out)
+
+
+# W3's Tamura sets tile the naturals, so to degree 2c + 2 it has exactly c
+# orbits: these counts fall on both sides of one and of two chunks.  The big
+# family's 4999 orbits, past one chunk, come from object element arrays.
+@pytest.mark.parametrize("family, max_degree, count", [
+    *[("W3", 2 * c + 2, c) for c in (ell._CHUNK - 1, ell._CHUNK, ell._CHUNK + 1,
+                                     2 * ell._CHUNK + 1)],
+    ("big", 10000, 4999), ("below m", 2, 0)])
+def test_spectrum_equals_the_orbit_by_orbit_reference(e3, family, max_degree, count):
+    e = big_ellipsoid() if family == "big" else e3
+    orbits = spectrum(e, max_degree)
+    assert [(o.cz, o.j, o.n) for o in orbits] == _orbit_by_orbit(e, max_degree)
+    assert len(orbits) == count
+    assert all(type(x) is int for o in orbits for x in (o.j, o.n, o.cz))
+    # each weight is the Ellipsoid's own object, not a copy
+    assert all(o.weight is e.weights[o.j - 1] for o in orbits)
+
+
+def test_spectrum_orbits_keeps_no_full_length_temporaries(e3):
+    # beside its result, the build holds two full-length index arrays (16
+    # bytes per orbit) and one chunk; full-length j, n and cz lists and
+    # arrays took 56 bytes per orbit
+    sets = ell.spectrum_sets(e3, 200002)
+    tracemalloc.start()
+    try:
+        orbits = ell.spectrum_orbits(e3, sets)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(orbits) == 100000
+    assert peak - live < 32 * len(orbits)
 
 
 @pytest.mark.parametrize("raises", [False, True], ids=["built", "raised"])
