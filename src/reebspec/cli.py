@@ -19,18 +19,22 @@ whose one crossing search needs more (W3 from `--max-degree` 16,384), exit
 These limits exit before any grid is built; the cross-check's is checked
 from the Tamura element counts, before the spectrum is built.
 `--max-degree` of `sh` and `spectrum` is capped at MAX_DEGREE = 2**22 and
-exits 64 above it, before any array is allocated.  At the cap, one `sh`
-main() call on W3, stdout to /dev/null, peaks at 431 MB resident
-(ru_maxrss), mostly its Reeb orbit tuples, in 2.6-3.2 s wall (3 runs,
-2-vCPU x86_64).
+exits 64 above it, before any array is allocated.  At the cap, on W3 with
+stdout to /dev/null, one in-process main() call of `sh` peaks at 431 MB
+resident (ru_maxrss), mostly its Reeb orbit tuples, in 3.0-3.5 s wall,
+and one of `spectrum` (2,097,151 orbits, no ReebOrbit or row dict built)
+at 86 MB in 1.5-1.7 s wall (3 runs each, shared 2-vCPU x86_64).
 `partition --limit` has no cap: without the owner table the scan's memory
 stays bounded whatever the limit, and its time grows linearly with it.
 JSON output has sorted keys and no timestamps, so identical flags give
 byte-identical bytes; exact values are rendered as expression strings,
 never as decimals.  Each subcommand computes one JSON payload, and the csv
-and text formats are views of it.  The JSON renderer _json writes exactly
-the bytes of json.dumps(payload, sort_keys=True, indent=2), without the
-pure-Python encoder that indent selects in json.
+and text formats are views of it.  Every verdict and the exit status are
+decided before the first byte; the output is then written as it is
+rendered, rows one chunk per write, and is never joined into one document.
+The JSON renderer writes exactly the bytes of json.dumps(payload,
+sort_keys=True, indent=2), without the pure-Python encoder that indent
+selects in json.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .czindex import RotationPath, cz_index, cz_rotation_analytic, min_rotation_samples
-from .ellipsoid import Ellipsoid, cross_check_family, cross_check_index, family_samples
-from .ellipsoid import _periods, _reeb_freqs, spectrum_orbits, spectrum_sets
+from .ellipsoid import _CHUNK, Ellipsoid, cross_check_index, family_samples, spectrum_sets
+from .ellipsoid import _family_twice, _orbit_chunks, _periods, _reeb_freqs, _twice
 from .errors import CrossingError, ExprSyntaxError, HypothesisViolation, RadicandError
 from .homology import compare
 from .partitions import rayleigh_conjugate, rayleigh_pair, uspensky_scan, verify_partition
@@ -220,6 +224,11 @@ def cmd_cz(args):
 
 
 def cmd_spectrum(args):
+    """The spectrum payload: its "orbits" are an _OrbitRows, whose rows are
+    built a chunk at a time as they are rendered and never stored.  With
+    --cross-check, every numeric index (as twice the index, an int, or the
+    note of an inconclusive check) and with it the status are found here,
+    before any row is rendered."""
     if args.samples is not None and not args.cross_check:
         raise _UsageError("--samples takes effect only with --cross-check")
     weights = _parse_weights(args)
@@ -227,54 +236,98 @@ def cmd_spectrum(args):
     e = Ellipsoid(weights)
     # one enumeration of the Tamura sets serves the whole command.  --samples
     # N takes the per-orbit route, N samples on each orbit's own path, checked
-    # against each set's longest path before any search.  Otherwise one
-    # crossing search serves every iterate of every simple orbit, its grid is
-    # capped before any orbit is built, and the sets are its formula values.
+    # against each set's longest path before any search, in row order.
+    # Otherwise one crossing search serves every iterate of every simple
+    # orbit, its grid is capped before any orbit is built, and the sets are
+    # its formula values.
     sets = spectrum_sets(e, args.max_degree)
     elements = {j: a for j, a in enumerate(sets, start=1) if len(a)}
+    twice = None
     if args.cross_check and args.samples is None:
         if (needed := family_samples(e, elements)) > MAX_SAMPLES:
             raise _UsageError(f"--cross-check to --max-degree {args.max_degree} needs a "
                               f"grid of {needed} samples, above the cap {MAX_SAMPLES}")
-        checks = cross_check_family(e, elements)
-    elif args.samples is not None and elements:
-        needed = min_rotation_samples(_reeb_freqs(e), max(
-            _periods(e, j, [len(a)])[0] for j, a in elements.items()))
-        _require_samples(args.samples, needed, f"--max-degree {args.max_degree}")
-    orbits = spectrum_orbits(e, sets)
-    rows = []
+        twice = _family_twice(e, elements)
+    elif args.samples is not None:
+        if elements:
+            needed = min_rotation_samples(_reeb_freqs(e), max(
+                _periods(e, j, [len(a)])[0] for j, a in elements.items()))
+            _require_samples(args.samples, needed, f"--max-degree {args.max_degree}")
+        twice = {j: [None] * len(a) for j, a in elements.items()}
+        for js, ns, _ in _orbit_chunks(e, sets):
+            for j, n in zip(js.tolist(), ns.tolist()):
+                twice[j][n - 1] = _twice(cross_check_index(e, j, n, sample_count=args.samples))
     status = EXIT_OK
-    saw_inconclusive = False
-    for o in orbits:
-        row = {
-            "j": o.j,
-            "n": o.n,
-            "cz": o.cz,
-            "period_coeff": f"{o.n}*pi*({rendered[o.j - 1]})",
-        }
-        if args.cross_check:
-            check = (checks[o.j][o.n - 1] if args.samples is None
-                     else cross_check_index(e, o.j, o.n, sample_count=args.samples))
-            if check.inconclusive:
-                row["numeric_cz"] = None
-                row["agree"] = None
-                row["note"] = check.note
-                saw_inconclusive = True
-            else:
-                row["numeric_cz"] = _fraction_json(check.numeric)
-                row["agree"] = check.agree
-                if not check.agree:
-                    status = EXIT_DISAGREEMENT
-        rows.append(row)
-    if status == EXIT_OK and saw_inconclusive:
-        status = EXIT_INCONCLUSIVE
+    if twice is not None:
+        agree = {None if isinstance(t, str) else t == 2 * (e.m - 1 + 2 * a)
+                 for j, tw in twice.items() for t, a in zip(tw, elements[j].tolist())}
+        status = (EXIT_DISAGREEMENT if False in agree
+                  else EXIT_INCONCLUSIVE if None in agree else EXIT_OK)
     return status, {
         "command": "spectrum",
         "d": args.d,
         "weights": rendered,
         "max_degree": args.max_degree,
-        "orbits": rows,
+        "orbits": _OrbitRows(e, sets, rendered, twice),
     }
+
+
+class _OrbitRows:
+    """The orbit rows of a spectrum payload, in (cz, j, n) order.  A row is
+    never stored: each view builds its rows from _orbit_chunks' int64
+    columns, _CHUNK orbits at a time, and fills one row template per chunk
+    with one %.  twice is None without a cross-check, else {j: [t_1, ...]}
+    with t_n twice gamma_j^n's numeric index (an int) or the note of its
+    inconclusive check (a str)."""
+
+    def __init__(self, e, sets, weights, twice):
+        self.e, self.sets, self.weights, self.twice = e, sets, weights, twice
+
+    def __len__(self):
+        return sum(map(len, self.sets))
+
+    def chunks(self, row, sep, fields, weights, spelling=None):
+        """The text of each chunk (see _filled): row once per orbit, filled
+        with the orbit's `fields` of j, n, cz, w (weights[j - 1]), and with a
+        cross-check's numeric, agree and note as `spelling` spells them."""
+        weights = np.array([None, *weights], dtype=object)
+
+        def blocks():
+            for j, n, cz in _orbit_chunks(self.e, self.sets):
+                columns = {"w": weights[j].tolist(), "j": j.tolist(), "n": n.tolist(),
+                           "cz": cz.tolist()}
+                if spelling is not None:
+                    columns.update(_checked(self.twice, columns, *spelling))
+                yield len(j), tuple(chain.from_iterable(zip(*map(columns.get, fields))))
+
+        return _filled(row, sep, blocks())
+
+
+def _checked(twice, columns, null, false, true, half, note):
+    """The numeric, agree and note columns of cross-checked rows: an index
+    spelled as an int or with `half` (t/2), a verdict with false or true,
+    and an inconclusive row with null twice and note(its note)."""
+    numeric, agree, notes = [], [], []
+    for j, n, cz in zip(columns["j"], columns["n"], columns["cz"]):
+        t = twice[j][n - 1]
+        if isinstance(t, str):
+            numeric.append(null)
+            agree.append(null)
+            notes.append(note(t))
+        else:
+            numeric.append(half % t if t & 1 else int.__repr__(t >> 1))
+            agree.append(true if t == 2 * cz else false)
+            notes.append("")
+    return {"numeric": numeric, "agree": agree, "note": notes}
+
+
+def _filled(row, sep, blocks):
+    """The text of each (count, args) block: row count times, joined by sep
+    and preceded by sep after the first block, filled by one % with args."""
+    lead = ""
+    for count, args in blocks:
+        yield (lead + sep.join([row] * count)) % args
+        lead = sep
 
 
 def cmd_partition(args):
@@ -340,54 +393,60 @@ def cmd_sh(args):
 def _cz_text(args, payload):
     for key in ("analytic", "numeric", "agree", "error"):
         if key in payload:
-            yield f"{key}: {payload[key]}"
+            yield f"{key}: {payload[key]}\n"
+
+
+# (null, false, true, half, note) of _checked as str() spells them
+_STR_SPELLING = ("None", "False", "True", "%d/2", str)
 
 
 def _spectrum_csv(args, payload):
-    columns = ["j", "n", "cz", "period_coeff"]
-    if args.cross_check:
-        columns += ["numeric_cz", "agree"]
-    yield ",".join(columns)
-    for row in payload["orbits"]:
-        yield ",".join(str(row[c]) for c in columns)
+    yield "j,n,cz,period_coeff" + ",numeric_cz,agree" * args.cross_check + "\n"
+    yield from _spectrum_lines(args, payload, "%d,%d,%d,%d*pi*(%s)", ",%s,%s")
 
 
 def _spectrum_text(args, payload):
-    for row in payload["orbits"]:
-        extra = ""
-        if "numeric_cz" in row:
-            extra = f"  numeric={row['numeric_cz']} agree={row['agree']}"
-        yield (f"gamma_{row['j']}^{row['n']}: cz={row['cz']} "
-               f"period={row['period_coeff']}{extra}")
+    return _spectrum_lines(args, payload, "gamma_%d^%d: cz=%d period=%d*pi*(%s)",
+                           "  numeric=%s agree=%s")
+
+
+def _spectrum_lines(args, payload, line, checked):
+    """One line per orbit: `line` filled with j, n, cz, n and the weight,
+    followed with --cross-check by `checked` filled with numeric and agree."""
+    rows, extra = payload["orbits"], ("numeric", "agree") * args.cross_check
+    return rows.chunks(line + checked * args.cross_check + "\n", "",
+                       ("j", "n", "cz", "n", "w", *extra), rows.weights,
+                       _STR_SPELLING if args.cross_check else None)
 
 
 def _partition_text(args, payload):
-    yield f"verdict: {payload['verdict']}"
+    yield f"verdict: {payload['verdict']}\n"
     c = payload["collision"]
     if c is not None:
         yield (f"collision at {c['value']}: "
                f"set {c['first']['j']} (n={c['first']['n']}) vs "
-               f"set {c['second']['j']} (n={c['second']['n']})")
+               f"set {c['second']['j']} (n={c['second']['n']})\n")
     if payload["gap"] is not None:
-        yield f"gap at {payload['gap']}"
+        yield f"gap at {payload['gap']}\n"
     if "beta" in payload:
-        yield f"beta: {payload['beta']}"
+        yield f"beta: {payload['beta']}\n"
 
 
 def _sh_csv(args, payload):
-    dense = np.zeros((2, payload["max_degree"] + 1), dtype=np.int64)
-    for counts, key in zip(dense, ("formula_degrees", "orbit_degrees")):
-        counts[payload[key][:, 0]] = payload[key][:, 1]
-    yield "degree,formula,orbits"
-    yield from map("{},{},{}".format, range(dense.shape[1]), *dense.tolist())
+    dense = np.zeros((payload["max_degree"] + 1, 3), dtype=np.int64)
+    dense[:, 0] = np.arange(len(dense))
+    for column, key in ((1, "formula_degrees"), (2, "orbit_degrees")):
+        dense[payload[key][:, 0], column] = payload[key][:, 1]
+    yield "degree,formula,orbits\n"
+    yield from _filled("%d,%d,%d\n", "", _int64_blocks(dense))
 
 
 def _sh_text(args, payload):
-    yield f"verdict: {payload['verdict']}"
+    yield f"verdict: {payload['verdict']}\n"
     diff = payload["first_difference"]
     if diff is not None:
         yield (f"first difference at degree {diff['degree']}: "
-               f"formula={diff['formula']} orbits={diff['orbits']}")
+               f"formula={diff['formula']} orbits={diff['orbits']}\n")
 
 
 _HANDLERS = {
@@ -397,7 +456,8 @@ _HANDLERS = {
     "sh": cmd_sh,
 }
 
-# the formats besides json that each subcommand offers, in --format order
+# the formats besides json that each subcommand offers, in --format order;
+# each yields the pieces of its text, every line ended by a newline
 _VIEWS = {
     "cz": {"text": _cz_text},
     "spectrum": {"csv": _spectrum_csv, "text": _spectrum_text},
@@ -410,25 +470,34 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _json(value, indent=2):
-    """json.dumps(value, sort_keys=True, indent=indent), byte for byte.
+    """json.dumps(value, sort_keys=True, indent=indent), byte for byte: the
+    pieces of _json_pieces joined once."""
+    return "".join(_json_pieces(value, indent))
+
+
+def _json_pieces(value, indent=2):
+    """The text of json.dumps(value, sort_keys=True, indent=indent), byte for
+    byte, in pieces: the rows of an int64 array or an _OrbitRows one chunk
+    per piece.
 
     Strings, ints, bools and None are written here, lists and str-keyed
-    dicts are joined here, and a non-empty 2-D int64 ndarray is written as
-    the list of its rows with one row template.  Every other value (floats,
-    NaN and the infinities, dicts with other keys, unserializable objects)
-    goes to json.dumps itself and is re-indented.  The text goes to one list
-    of pieces, joined once; a finished list or dict there becomes one piece
-    unless it holds an ndarray's rows text, which is rendered once per
-    object and indentation and only ever appended by reference.
+    dicts are joined here, a non-empty 2-D int64 ndarray is written as the
+    list of its rows with one row template per chunk, and an _OrbitRows as
+    its rows (_orbit_json).  Every other value (floats, NaN and the
+    infinities, dicts with other keys, unserializable objects) goes to
+    json.dumps itself and is re-indented.  A finished list or dict becomes
+    one piece unless it holds rows, which are rendered once per object and
+    indentation for an ndarray, and as they are consumed for an _OrbitRows.
     """
     out = []
     _render(value, "\n", " " * indent, {}, out)
-    return "".join(out)
+    return chain.from_iterable([piece] if isinstance(piece, str) else piece for piece in out)
 
 
 def _render(value, newline, step, memo, out):
-    # appends value's text to out; True if it holds ndarray rows text.  memo
-    # maps (id, newline) to rows text; newline is "\n" + value's indentation
+    # appends value's text to out, rows as one iterable of chunks; True if
+    # it holds rows.  memo maps (id, newline) to an ndarray's list of row
+    # chunks; newline is "\n" + value's indentation
     inner, start, held = newline + step, len(out), False
     if isinstance(value, str):
         out.append(_encode_str(value))
@@ -446,8 +515,14 @@ def _render(value, newline, step, memo, out):
             return _render(value.tolist(), newline, step, memo, out)
         key = (id(value), newline)
         if key not in memo:
-            memo[key] = _int64_rows(value, inner, step)
+            memo[key] = list(_int64_rows(value, inner, step))
         out += ("[" + inner, memo[key], newline + "]")
+        return True
+    elif isinstance(value, _OrbitRows):
+        if not len(value):
+            out.append("[]")
+            return False
+        out += ("[" + inner, _orbit_json(value, inner, step), newline + "]")
         return True
     elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
         for sep, k in zip(chain(["{" + inner], repeat("," + inner)), sorted(value)):
@@ -464,18 +539,46 @@ def _render(value, newline, step, memo, out):
 
 def _int64_rows(value, inner, step):
     """The rows of a non-empty 2-D int64 array, each a JSON list at
-    indentation inner, joined by commas: one row template filled by one %."""
+    indentation inner, joined by commas, a chunk of rows at a time."""
     deeper = inner + step
     row = "[" + deeper + ("," + deeper).join(["%d"] * value.shape[1]) + inner + "]"
-    return ("," + inner).join([row] * len(value)) % tuple(value.ravel().tolist())
+    return _filled(row, "," + inner, _int64_blocks(value))
+
+
+def _int64_blocks(value):
+    """The (count, args) blocks of _filled for the rows of a 2-D int64 array,
+    _CHUNK rows per block."""
+    for lo in range(0, len(value), _CHUNK):
+        block = value[lo:lo + _CHUNK]
+        yield len(block), tuple(block.ravel().tolist())
+
+
+def _orbit_json(rows, inner, step):
+    """The chunks of an _OrbitRows' rows as json.dumps writes them at
+    indentation inner: each row a dict of sorted keys, period_coeff a
+    string, numeric_cz an int, a "t/2" string or null, agree a bool or null,
+    and a note only where the cross-check was inconclusive."""
+    f = inner + step
+    cz_j_n = f + '"cz": %d,' + f + '"j": %d,' + f + '"n": %d,'
+    period = f + '"period_coeff": "%d*pi*(%s)"' + inner + "}"
+    weights = [_encode_str(w)[1:-1] for w in rows.weights]
+    if rows.twice is None:
+        return rows.chunks("{" + cz_j_n + period, "," + inner,
+                           ("cz", "j", "n", "n", "w"), weights)
+    return rows.chunks(
+        "{" + f + '"agree": %s,' + cz_j_n + "%s" + f + '"numeric_cz": %s,' + period,
+        "," + inner, ("agree", "cz", "j", "n", "note", "numeric", "n", "w"), weights,
+        ("null", "false", "true", '"%d/2"', lambda note: f + '"note": ' + _encode_str(note) + ","))
 
 
 def _emit(args, payload):
-    if args.format == "json":
-        print(_json(payload))
-        return
-    for line in _VIEWS[args.command][args.format](args, payload):
-        print(line)
+    """Write payload to stdout in args.format, each piece as the renderer
+    produces it: the rows one chunk per write, and never a joined document.
+    The handler has decided the exit status before the first byte."""
+    pieces = (chain(_json_pieces(payload), ["\n"]) if args.format == "json"
+              else _VIEWS[args.command][args.format](args, payload))
+    for piece in pieces:
+        sys.stdout.write(piece)
 
 
 def main(argv=None):

@@ -14,7 +14,8 @@ elements, and the spectrum is the m element arrays of
 spectrum_sets concatenated in j order, sorted stably by element and mapped
 to degrees.  One spectrum_sets call can serve a whole `spectrum
 --cross-check`: its lengths size the family search, its elements are the
-family route's formula values, and spectrum_orbits builds the rows from it.
+family route's formula values, and _orbit_chunks, which spectrum_orbits
+also reads, gives the rows' int64 columns a chunk at a time.
 
 The linearized Reeb flow is Psi_t = (+)_l R(2t/a_l), a direct sum of
 rotations, so the same index is also reachable through the numeric
@@ -36,7 +37,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -64,7 +65,7 @@ __all__ = [
 
 # pi to 50 decimals, truncated: relative error below 10**-50
 _PI = Fraction("3.14159265358979323846264338327950288419716939937510")
-_CHUNK = 4096   # orbits per step of spectrum_orbits' list build
+_CHUNK = 4096   # orbits per chunk of _orbit_chunks
 
 
 class Ellipsoid(TamuraFamily):
@@ -119,37 +120,45 @@ def spectrum(e, max_degree):
     return spectrum_orbits(e, spectrum_sets(e, max_degree))
 
 
-def spectrum_orbits(e, sets):
-    """The orbits of the element arrays `sets` of spectrum_sets, sorted by
-    (cz, j, n).
+def _orbit_chunks(e, sets):
+    """The orbits of the element arrays `sets` of spectrum_sets in (cz, j,
+    n) order, as (j, n, cz) arrays of at most _CHUNK orbits each.
 
     cz = m - 1 + 2a rises with the Tamura element a, so the elements of
     every set up to spectrum_sets' bound, concatenated in j order (n
     ascending within each set) and sorted stably by a, are already in
-    (cz, j, n) order and complete.
-
-    One list is extended in place, _CHUNK orbits at a time, from two
-    full-length arrays (the elements and their stable sort order), with the
-    cyclic collector paused, then left as found: a ReebOrbit (three
-    ints and one of e.weights' own objects) is in no cycle, and refcounting
-    frees it.  _spectrum_columns keeps it paused until freed.
+    (cz, j, n) order and complete.  Two full-length arrays are held (the
+    elements and their stable sort order), and one chunk of each column.
     """
     sizes = [len(s) for s in sets]
     ends = np.cumsum(sizes)
     a = np.concatenate(sets)
     order = np.argsort(a, kind="stable")
-    offset, weights = ends - sizes - 1, np.fromiter(e.weights, object, e.m)
+    offset = ends - sizes - 1
+    for lo in range(0, len(a), _CHUNK):
+        k = order[lo:lo + _CHUNK]
+        j = np.searchsorted(ends, k, side="right")   # the label j - 1
+        # an int64 element is a sum of m floors below 2**32 by the int64
+        # guard, so cz cannot overflow; object arrays compute in Python ints
+        yield j + 1, k - offset[j], e.m - 1 + 2 * a[k]
+
+
+def spectrum_orbits(e, sets):
+    """The orbits of the element arrays `sets` of spectrum_sets, sorted by
+    (cz, j, n): one ReebOrbit per orbit of _orbit_chunks.
+
+    One list is extended in place, one chunk at a time, with the cyclic
+    collector paused, then left as found: a ReebOrbit (three ints and one
+    of e.weights' own objects) is in no cycle, and refcounting frees it.
+    _spectrum_columns keeps it paused until freed.
+    """
+    weights = np.fromiter(chain([None], e.weights), object, e.m + 1)  # [j] = a_j
     enabled, orbits = gc.isenabled(), []
     gc.disable()
     try:
-        for lo in range(0, len(a), _CHUNK):
-            k = order[lo:lo + _CHUNK]
-            j = np.searchsorted(ends, k, side="right")   # the label j - 1
-            # an int64 element is a sum of m floors below 2**32 by the int64
-            # guard, so cz cannot overflow; object arrays compute in Python ints
+        for j, n, cz in _orbit_chunks(e, sets):
             orbits.extend(map(tuple.__new__, repeat(ReebOrbit), zip(
-                (j + 1).tolist(), (k - offset[j]).tolist(), weights.take(j).tolist(),
-                (e.m - 1 + 2 * a[k]).tolist())))
+                j.tolist(), n.tolist(), weights.take(j).tolist(), cz.tolist())))
         return orbits
     finally:
         if enabled:
@@ -350,7 +359,35 @@ def cross_check_family(e, elements):
     no crossing within the gap or more than one: the list is then wrong near
     T_n, and so is every index read past it.  So an index is never guessed, and
     each inconclusive record names its own orbit's failure.
+
+    The records are built from _family_twice(e, elements), which the
+    `spectrum` command reads directly.
     """
+    out = {}
+    for j, twice in _family_twice(e, elements).items():
+        out[j] = []
+        for n, (t, a_n) in enumerate(zip(twice, elements[j].tolist(), strict=True), start=1):
+            formula = e.m - 1 + 2 * a_n
+            if isinstance(t, str):
+                out[j].append(CrossCheck(j=j, n=n, formula=formula, numeric=None,
+                                         agree=None, inconclusive=True, note=t))
+            else:
+                numeric = Fraction(t, 2)
+                out[j].append(CrossCheck(j=j, n=n, formula=formula, numeric=numeric,
+                                         agree=(numeric == formula), inconclusive=False))
+    return out
+
+
+def _twice(check):
+    """Twice the numeric index of a CrossCheck record, an int, or its note,
+    a str, when it is inconclusive."""
+    return check.note if check.inconclusive else int(2 * check.numeric)
+
+
+def _family_twice(e, elements):
+    """{j: [t_1, ..., t_N_j]} of cross_check_family(e, elements), from the
+    same search or fallback: t_n is _twice of gamma_j^n's record, twice its
+    numeric index or the note of an inconclusive check."""
     for j, a in elements.items():
         if not 1 <= j <= e.m:
             raise ValueError(f"set label j must be in 1..{e.m}, got {j}")
@@ -368,14 +405,6 @@ def cross_check_family(e, elements):
     except CrossingError:
         twice = dict.fromkeys(ends)
     if None in twice.values():
-        return {j: [cross_check_index(e, j, n) for n in range(1, len(elements[j]) + 1)]
+        return {j: [_twice(cross_check_index(e, j, n)) for n in range(1, len(elements[j]) + 1)]
                 for j in ends}
-    out = {}
-    for j, tw_j in twice.items():
-        out[j] = []
-        for n, (tw, a_n) in enumerate(zip(tw_j, elements[j].tolist(), strict=True), start=1):
-            formula = e.m - 1 + 2 * a_n
-            numeric = Fraction(tw, 2)
-            out[j].append(CrossCheck(j=j, n=n, formula=formula, numeric=numeric,
-                                     agree=(numeric == formula), inconclusive=False))
-    return out
+    return twice

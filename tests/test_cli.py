@@ -323,8 +323,8 @@ def test_spectrum_cross_check_at_max_degree_exits_before_the_spectrum(capsys, mo
     def refuse(*args, **kwargs):
         raise AssertionError("the spectrum was built")
 
-    monkeypatch.setattr(cli, "spectrum_orbits", refuse)
-    monkeypatch.setattr(cli, "cross_check_family", refuse)
+    monkeypatch.setattr(cli, "_orbit_chunks", refuse)
+    monkeypatch.setattr(cli, "_family_twice", refuse)
     start = time.perf_counter()
     code, out, err = run(capsys, "spectrum", "--d", "2", "--weights", "1; sqrt(2); 1+sqrt(2)",
                          "--max-degree", str(cli.MAX_DEGREE), "--cross-check")
@@ -426,7 +426,7 @@ def test_spectrum_samples_selects_the_per_orbit_route(capsys, monkeypatch):
         records.append(reebspec.cross_check_index(e, j, n, sample_count=sample_count))
         return records[-1]
 
-    monkeypatch.setattr(cli, "cross_check_family", refuse)
+    monkeypatch.setattr(cli, "_family_twice", refuse)
     monkeypatch.setattr(cli, "cross_check_index", per_orbit)
     code, out, _ = run(capsys, "spectrum", "--d", "2", "--weights",
                        "1; sqrt(2); 1+sqrt(2)", "--max-degree", "30",
@@ -474,6 +474,115 @@ def test_spectrum_parse_error_is_usage(capsys):
     code, _, err = run(capsys, "spectrum", "--d", "2", "--weights",
                        "1;sqrt(3)", "--max-degree", "5")
     assert code == 64
+
+
+W3_ARGS = ("--d", "2", "--weights", "1; sqrt(2); 1+sqrt(2)")
+CHUNK = reebspec.ellipsoid._CHUNK
+
+
+def _spectrum_reference(max_degree, fmt, check=None):
+    """W3's spectrum document to max_degree in format fmt, built one row
+    dict per orbit of the library's spectrum() list, with the record
+    check(e, j, n) of each orbit when cross-checked."""
+    context = FieldContext(2)
+    weights = [context.parse(x) for x in ("1", "sqrt(2)", "1+sqrt(2)")]
+    rendered = [reebspec.render(w) for w in weights]
+    e = reebspec.Ellipsoid(weights)
+    rows = []
+    for o in reebspec.spectrum(e, max_degree):
+        row = {"j": o.j, "n": o.n, "cz": o.cz,
+               "period_coeff": f"{o.n}*pi*({rendered[o.j - 1]})"}
+        if check is not None:
+            c = check(e, o.j, o.n)
+            if c.inconclusive:
+                row.update(numeric_cz=None, agree=None, note=c.note)
+            else:
+                p, q = c.numeric.numerator, c.numeric.denominator
+                row.update(numeric_cz=p if q == 1 else f"{p}/{q}", agree=c.agree)
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps({"command": "spectrum", "d": 2, "weights": rendered,
+                           "max_degree": max_degree, "orbits": rows},
+                          sort_keys=True, indent=2) + "\n"
+    checked = ["numeric_cz", "agree"] if check is not None else []
+    if fmt == "csv":
+        columns = ["j", "n", "cz", "period_coeff", *checked]
+        lines = [",".join(columns)] + [",".join(str(r[c]) for c in columns) for r in rows]
+    else:
+        lines = [f"gamma_{r['j']}^{r['n']}: cz={r['cz']} period={r['period_coeff']}"
+                 + (f"  numeric={r['numeric_cz']} agree={r['agree']}" if checked else "")
+                 for r in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+# W3's Tamura sets tile the naturals, so to degree 2c + 2 it has exactly c
+# orbits: these counts fall on both sides of one and of two chunks of rows
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_spectrum_views_equal_the_orbit_list_reference(capsys, count, fmt):
+    code, out, _ = run(capsys, "spectrum", *W3_ARGS, "--max-degree", str(2 * count + 2),
+                       "--format", fmt)
+    assert code == 0
+    assert out == _spectrum_reference(2 * count + 2, fmt)
+
+
+def _fallback_with_odd_rows(monkeypatch):
+    """Send the family route to its per-orbit fallback, where gamma_1^2's
+    path is inconclusive (a note with a quote and a non-ASCII letter) and
+    gamma_2^1's path reads the half-integer 7/2."""
+    real = reebspec.ellipsoid.cz_index
+
+    def odd(path, **kwargs):
+        if path.b == 2 * math.pi:
+            raise reebspec.errors.FlatCrossingError('flat "dip" at t = 2\u03c0')
+        if path.b == math.pi * math.sqrt(2):
+            return reebspec.ellipsoid.Fraction(7, 2)
+        return real(path, **kwargs)
+
+    def refuse(path):
+        raise reebspec.errors.NonIsolatedCrossingError("synthetic: the family path")
+
+    monkeypatch.setattr(reebspec.ellipsoid, "cz_index", odd)
+    monkeypatch.setattr(reebspec.ellipsoid, "find_crossings", refuse)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("route, extra, status", [
+    ("family", (), 0), ("samples", ("--samples", "8192"), 0), ("fallback", (), 3)])
+def test_spectrum_cross_check_views_equal_the_record_reference(capsys, monkeypatch, route,
+                                                               extra, status, fmt):
+    # each row against the record of the per-orbit oracle, which the family
+    # route equals on W3 and the --samples and fallback routes call
+    if route == "fallback":
+        _fallback_with_odd_rows(monkeypatch)
+    samples = int(extra[1]) if extra else None
+    code, out, _ = run(capsys, "spectrum", *W3_ARGS, "--max-degree", "30",
+                       "--cross-check", *extra, "--format", fmt)
+    assert code == status
+    assert out == _spectrum_reference(
+        30, fmt, lambda e, j, n: reebspec.ellipsoid.cross_check_index(e, j, n, samples))
+    if route == "fallback" and fmt == "json":
+        odd = [r for r in json.loads(out)["orbits"] if (r["j"], r["n"]) in ((1, 2), (2, 1))]
+        assert [r.get("note") for r in odd] == [None, 'flat "dip" at t = 2\u03c0']
+        assert [r["numeric_cz"] for r in odd] == ["7/2", None]
+
+
+def test_spectrum_status_is_decided_before_the_first_byte(capsys, monkeypatch):
+    # every check runs before any row is written, so an error on the third
+    # orbit leaves stdout empty
+    calls = []
+
+    def third_raises(e, j, n, sample_count=None):
+        calls.append((j, n))
+        if len(calls) == 3:
+            raise RuntimeError("the third orbit")
+        return reebspec.cross_check_index(e, j, n, sample_count=sample_count)
+
+    monkeypatch.setattr(cli, "cross_check_index", third_raises)
+    code, out, err = run(capsys, "spectrum", *W3_ARGS, "--max-degree", "30",
+                         "--cross-check", "--samples", "8192")
+    assert (code, out, len(calls)) == (cli.EXIT_SOFTWARE, "", 3)
+    assert err == "internal error: RuntimeError: the third orbit\n"
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +892,9 @@ def test_sh_passes_two_ladders_on_a_first_difference(monkeypatch):
 
 
 def test_json_of_the_sh_ladder_peaks_under_twice_its_length():
-    # the pieces, the rows text once, and one join: about 1.74 times the
-    # document.  Concatenating the rows text into each enclosing container
+    # the pieces, the rows text once, and one join: about 1.5 times the
+    # document (1.74 times with the rows filled by one % for the whole
+    # array).  Concatenating the rows text into each enclosing container
     # peaked at 2.5 times
     args = cli.build_parser().parse_args(
         ["sh", "--d", "2", "--weights", "1;sqrt(2);1+sqrt(2)", "--max-degree", "200002"])
@@ -799,10 +909,60 @@ def test_json_of_the_sh_ladder_peaks_under_twice_its_length():
     assert peak < 2 * len(text)
 
 
+class _NullWriter:
+    """A stdout that keeps only the number of characters written to it and
+    the length of its longest write."""
+
+    def __init__(self):
+        self.size = self.longest = 0
+
+    def write(self, text):
+        self.size += len(text)
+        self.longest = max(self.longest, len(text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_spectrum_and_sh_write_their_rows_as_they_are_rendered(monkeypatch):
+    # spectrum keeps two index arrays and one chunk of rows, where one
+    # ReebOrbit and one row dict per orbit took 604 bytes per orbit; sh
+    # keeps its ladder's row chunks once, where joining the document took
+    # 1.74 times its length
+    monkeypatch.setattr(sys, "stdout", _NullWriter())
+    main(["spectrum", *W3_ARGS, "--max-degree", "2002"])   # imports outside the peak
+    sink = _NullWriter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", *W3_ARGS, "--max-degree", "200002"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 100000 + 4 * 2**20
+    assert sink.longest < sink.size / 20    # a chunk of rows per write
+    args = cli.build_parser().parse_args(["sh", *W3_ARGS, "--max-degree", "200002"])
+    _, payload = cli.cmd_sh(args)
+    sink = _NullWriter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._emit(args, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 6889127 + 1
+    assert peak < 1.25 * 6889127
+    assert sink.longest < sink.size / 20
+
+
 def test_json_of_a_spectrum_joins_each_finished_container():
-    # each finished row becomes one piece: about 2.75 times the document.
-    # Keeping every key, value and separator as its own piece until the one
-    # join peaked at 8.4 times, and nested concatenation at 3.0 times
+    # the rows come one chunk per piece: about 2.1 times the document (2.75
+    # times with one piece per row dict).  Keeping every key, value and
+    # separator as its own piece until the one join peaked at 8.4 times, and
+    # nested concatenation at 3.0 times
     args = cli.build_parser().parse_args(
         ["spectrum", "--d", "2", "--weights", "1;sqrt(2);1+sqrt(2)", "--max-degree", "20002"])
     _, payload = cli.cmd_spectrum(args)

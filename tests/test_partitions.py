@@ -459,9 +459,10 @@ def test_uspensky_witnesses_of_rational_and_slow_slopes(weights, report):
 
 
 def test_cover_memory_does_not_grow_with_the_limit(w3):
-    # the cover peaks near 0.45 MB here, whatever the limit; one that pulls
-    # a chunk of every stream per window, so that the sparse set runs
-    # ahead, carries 1.5 MB at 2 * 10**5 and more as the limit grows
+    # the cover peaks near 0.84 MB here (844-850 kB traced at 2 * 10**5 and
+    # at 10**6), whatever the limit; one that pulls a chunk of every stream
+    # per window, so that the sparse set runs ahead, carries 1.5 MB at
+    # 2 * 10**5 and more as the limit grows
     verify_partition(w3, 1000)       # imports and caches outside the peak
     tracemalloc.start()
     try:
