@@ -32,9 +32,9 @@ never as decimals.  Each subcommand computes one JSON payload, and the csv
 and text formats are views of it.  Every verdict and the exit status are
 decided before the first byte; the output is then written as it is
 rendered, rows one chunk per write, and is never joined into one document.
-The JSON renderer writes exactly the bytes of json.dumps(payload,
-sort_keys=True, indent=2), without the pure-Python encoder that indent
-selects in json.
+The JSON output is json.dumps(payload, sort_keys=True, indent=2), byte for
+byte: json.dumps writes all of it but the rows, which are filled in with
+one row template per chunk.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction_json(fr):
-    if fr is None:
-        return None
-    fr = Fraction(fr)
     if fr.denominator == 1:
         return int(fr)
     return f"{fr.numerator}/{fr.denominator}"
@@ -103,18 +100,19 @@ def _parse_weights(args):
     return [context.parse(p) for p in _split_items(args.weights, ";", "--weights")]
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _sample_count(text):
-    value = _positive_int(text)
-    if value > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
-    return value
+def _int_option(low, cap=None):
+    """An argparse type: an integer from low to cap (no cap if None)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
+        return value
+    return parse
 
 
 def _require_samples(samples, needed, what):
@@ -122,20 +120,6 @@ def _require_samples(samples, needed, what):
         raise _UsageError(f"--samples {samples} is too coarse for {what}: need --samples "
                           f"{needed} or more" + (f", above the cap {MAX_SAMPLES}"
                                                  if needed > MAX_SAMPLES else ""))
-
-
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _max_degree(text):
-    value = _nonneg_int(text)
-    if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}, got {value}")
-    return value
 
 
 def build_parser():
@@ -155,17 +139,17 @@ def build_parser():
     mode.add_argument("--analytic", action="store_true")
     mode.add_argument("--numeric", action="store_true")
     mode.add_argument("--both", action="store_true")
-    p_cz.add_argument("--samples", type=_sample_count, default=4096,
+    p_cz.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=4096,
                       help="grid size for the numeric engine (at most "
                            f"{MAX_SAMPLES}, at least 8 per turn + 16)")
 
     p_sp = sub.add_parser("spectrum", parents=[field_args],
                           help="Reeb orbits of an ellipsoid")
-    p_sp.add_argument("--max-degree", required=True, type=_max_degree,
+    p_sp.add_argument("--max-degree", required=True, type=_int_option(0, MAX_DEGREE),
                       help=f"at most {MAX_DEGREE}")
     p_sp.add_argument("--cross-check", action="store_true",
                       help="verify each index against the numeric engine")
-    p_sp.add_argument("--samples", type=_sample_count, default=None,
+    p_sp.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=None,
                       help="with --cross-check, check each orbit on its own "
                            "path with this grid size over [0, n*pi*a_j] (at most "
                            f"{MAX_SAMPLES}); by default every iterate of "
@@ -173,12 +157,12 @@ def build_parser():
 
     p_pt = sub.add_parser("partition", parents=[field_args],
                           help="partition scans in exact arithmetic")
-    p_pt.add_argument("--limit", required=True, type=_positive_int)
+    p_pt.add_argument("--limit", required=True, type=_int_option(1))
     p_pt.add_argument("--mode", choices=("tamura", "beatty-pair", "uspensky"),
                       default="tamura")
 
     p_sh = sub.add_parser("sh", parents=[field_args], help="degree-dimension comparison")
-    p_sh.add_argument("--max-degree", required=True, type=_max_degree,
+    p_sh.add_argument("--max-degree", required=True, type=_int_option(0, MAX_DEGREE),
                       help=f"at most {MAX_DEGREE}")
 
     for command, p in sub.choices.items():
@@ -467,80 +451,67 @@ _VIEWS = {
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+# what json.dumps writes in place of each rows object; a payload string that
+# spells it makes _json_pieces raise ValueError rather than write wrong bytes
+_HOLE = "\0rows"
+_HOLE_JSON = _encode_str(_HOLE)
 
 
-def _json(value, indent=2):
-    """json.dumps(value, sort_keys=True, indent=indent), byte for byte: the
-    pieces of _json_pieces joined once."""
-    return "".join(_json_pieces(value, indent))
+def _json(value):
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte: the pieces
+    of _json_pieces joined once."""
+    return "".join(_json_pieces(value))
 
 
-def _json_pieces(value, indent=2):
-    """The text of json.dumps(value, sort_keys=True, indent=indent), byte for
+def _json_pieces(value):
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for
     byte, in pieces: the rows of an int64 array or an _OrbitRows one chunk
     per piece.
 
-    Strings, ints, bools and None are written here, lists and str-keyed
-    dicts are joined here, a non-empty 2-D int64 ndarray is written as the
-    list of its rows with one row template per chunk, and an _OrbitRows as
-    its rows (_orbit_json).  Every other value (floats, NaN and the
-    infinities, dicts with other keys, unserializable objects) goes to
-    json.dumps itself and is re-indented.  A finished list or dict becomes
-    one piece unless it holds rows, which are rendered once per object and
-    indentation for an ndarray, and as they are consumed for an _OrbitRows.
+    json.dumps writes every byte but the rows: its default turns each
+    non-empty 2-D int64 ndarray and _OrbitRows into a marker string, an
+    empty one into its plain list, and raises json's TypeError for any other
+    object, before the first piece.  Each marker is then filled with the
+    rows at the indentation of its line: one row template per chunk
+    (_int64_rows) for an ndarray, rendered once per object and indentation,
+    and _orbit_json for an _OrbitRows.
     """
-    out = []
-    _render(value, "\n", " " * indent, {}, out)
-    return chain.from_iterable([piece] if isinstance(piece, str) else piece for piece in out)
+    holes, memo = [], {}
+
+    def hole(rows):
+        if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2:
+            if not rows.size:
+                return rows.tolist()
+        elif not isinstance(rows, _OrbitRows):
+            return json.JSONEncoder().default(rows)
+        elif not len(rows):
+            return []
+        holes.append(rows)
+        return _HOLE
+
+    parts = json.dumps(value, sort_keys=True, indent=2, default=hole).split(_HOLE_JSON)
+    if len(parts) != len(holes) + 1:
+        raise ValueError(f"a string in the JSON payload spells the rows marker {_HOLE!r}")
+    yield parts[0]
+    for rows, before, after in zip(holes, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        inner = newline + "  "
+        if isinstance(rows, _OrbitRows):
+            chunks = _orbit_json(rows, inner)
+        elif (key := (id(rows), newline)) in memo:
+            chunks = memo[key]
+        else:
+            chunks = memo[key] = list(_int64_rows(rows, inner))
+        yield "[" + inner
+        yield from chunks
+        yield newline + "]" + after
 
 
-def _render(value, newline, step, memo, out):
-    # appends value's text to out, rows as one iterable of chunks; True if
-    # it holds rows.  memo maps (id, newline) to an ndarray's list of row
-    # chunks; newline is "\n" + value's indentation
-    inner, start, held = newline + step, len(out), False
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif value is None or value is True or value is False:
-        out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        for sep, x in zip(chain(["[" + inner], repeat("," + inner)), value):
-            out.append(sep)
-            held = _render(x, inner, step, memo, out) or held
-        out.append(newline + "]" if value else "[]")
-    elif isinstance(value, np.ndarray) and value.dtype == np.int64 and value.ndim == 2:
-        if not value.size:
-            return _render(value.tolist(), newline, step, memo, out)
-        key = (id(value), newline)
-        if key not in memo:
-            memo[key] = list(_int64_rows(value, inner, step))
-        out += ("[" + inner, memo[key], newline + "]")
-        return True
-    elif isinstance(value, _OrbitRows):
-        if not len(value):
-            out.append("[]")
-            return False
-        out += ("[" + inner, _orbit_json(value, inner, step), newline + "]")
-        return True
-    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        for sep, k in zip(chain(["{" + inner], repeat("," + inner)), sorted(value)):
-            out += (sep, _encode_str(k), ": ")
-            held = _render(value[k], inner, step, memo, out) or held
-        out.append(newline + "}" if value else "{}")
-    else:
-        # a JSON string never holds a raw newline, so this re-indents safely
-        out.append(json.dumps(value, sort_keys=True, indent=len(step)).replace("\n", newline))
-    if not held and len(out) > start + 1:   # a finished container is one piece
-        out[start:] = ["".join(out[start:])]
-    return held
-
-
-def _int64_rows(value, inner, step):
+def _int64_rows(value, inner):
     """The rows of a non-empty 2-D int64 array, each a JSON list at
     indentation inner, joined by commas, a chunk of rows at a time."""
-    deeper = inner + step
+    deeper = inner + "  "
     row = "[" + deeper + ("," + deeper).join(["%d"] * value.shape[1]) + inner + "]"
     return _filled(row, "," + inner, _int64_blocks(value))
 
@@ -553,12 +524,12 @@ def _int64_blocks(value):
         yield len(block), tuple(block.ravel().tolist())
 
 
-def _orbit_json(rows, inner, step):
+def _orbit_json(rows, inner):
     """The chunks of an _OrbitRows' rows as json.dumps writes them at
     indentation inner: each row a dict of sorted keys, period_coeff a
     string, numeric_cz an int, a "t/2" string or null, agree a bool or null,
     and a note only where the cross-check was inconclusive."""
-    f = inner + step
+    f = inner + "  "
     cz_j_n = f + '"cz": %d,' + f + '"j": %d,' + f + '"n": %d,'
     period = f + '"period_coeff": "%d*pi*(%s)"' + inner + "}"
     weights = [_encode_str(w)[1:-1] for w in rows.weights]
@@ -592,6 +563,8 @@ def main(argv=None):
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as done:   # --help, after writing the help text to stdout
+        return done.code
     except HypothesisViolation as err:
         print(f"hypothesis violation: {err}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -815,6 +815,35 @@ def test_max_degree_above_the_cap_exits_before_any_work(capsys, monkeypatch, com
     assert args.max_degree == cli.MAX_DEGREE
 
 
+@pytest.mark.parametrize("argv, low, cap", [
+    (("partition", *W3_ARGS, "--limit"), 1, None),
+    (("sh", *W3_ARGS, "--max-degree"), 0, cli.MAX_DEGREE),
+    (("cz", "--freqs", "1", "--duration", "1", "--samples"), 1, cli.MAX_SAMPLES),
+], ids=["limit", "max-degree", "samples"])
+def test_integer_options_name_the_flag_and_no_private_function(capsys, argv, low, cap):
+    flag = argv[-1]
+    cases = [(text, f"must be an integer, got {text!r}") for text in ("abc", "1.5")]
+    # 0 is a valid --max-degree, so -1 is its one refused value below the range
+    cases += [(str(value), f"must be at least {low}, got {value}")
+              for value in sorted({low - 1, -1})]
+    if cap is not None:
+        cases.append((str(cap + 1), f"must be at most {cap}, got {cap + 1}"))
+    for text, message in cases:
+        code, out, err = run(capsys, *argv, text)
+        assert (code, out, err) == (64, "", f"usage error: argument {flag}: {message}\n")
+        assert "_" not in err   # no private function is named
+    args = cli.build_parser().parse_args([*argv, str(low)])
+    assert vars(args)[flag[2:].replace("-", "_")] == low
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sh", "--help"]])
+def test_help_returns_zero_with_the_help_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: reebspec " + " ".join(argv[:-1]))
+    assert ("--max-degree" in out) == (argv[0] == "sh")
+
+
 # ---------------------------------------------------------------------------
 # the JSON renderer against json.dumps
 # ---------------------------------------------------------------------------
@@ -832,23 +861,38 @@ _rows = (st.integers(1, 3).flatmap(lambda w: st.lists(
          | st.lists(st.lists(st.integers(), max_size=3)))
 
 
+_int64 = st.integers(-(2**63), 2**63 - 1)
+# int64 arrays, which _json writes as holes that json.dumps leaves
+_arrays = hnp.arrays(np.int64, st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                     elements=_int64)
+
+
 def _containers(children):
     return (st.lists(children) | st.lists(children).map(tuple)
             | st.dictionaries(_keys, children)
             | st.dictionaries(st.integers(), children) | _rows)
 
 
+def _plain(value):
+    """value with each ndarray as its list, as json.dumps takes it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 @settings(max_examples=200)
-@given(st.recursive(_leaves | _rows, _containers, max_leaves=40))
+@given(st.recursive(_leaves | _rows | _arrays, _containers, max_leaves=40))
 @example({"a": [], "b": {}, "c": [[], {}], "d": [[1, 2], [3, 4]]})
 @example([[1, True], [2, False]])
 @example([[1, 2], [3]])
 @example({"x": [[2**64, -(2**70)]], "y": [-0.0, 1e300, math.nan, math.inf]})
+@example({1: np.ones((2, 2), dtype=np.int64), 2: [1.5, np.ones((1, 3), dtype=np.int64)]})
 def test_json_renderer_equals_json_dumps(value):
-    assert cli._json(value, 2) == json.dumps(value, sort_keys=True, indent=2)
-
-
-_int64 = st.integers(-(2**63), 2**63 - 1)
+    assert cli._json(value) == json.dumps(_plain(value), sort_keys=True, indent=2)
 
 
 @settings(max_examples=200)
@@ -859,12 +903,78 @@ _int64 = st.integers(-(2**63), 2**63 - 1)
 @example(np.array([[-(2**63), 2**63 - 1], [-1, 0]], dtype=np.int64), {"a": 1})
 def test_json_renderer_writes_int64_rows_as_json_dumps(rows, others):
     expected = rows.tolist()
-    assert cli._json(rows, 2) == json.dumps(expected, sort_keys=True, indent=2)
+    assert cli._json(rows) == json.dumps(expected, sort_keys=True, indent=2)
     # one object under two keys at one depth is rendered once, and reused
     nested = {**others, "rows": rows, "same": rows, "deeper": {"rows": rows, "same": rows}}
     expected = {**others, "rows": expected, "same": expected,
                 "deeper": {"rows": expected, "same": expected}}
-    assert cli._json(nested, 2) == json.dumps(expected, sort_keys=True, indent=2)
+    assert cli._json(nested) == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def _w3_orbits(max_degree):
+    """W3's _OrbitRows to max_degree and the list of row dicts it stands for."""
+    args = cli.build_parser().parse_args(["spectrum", *W3_ARGS, "--max-degree",
+                                          str(max_degree)])
+    reference = json.loads(_spectrum_reference(max_degree, "json"))["orbits"]
+    return cli.cmd_spectrum(args)[1]["orbits"], reference
+
+
+@pytest.mark.parametrize("where", ["value", "key"])
+@pytest.mark.parametrize("text", [cli._HOLE, '"' + cli._HOLE, cli._HOLE + '"', "\0",
+                                  "rows", "\\u0000rows", " " + cli._HOLE],
+                         ids=["marker", "quote-marker", "marker-quote", "nul", "rows",
+                              "escaped", "space-marker"])
+def test_json_holes_write_json_dumps_bytes_or_raise(text, where):
+    # a payload string that spells the marker, as a value or a dict key at two
+    # depths, beside real ndarray and _OrbitRows holes: either json.dumps'
+    # bytes or a ValueError, never wrong bytes
+    orbits, orbit_list = _w3_orbits(20)
+    ladder = np.array([[3, 1], [5, 2], [7, 1]], dtype=np.int64)
+
+    def document(orbits, ladder):
+        leaf = {text: 1} if where == "key" else text
+        return {"a": leaf, "ladder": ladder, "orbits": orbits,
+                "deeper": [leaf, ladder, orbits, {"ladder": ladder, "orbits": orbits,
+                                                  "z": [leaf]}]}
+
+    expected = json.dumps(document(orbit_list, ladder.tolist()), sort_keys=True, indent=2)
+    try:
+        text_out = cli._json(document(orbits, ladder))
+    except ValueError:
+        assert cli._HOLE in text
+    else:
+        assert text_out == expected
+
+
+def test_json_renders_one_ladder_under_two_keys_at_two_depths(monkeypatch):
+    # as sh passes one ladder for both counts: its rows are rendered once per
+    # indentation, and each copy has json.dumps' bytes
+    ladder = np.arange(2 * (cli._CHUNK + 3), dtype=np.int64).reshape(-1, 2)
+    calls, real = [], cli._int64_rows
+
+    def spy(rows, inner):
+        calls.append(inner)
+        return real(rows, inner)
+
+    monkeypatch.setattr(cli, "_int64_rows", spy)
+    value = {"formula": ladder, "orbits": ladder,
+             "deeper": {"formula": ladder, "orbits": ladder}}
+    expected = {"formula": ladder.tolist(), "orbits": ladder.tolist()}
+    assert cli._json(value) == json.dumps({**expected, "deeper": expected},
+                                          sort_keys=True, indent=2)
+    assert sorted(calls) == ["\n    ", "\n      "]
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), np.arange(3, dtype=np.int64),
+                                 np.zeros((2, 2), dtype=np.int32), object()],
+                         ids=["int64-scalar", "int64-1d", "int32-2d", "object"])
+def test_json_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError) as ours:
+        cli._json({"rows": [obj]})
+    with pytest.raises(TypeError) as theirs:
+        json.dumps({"rows": [obj]})
+    assert str(ours.value) == str(theirs.value)
+    assert str(ours.value).endswith(" is not JSON serializable")
 
 
 def _sh_payload():
@@ -1002,6 +1112,28 @@ def test_output_is_byte_identical(capsys, argv):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (("cz", "--freqs", "1,1.5", "--duration", "7.3", "--both"), 0,
+     "0802f2dd9271c63a94d1a0e1c3efa440c298a0f1bbd06f827e344393002c9f97"),
+    (("partition", "--d", "5", "--weights", "1/2+1/2*sqrt(5)", "--limit", "1000",
+      "--mode", "beatty-pair"), 0,
+     "4cf366d22caa90cf5f8a0240511d999062751e0e19a019a3a999f5f8bd1be25c"),
+    (("partition", *W3_ARGS, "--limit", "1000", "--mode", "uspensky"), 1,
+     "6bc49e55557706403e8f3d562fdd6289f3b080f3c30a20ac658e33c4d4397a5f"),
+    (("sh", "--d", "2", "--weights", "1; sqrt(2)", "--max-degree", "1"), 0,
+     "6729d15d6aa7c6d7fe9e19d310da178c49d19ae97d4faa66225be7c222f65106"),
+    (("spectrum", "--d", "2", "--weights", "1; sqrt(2)", "--max-degree", "2"), 0,
+     "19ad439a1497f18234ece963f2f3354428c2cf771c230f3b1a6df1844b053b62"),
+], ids=["cz-floats", "beatty-pair", "uspensky-witness", "sh-empty-ladders",
+        "spectrum-no-orbits"])
+def test_small_documents_are_pinned(capsys, argv, code, digest):
+    # floats, a null gap, a collision dict, empty ladders and an empty orbit
+    # list: the bytes json.dumps(payload, sort_keys=True, indent=2) writes
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
