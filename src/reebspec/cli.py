@@ -34,7 +34,8 @@ decided before the first byte; the output is then written as it is
 rendered, rows one chunk per write, and is never joined into one document.
 The JSON output is json.dumps(payload, sort_keys=True, indent=2), byte for
 byte: json.dumps writes all of it but the rows, which are filled in with
-one row template per chunk.
+one row template per chunk.  A call registers only the subcommand it runs,
+and all four when argv names none, so help and error bytes are unchanged.
 """
 
 from __future__ import annotations
@@ -122,50 +123,53 @@ def _require_samples(samples, needed, what):
                                                  if needed > MAX_SAMPLES else ""))
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The reebspec parser for argv: when argv[0] names a subcommand, only
+    that one is registered; otherwise (no argv, --help, an unknown name or a
+    leading option) all four are, so the help and the invalid-choice error
+    list them all."""
     parser = _Parser(prog="reebspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     field_args = _Parser(add_help=False)
-    field_args.add_argument("--d", required=True, type=int,
+    field_args.add_argument("--d", required=True, type=_int_option(2),
                             help="radicand of Q(sqrt(d))")
     field_args.add_argument("--weights", required=True,
                             help="semicolon-separated weight expressions")
-
-    p_cz = sub.add_parser("cz", help="Conley-Zehnder index of a rotation path")
-    p_cz.add_argument("--freqs", required=True,
-                      help="comma-separated positive frequencies")
-    p_cz.add_argument("--duration", required=True, type=float)
-    mode = p_cz.add_mutually_exclusive_group()
-    mode.add_argument("--analytic", action="store_true")
-    mode.add_argument("--numeric", action="store_true")
-    mode.add_argument("--both", action="store_true")
-    p_cz.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=4096,
-                      help="grid size for the numeric engine (at most "
-                           f"{MAX_SAMPLES}, at least 8 per turn + 16)")
-
-    p_sp = sub.add_parser("spectrum", parents=[field_args],
-                          help="Reeb orbits of an ellipsoid")
-    p_sp.add_argument("--max-degree", required=True, type=_int_option(0, MAX_DEGREE),
-                      help=f"at most {MAX_DEGREE}")
-    p_sp.add_argument("--cross-check", action="store_true",
-                      help="verify each index against the numeric engine")
-    p_sp.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=None,
-                      help="with --cross-check, check each orbit on its own "
-                           "path with this grid size over [0, n*pi*a_j] (at most "
-                           f"{MAX_SAMPLES}); by default every iterate of "
-                           "every simple orbit is read from one crossing search")
-
-    p_pt = sub.add_parser("partition", parents=[field_args],
-                          help="partition scans in exact arithmetic")
-    p_pt.add_argument("--limit", required=True, type=_int_option(1))
-    p_pt.add_argument("--mode", choices=("tamura", "beatty-pair", "uspensky"),
-                      default="tamura")
-
-    p_sh = sub.add_parser("sh", parents=[field_args], help="degree-dimension comparison")
-    p_sh.add_argument("--max-degree", required=True, type=_int_option(0, MAX_DEGREE),
-                      help=f"at most {MAX_DEGREE}")
-
-    for command, p in sub.choices.items():
+    helps = {"cz": "Conley-Zehnder index of a rotation path",
+             "spectrum": "Reeb orbits of an ellipsoid",
+             "partition": "partition scans in exact arithmetic",
+             "sh": "degree-dimension comparison"}
+    only = argv[0] if argv and argv[0] in helps else None
+    for command, text in helps.items():
+        if only not in (None, command):
+            continue
+        p = sub.add_parser(command, parents=[] if command == "cz" else [field_args], help=text)
+        if command == "cz":
+            p.add_argument("--freqs", required=True,
+                           help="comma-separated positive frequencies")
+            p.add_argument("--duration", required=True, type=float)
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--analytic", action="store_true")
+            mode.add_argument("--numeric", action="store_true")
+            mode.add_argument("--both", action="store_true")
+            p.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=4096,
+                           help="grid size for the numeric engine (at most "
+                                f"{MAX_SAMPLES}, at least 8 per turn + 16)")
+        elif command == "partition":
+            p.add_argument("--limit", required=True, type=_int_option(1))
+            p.add_argument("--mode", choices=("tamura", "beatty-pair", "uspensky"),
+                           default="tamura")
+        else:   # spectrum and sh
+            p.add_argument("--max-degree", required=True, type=_int_option(0, MAX_DEGREE),
+                           help=f"at most {MAX_DEGREE}")
+        if command == "spectrum":
+            p.add_argument("--cross-check", action="store_true",
+                           help="verify each index against the numeric engine")
+            p.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=None,
+                           help="with --cross-check, check each orbit on its own "
+                                "path with this grid size over [0, n*pi*a_j] (at most "
+                                f"{MAX_SAMPLES}); by default every iterate of "
+                                "every simple orbit is read from one crossing search")
         p.add_argument("--format", choices=("json", *_VIEWS[command]), default="json")
     return parser
 
@@ -553,7 +557,8 @@ def _emit(args, payload):
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         status, payload = _HANDLERS[args.command](args)

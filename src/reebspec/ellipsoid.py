@@ -397,7 +397,8 @@ def _family_twice(e, elements):
         return {}
     ends = {j: _periods(e, j, range(1, len(a) + 1)) for j, a in sorted(elements.items())}
     t_max = max(t[-1] for t in ends.values())
-    path = RotationPath(_reeb_freqs(e), t_max, sample_count=family_samples(e, elements))
+    freqs = _reeb_freqs(e)
+    path = RotationPath(freqs, t_max, sample_count=_default_samples(freqs, t_max))
     try:
         crossings = find_crossings(path)
         twice = {j: _catenated_twice(crossings, t, ISOLATION_FACTOR * t_max)

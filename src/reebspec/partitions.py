@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -35,7 +35,6 @@ from .quadfield import (
     QuadIrrational,
     _floor_exact,
     _slope_blocks,
-    pairwise_rational_ratio,
 )
 
 __all__ = [
@@ -135,8 +134,10 @@ class TamuraFamily:
     """The m generators n -> sum_k floor(n * a_j / a_k) for fixed weights.
 
     Each generator is strictly increasing in n because the k = j term alone
-    advances by exactly one per step.  The irrationality hypothesis is
-    checked at construction for m >= 2.
+    advances by exactly one per step.  Construction divides each ordered
+    pair of weights once, a_j/a_k for j != k (the ratio a_j/a_j is the
+    triple (1, 0, 1)), and the one table serves both the irrationality
+    hypothesis, checked for m >= 2, and the generators' slopes.
     """
 
     def __init__(self, weights):
@@ -144,14 +145,17 @@ class TamuraFamily:
         if not weights:
             raise ValueError("need at least one weight")
         _require_positive(weights)
-        violation = pairwise_rational_ratio(weights)
-        if violation is not None:
-            raise HypothesisViolation.rational_ratio(*violation)
+        m = len(weights)
+        ratios = [[weights[j] / weights[k] if j != k else None for k in range(m)]
+                  for j in range(m)]
+        # the first rational a_j/a_k with j < k, as pairwise_rational_ratio finds it
+        for j, k in combinations(range(m), 2):
+            if ratios[j][k].is_rational():
+                raise HypothesisViolation.rational_ratio(j + 1, k + 1, ratios[j][k])
         self.weights = weights
         self._d = weights[0].d
-        self._ratio_triples = [
-            [(aj / ak).scaled_triple() for ak in weights] for aj in weights
-        ]
+        self._ratio_triples = [[(1, 0, 1) if r is None else r.scaled_triple() for r in row]
+                               for row in ratios]
 
     @property
     def m(self):

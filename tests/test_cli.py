@@ -844,6 +844,91 @@ def test_help_returns_zero_with_the_help_on_stdout(capsys, argv):
     assert ("--max-degree" in out) == (argv[0] == "sh")
 
 
+# the bytes of each help text at 80 columns (Python 3.10 and 3.11 agree);
+# main() registers only the subcommand it runs, and the help must not show it
+@pytest.mark.parametrize("argv, digest", [
+    (["--help"], "1179d9a9826dc55baa0643cc6bf32b29e6d695c6ea2fb09eacdde2f442fdb724"),
+    (["-h"], "1179d9a9826dc55baa0643cc6bf32b29e6d695c6ea2fb09eacdde2f442fdb724"),
+    (["cz", "--help"], "a48395e263e5e585df5ce23834f182369b1656e36a35e7e7efccb07425097f2d"),
+    (["spectrum", "--help"],
+     "9687ec21c0374b7e7e46b45e57a8eb563d77c3d2e6b9b4528bb47547349892b8"),
+    (["partition", "--help"],
+     "a7b3f4994a162d338590cf30096ad4a21e1673c0cb41f472024713857b66428d"),
+    (["sh", "--help"], "03e252e384aba9e4393963f44a9fe58657790b1048629e64c56a51fe699be9d6"),
+], ids=["help", "h", "cz", "spectrum", "partition", "sh"])
+def test_help_text_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_SH_ARGS = ("--d", "2", "--weights", "1;sqrt(2)", "--max-degree", "10")
+_INVALID_COMMAND = ("argument command: invalid choice: {!r} "
+                    "(choose from 'cz', 'spectrum', 'partition', 'sh')")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], _INVALID_COMMAND.format("bogus")),
+    (["--format", "json"], _INVALID_COMMAND.format("json")),
+    (["spectrum"], "the following arguments are required: --d, --weights, --max-degree"),
+    (["sh", "--d", "2"], "the following arguments are required: --weights, --max-degree"),
+    (["spectrum", *_SH_ARGS, "extra"], "unrecognized arguments: extra"),
+    (["cz", "--freqs", "1", "--duration", "1", "--analytic", "--numeric"],
+     "argument --numeric: not allowed with argument --analytic"),
+    (["sh", *_SH_ARGS, "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'csv', 'text')"),
+], ids=["empty", "bogus", "leading-option", "spectrum-required", "sh-required",
+        "extra", "exclusive", "format"])
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (64, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["sh", *_SH_ARGS], ["--help"]], ids=["sh", "help"])
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["reebspec", *argv])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert expected[0] == 0 and expected[1]
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["sh", *_SH_ARGS], 3),     # top level, the shared --d/--weights parent, sh
+    (["bogus"], 6),             # all four subcommands, to list them in the error
+], ids=["sh", "bogus"])
+def test_main_builds_only_the_parser_of_its_subcommand(capsys, monkeypatch, argv, parsers):
+    built = []
+    init = cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    code, _, _ = run(capsys, *argv)
+    assert (code, len(built)) == ((0 if argv[0] == "sh" else 64), parsers)
+
+
+@pytest.mark.parametrize("d, message", [
+    ("abc", "usage error: argument --d: must be an integer, got 'abc'"),
+    ("1.5", "usage error: argument --d: must be an integer, got '1.5'"),
+    ("1", "usage error: argument --d: must be at least 2, got 1"),
+    ("0", "usage error: argument --d: must be at least 2, got 0"),
+    ("-5", "usage error: argument --d: must be at least 2, got -5"),
+    ("4", "parse error: radicand 4 is a perfect square"),
+])
+@pytest.mark.parametrize("command", ["spectrum", "partition", "sh"])
+def test_radicand_option_is_an_integer_from_two(capsys, command, d, message):
+    extra = ("--limit", "10") if command == "partition" else ("--max-degree", "10")
+    argv = (command, "--d", d, "--weights", "1;sqrt(2)", *extra)
+    assert run(capsys, *argv) == (64, "", message + "\n")
+
+
 # ---------------------------------------------------------------------------
 # the JSON renderer against json.dumps
 # ---------------------------------------------------------------------------

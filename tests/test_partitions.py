@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (assert_integer_bound, beatty_stream, merged_cover, random_quad,
                      random_weights, tamura_streams)
-from reebspec import FieldContext, HypothesisViolation, QuadIrrational, floor_product
+from reebspec import (FieldContext, HypothesisViolation, QuadIrrational, floor_product,
+                      pairwise_rational_ratio)
 from reebspec.partitions import (
     PartitionReport,
     TamuraFamily,
@@ -137,6 +138,43 @@ def test_weights_of_another_type_raise_tamura_familys_type_error(call):
 def test_tamura_hypothesis_checked(ctx2):
     with pytest.raises(HypothesisViolation):
         TamuraFamily([ctx2.element(1), ctx2.element(2)])
+
+
+def _pairwise_irrational(ctx2, m):
+    return [ctx2.parse(w) for w in ("1", "sqrt(2)", "1+sqrt(2)", "2+sqrt(2)")[:m]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_tamura_family_divides_each_ordered_pair_once(ctx2, monkeypatch, m):
+    weights = _pairwise_irrational(ctx2, m)
+    old_table = [[(aj / ak).scaled_triple() for ak in weights] for aj in weights]
+    calls = []
+    divide = QuadIrrational.__truediv__
+
+    def spy(self, other):
+        calls.append((self, other))
+        return divide(self, other)
+
+    monkeypatch.setattr(QuadIrrational, "__truediv__", spy)
+    family = TamuraFamily(weights)
+    assert len(calls) == m * (m - 1)
+    assert all(a is not b for a, b in calls)
+    assert family._ratio_triples == old_table
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_tamura_family_reports_the_rational_pair_pairwise_rational_ratio_finds(ctx2, m):
+    base = _pairwise_irrational(ctx2, m)
+    cases = [[*base[:k], base[j] * Fraction(3, 2), *base[k + 1:]]
+             for j in range(m) for k in range(m) if j != k]
+    cases.append([ctx2.element(n) for n in range(1, m + 1)])   # every pair is rational
+    for weights in cases:
+        j, k, ratio = pairwise_rational_ratio(weights)
+        with pytest.raises(HypothesisViolation) as caught:
+            TamuraFamily(weights)
+        err = caught.value
+        assert (err.j, err.k, err.ratio) == (j, k, ratio)
+        assert str(err) == str(HypothesisViolation.rational_ratio(j, k, ratio))
 
 
 # ---------------------------------------------------------------------------
