@@ -532,7 +532,7 @@ def _refine(path, lo, hi, est, xatol):
 
 def _window_minima(path, lo, hi, gate_slope, xatol, width_floor):
     """Refine every dip inside each window [lo[w], hi[w]] to within xatol;
-    returns the candidate times, window by window.  A level's gate is
+    returns the candidate times in ascending order.  A level's gate is
     gate_slope * step + TOL_ACCEPT (see _low_pieces).
 
     Windows are rescanned at 16x finer resolution per level; candidate runs
@@ -548,24 +548,24 @@ def _window_minima(path, lo, hi, gate_slope, xatol, width_floor):
     runs and peak splits under the window's own gate.  A piece made final
     at a level takes its _v_fit estimate from that level's samples; a
     window made final before it is sampled (narrower than the floor, or 24
-    levels deep) has none.  _refine then certifies every estimate in one
-    stacked call and sends the rest to golden section in lockstep.  Each
-    piece carries a key that sorts the candidates in the order a depth-first
-    rescan of its window alone would find them: a node's own pieces first,
-    then the subtrees of its rescanned pieces, last-found first.
+    levels deep) has none.  Each level appends its final pieces as arrays,
+    with the index of the given window they lie in; _refine then certifies
+    every estimate in one stacked call and sends the rest to golden section
+    in lockstep.  Raises NonIsolatedCrossingError for the first given window
+    that keeps more than MAX_CANDIDATES candidates.
     """
-    windows = list(zip(lo.tolist(), hi.tolist()))
-    keys = [(w,) for w in range(len(lo))]
+    windows = np.column_stack((lo, hi))
+    win = np.arange(len(lo))
     depth, hint = np.zeros(len(lo), dtype=np.int64), np.full(len(lo), 65)
-    pieces = []  # (key, lo, hi, estimate)
-    while keys:
+    pieces = []  # (window, lo, hi, estimate) arrays, level by level
+    while True:
         width = hi - lo
         done = (width <= width_floor) | (depth >= 24)
-        pieces += [(keys[i], lo[i], hi[i], math.nan) for i in np.nonzero(done)[0].tolist()]
-        keys = [k for k, d in zip(keys, done.tolist()) if not d]
-        if not keys:
+        pieces.append((win[done], lo[done], hi[done], np.full(np.count_nonzero(done), np.nan)))
+        win, lo, hi, width, depth, hint = (
+            x[~done] for x in (win, lo, hi, width, depth, hint))
+        if not len(lo):
             break
-        lo, hi, width, depth, hint = (x[~done] for x in (lo, hi, width, depth, hint))
         # resolution endgame: sample densely enough that unimodal pieces
         # are trustworthy down to the width floor
         counts = np.where(width > 16.0 * width_floor, hint, np.maximum(
@@ -582,71 +582,53 @@ def _window_minima(path, lo, hi, gate_slope, xatol, width_floor):
         first, last = _low_pieces(
             sigma, np.repeat(gate_slope * step + TOL_ACCEPT, counts), starts)
         row = np.searchsorted(starts, first, side="right") - 1
-        found = (np.arange(len(first)) - np.searchsorted(first, starts)[row] + 1).tolist()
         i_lo, i_hi = np.maximum(first - 1, starts[row]), np.minimum(last + 1, ends[row])
         w_lo, w_hi = ts[i_lo], ts[i_hi]
         final = (step[row] <= width_floor / 2.0) | (w_hi - w_lo <= width_floor)
-        rows = row.tolist()
-        est = _v_fit(ts, sigma, i_lo[final], i_hi[final]).tolist()
-        pieces += [(keys[rows[i]] + (0, found[i]), w_lo[i], w_hi[i], e)
-                   for i, e in zip(np.nonzero(final)[0].tolist(), est)]
-        rescan = np.nonzero(~final)[0]
-        keys = [keys[rows[i]] + (1, -found[i]) for i in rescan.tolist()]
-        row, lo, hi = row[rescan], w_lo[rescan], w_hi[rescan]
+        pieces.append((win[row[final]], w_lo[final], w_hi[final],
+                       _v_fit(ts, sigma, i_lo[final], i_hi[final])))
+        row, lo, hi = row[~final], w_lo[~final], w_hi[~final]
         # a run that spans its window with no visible structure: a narrow dip
         # may hide between samples in a uniformly low region, so rescan at
         # geometrically growing resolution
         hint = np.where(hi - lo > 0.7 * width[row], np.minimum(65537, 4 * counts[row]), 65)
-        depth = depth[row] + 1
-    if not pieces:
-        return []
-    keys, lo, hi, est = zip(*sorted(pieces))  # keys are unique
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    ts = _refine(path, lo, hi, np.array(est, dtype=float), xatol)
+        win, depth = win[row], depth[row] + 1
+    win, lo, hi, est = (np.concatenate(x) for x in zip(*pieces))
+    ts = _refine(path, lo, hi, est, xatol)
     # a genuine minimum never hugs an interior window edge: the gate
     # guarantees real zeros are strictly inside some piece, so a result
     # pinned to an edge is a wall point of a dip owned by a neighboring
     # piece (the path endpoints themselves are legitimate, though)
-    wall = (((ts - lo <= 4.0 * xatol) & (lo != path.a))
-            | ((hi - ts <= 4.0 * xatol) & (hi != path.b)))
-    out = []
-    per_window = [0] * len(windows)
-    for key, t, drop in zip(keys, ts.tolist(), wall.tolist()):
-        if not drop:
-            out.append(t)
-            per_window[key[0]] += 1
-    for (t_lo, t_hi), count in zip(windows, per_window):
-        if count > MAX_CANDIDATES:
-            raise NonIsolatedCrossingError(
-                f"more than {MAX_CANDIDATES} near-singular minima inside "
-                f"[{t_lo}, {t_hi}]; crossings are not isolated"
-            )
-    return out
+    keep = ~(((ts - lo <= 4.0 * xatol) & (lo != path.a))
+             | ((hi - ts <= 4.0 * xatol) & (hi != path.b)))
+    crowded = np.flatnonzero(np.bincount(win[keep], minlength=len(windows)) > MAX_CANDIDATES)
+    if crowded.size:
+        raise NonIsolatedCrossingError(
+            f"more than {MAX_CANDIDATES} near-singular minima inside "
+            f"{windows[crowded[0]].tolist()}; crossings are not isolated"
+        )
+    return np.sort(ts[keep]).tolist()
 
 
 def _genuine_minima(path, points, probe_max, probe_min, a, b):
     """Reject wall-point artifacts: for each (t, val), True unless sigma
     descends below val at some probed scale on either side.  The geometric
     ladder of probe distances catches a nearby zero whatever its distance
-    down to probe_min; every probe of every point is one stacked evaluation."""
+    down to probe_min; every probe of every point is one stacked evaluation,
+    t - r before t + r on each rung r, from the widest rung down."""
+    if not points:
+        return []
     rungs = []
     probe = probe_max
     while probe >= probe_min:
         rungs.append(probe)
         probe /= 4.0
-    ts, owner = [], []
-    for i, (t, _) in enumerate(points):
-        for r in rungs:
-            for s in (t - r, t + r):
-                if a <= s <= b:
-                    ts.append(s)
-                    owner.append(i)
-    genuine = [True] * len(points)
-    if ts:
-        for i, s in zip(owner, _sigma_min_many(path, np.array(ts)).tolist()):
-            if s < points[i][1] - TOL_DESCENT:
-                genuine[i] = False
-    return genuine
+    t, val = np.array(points, dtype=float).T
+    probes = t[:, None] + np.multiply.outer(rungs, [-1.0, 1.0]).ravel()
+    inside = (a <= probes) & (probes <= b)
+    sigma = np.full(probes.shape, np.inf)
+    sigma[inside] = _sigma_min_many(path, probes[inside])
+    return ~np.any(sigma < val[:, None] - TOL_DESCENT, axis=1)
 
 
 def _svd_stack(path, ts):
@@ -705,8 +687,9 @@ def crossing_form(path, t):
 def find_crossings(path):
     """All isolated crossing times of the path, sorted, with form data.
 
-    Raises FlatCrossingError when a genuine local minimum of sigma_min lands
-    in the ambiguous band [TOL_KERNEL, TOL_ACCEPT), and
+    Raises FlatCrossingError, naming the earliest, when a genuine local
+    minimum of sigma_min lands in the ambiguous band [TOL_KERNEL, TOL_ACCEPT),
+    and
     NonIsolatedCrossingError when two crossings are closer than
     ISOLATION_FACTOR * (b - a) — crossings within an eighth of that gap are
     treated as one and merged — or when the grid shows a singular plateau

@@ -93,11 +93,14 @@ _INT64_LIMIT = 1 << 63
 
 def _int64_bound(p, q, c, d, n_lo, n_hi):
     """F with |floor(n*x)| <= F for x = (p + q*sqrt(d))/c and n in
-    [n_lo, n_hi), when every product of the int64 sign tests of
-    f <= n*x < f+1, for any f in [-F, F], stays below 2**63 in magnitude;
-    None otherwise.  Python ints only.  A block of _slope_blocks is int64
-    where this guard holds and an object array of Python ints where it
-    fails."""
+    [n_lo, n_hi), when (n*p - f*c)**2 and (n*q)**2 * d stay below 2**63
+    for every such n and every f in [-F, F]; None otherwise.  Python ints
+    only.  A block of _slope_blocks is int64 exactly where this guard holds,
+    and an object array of Python ints where it fails.  The guard bounds
+    |n*p - f*c| by a_max >= (F + 1)*c > F, so inside it every floor is
+    below 2**31.5 in magnitude: ellipsoid._orbit_chunks relies on that to
+    compute cz in int64.  The tests' int64 certificate of f <= n*x < f+1
+    checks exactly these products."""
     big_n = max(abs(n_lo), abs(n_hi - 1), 1)
     bound = big_n * (abs(p) + abs(q) * (isqrt(d) + 1)) // c + 2
     a_max = big_n * abs(p) + (bound + 1) * c    # |n*p - f*c|, |n*p - (f+1)*c|

@@ -377,6 +377,8 @@ def test_spectrum_cross_check_keeps_its_sample_schedule(capsys, monkeypatch):
     assert [n for n, grid in calls if grid] == [10334]
     assert sum(n for n, _ in calls) == 28123
     assert len(calls) == 6
+    # stage by stage: the grid, four rescan levels and the V-fit check
+    assert [n for n, _ in calls] == [10334, 5200, 5329, 3120, 3900, 240]
 
 
 def test_spectrum_cross_check_steers_without_stacks(capsys, monkeypatch):

@@ -885,7 +885,7 @@ def stacked_candidate_times(path):
 def assert_level_pass_equals_the_loop(path):
     want, branches = loop_candidate_times(path)
     got = stacked_candidate_times(path)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert np.array(got).tobytes() == np.sort(want).tobytes()
     return branches
 
 
@@ -936,6 +936,44 @@ def test_level_pass_equals_the_loop_on_a_conjugated_path(monkeypatch):
     branches = assert_level_pass_equals_the_loop(path)
     assert sum(branches.values()) > 0
     assert sum(calls) > 2 * path.sample_count
+
+
+def test_candidates_ascend_in_time():
+    # the near-coincident pair yields 8 candidates from 4 windows over
+    # several rescan levels
+    got = stacked_candidate_times(RotationPath([1.0, 1.0 + 1e-5], TWO_PI * 3.5))
+    assert len(got) == 8
+    assert got == sorted(got)
+
+
+def test_crowded_window_raises_naming_the_first_one(monkeypatch):
+    # of the 4 windows of the near-coincident pair, the first holds one
+    # candidate and the second three: the second is the first crowded one
+    windows = []
+    real = czindex._window_minima
+    monkeypatch.setattr(czindex, "_window_minima",
+                        lambda path, lo, hi, *rest: windows.append(len(lo)) or real(
+                            path, lo, hi, *rest))
+    monkeypatch.setattr(czindex, "MAX_CANDIDATES", 1)
+    with pytest.raises(NonIsolatedCrossingError) as err:
+        find_crossings(RotationPath([1.0, 1.0 + 1e-5], TWO_PI * 3.5))
+    assert windows == [4]
+    assert str(err.value) == (
+        "more than 1 near-singular minima inside [6.277815063327296, 6.288555551031877]; "
+        "crossings are not isolated")
+
+
+def test_flat_crossing_names_the_earliest_flat():
+    # theta = 2e-4 + (t - 1)^2 (t - 3)^2 comes within 2e-4 of a crossing at
+    # both t = 1 and t = 3: both are genuine flats, and the earlier is named
+    def theta(ts):
+        return 2e-4 + (ts - 1.0) ** 2 * (ts - 3.0) ** 2
+
+    path = SymplecticPath(0.0, 4.0, lambda ts: rots(theta(ts)))
+    with pytest.raises(FlatCrossingError, match=r"sigma_min = 2\.000e-04") as err:
+        find_crossings(path)
+    t = float(str(err.value).split("t = ")[1].split(":")[0])
+    assert abs(t - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------
