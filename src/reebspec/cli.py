@@ -34,13 +34,15 @@ decided before the first byte; the output is then written as it is
 rendered, rows one chunk per write, and is never joined into one document.
 The JSON output is json.dumps(payload, sort_keys=True, indent=2), byte for
 byte: json.dumps writes all of it but the rows, which are filled in with
-one row template per chunk.  A call registers only the subcommand it runs,
-and all four when argv names none, so help and error bytes are unchanged.
+one row template per chunk.  A call whose argv names a subcommand builds
+the parser of that subcommand alone, and any other argv the parser of all
+four; either gives the same help and error bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -123,55 +125,62 @@ def _require_samples(samples, needed, what):
                                                  if needed > MAX_SAMPLES else ""))
 
 
-def build_parser(argv=None):
-    """The reebspec parser for argv: when argv[0] names a subcommand, only
-    that one is registered; otherwise (no argv, --help, an unknown name or a
-    leading option) all four are, so the help and the invalid-choice error
-    list them all."""
+_HELPS = {"cz": "Conley-Zehnder index of a rotation path",
+          "spectrum": "Reeb orbits of an ellipsoid",
+          "partition": "partition scans in exact arithmetic",
+          "sh": "degree-dimension comparison"}
+
+
+def build_parser(command=None):
+    """The parser of one subcommand, which main() gives the rest of argv when
+    argv[0] names it, or with no command the parser of all four, whose help
+    and invalid-choice error list them all."""
+    if command is not None:
+        parser = _Parser(prog=f"reebspec {command}")
+        parser.set_defaults(command=command)
+        _add_options(parser, command)
+        return parser
     parser = _Parser(prog="reebspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    field_args = _Parser(add_help=False)
-    field_args.add_argument("--d", required=True, type=_int_option(2),
-                            help="radicand of Q(sqrt(d))")
-    field_args.add_argument("--weights", required=True,
-                            help="semicolon-separated weight expressions")
-    helps = {"cz": "Conley-Zehnder index of a rotation path",
-             "spectrum": "Reeb orbits of an ellipsoid",
-             "partition": "partition scans in exact arithmetic",
-             "sh": "degree-dimension comparison"}
-    only = argv[0] if argv and argv[0] in helps else None
-    for command, text in helps.items():
-        if only not in (None, command):
-            continue
-        p = sub.add_parser(command, parents=[] if command == "cz" else [field_args], help=text)
-        if command == "cz":
-            p.add_argument("--freqs", required=True,
-                           help="comma-separated positive frequencies")
-            p.add_argument("--duration", required=True, type=float)
-            mode = p.add_mutually_exclusive_group()
-            mode.add_argument("--analytic", action="store_true")
-            mode.add_argument("--numeric", action="store_true")
-            mode.add_argument("--both", action="store_true")
-            p.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=4096,
-                           help="grid size for the numeric engine (at most "
-                                f"{MAX_SAMPLES}, at least 8 per turn + 16)")
-        elif command == "partition":
-            p.add_argument("--limit", required=True, type=_int_option(1))
-            p.add_argument("--mode", choices=("tamura", "beatty-pair", "uspensky"),
-                           default="tamura")
-        else:   # spectrum and sh
-            p.add_argument("--max-degree", required=True, type=_int_option(0, MAX_DEGREE),
-                           help=f"at most {MAX_DEGREE}")
-        if command == "spectrum":
-            p.add_argument("--cross-check", action="store_true",
-                           help="verify each index against the numeric engine")
-            p.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=None,
-                           help="with --cross-check, check each orbit on its own "
-                                "path with this grid size over [0, n*pi*a_j] (at most "
-                                f"{MAX_SAMPLES}); by default every iterate of "
-                                "every simple orbit is read from one crossing search")
-        p.add_argument("--format", choices=("json", *_VIEWS[command]), default="json")
+    for command, text in _HELPS.items():
+        _add_options(sub.add_parser(command, help=text), command)
     return parser
+
+
+def _add_options(p, command):
+    """Add the options of subcommand `command` to parser p."""
+    if command == "cz":
+        p.add_argument("--freqs", required=True,
+                       help="comma-separated positive frequencies")
+        p.add_argument("--duration", required=True, type=float)
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--analytic", action="store_true")
+        mode.add_argument("--numeric", action="store_true")
+        mode.add_argument("--both", action="store_true")
+        p.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=4096,
+                       help="grid size for the numeric engine (at most "
+                            f"{MAX_SAMPLES}, at least 8 per turn + 16)")
+    else:
+        p.add_argument("--d", required=True, type=_int_option(2),
+                       help="radicand of Q(sqrt(d))")
+        p.add_argument("--weights", required=True,
+                       help="semicolon-separated weight expressions")
+    if command == "partition":
+        p.add_argument("--limit", required=True, type=_int_option(1))
+        p.add_argument("--mode", choices=("tamura", "beatty-pair", "uspensky"),
+                       default="tamura")
+    elif command != "cz":   # spectrum and sh
+        p.add_argument("--max-degree", required=True, type=_int_option(0, MAX_DEGREE),
+                       help=f"at most {MAX_DEGREE}")
+    if command == "spectrum":
+        p.add_argument("--cross-check", action="store_true",
+                       help="verify each index against the numeric engine")
+        p.add_argument("--samples", type=_int_option(1, MAX_SAMPLES), default=None,
+                       help="with --cross-check, check each orbit on its own "
+                            "path with this grid size over [0, n*pi*a_j] (at most "
+                            f"{MAX_SAMPLES}); by default every iterate of "
+                            "every simple orbit is read from one crossing search")
+    p.add_argument("--format", choices=("json", *_VIEWS[command]), default="json")
 
 
 def cmd_cz(args):
@@ -558,9 +567,10 @@ def _emit(args, payload):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
+    gc.freeze()     # a collection during the run skips the objects already made
     try:
-        args = parser.parse_args(argv)
+        command = argv[0] if argv and argv[0] in _HELPS else None
+        args = build_parser(command).parse_args(argv[1:] if command else argv)
         status, payload = _HANDLERS[args.command](args)
         _emit(args, payload)
         sys.stdout.flush()
@@ -591,6 +601,8 @@ def main(argv=None):
     except Exception as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_SOFTWARE
+    finally:
+        gc.unfreeze()
 
 
 def entry_point():

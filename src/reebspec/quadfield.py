@@ -154,18 +154,24 @@ def _sturmian_letters(quotients):
     c_1 c_2 ... is the limit of the standard words s_{-1} = 1, s_0 = 0,
     s_1 = s_0^(a_1 - 1) s_{-1} and s_k = s_{k-1}^(a_k) s_{k-2}, each a prefix
     of the next from s_1 on (Lothaire, Algebraic Combinatorics on Words,
-    ch. 2).  Only s_m and s_{m-1} are held, for the last m with
-    |s_m| <= _WORD_MAX, together with one run of s_m tiled up to that
-    length; every longer word is a product of those two, which a descent
-    through the recursion emits without building it.  A run s_m^(a) comes
-    out one tiled array per _WORD_MAX letters whatever a is, so the work per
-    letter does not grow with the partial quotients.
+    ch. 2).  The words come out as they are built, s_1 and then what each
+    longer word adds, up to the last s_m with |s_m| <= _WORD_MAX, so a short
+    read builds only short words, and only a read past s_m tiles a run of it.
+    Only s_m and s_{m-1} are held; every longer word is a product of those
+    two, which a descent through the recursion emits without building it.
+    A run s_m^(a) comes out one tiled array per _WORD_MAX letters whatever a
+    is, so the work per letter does not grow with the partial quotients.
     """
-    prev, word = _ONE, _ZERO
+    yield _ZERO             # floor(1*alpha) - floor(0*alpha)
+    prev, word, out = _ONE, _ZERO, 0     # out: the letters of word already out
     count = next(quotients) - 1
     while len(word) * count + len(prev) <= _WORD_MAX:
         prev, word = word, np.concatenate([word] * count + [prev])
+        yield word[out:]    # s_1 whole, then s_k without its prefix s_{k-1}
+        out = len(word)
         count = next(quotients)
+    if not out:
+        yield word          # s_0, a prefix of every s_k when s_1 is not held
     run = np.tile(word, _WORD_MAX // len(word))
     per = len(run) // len(word)
     counts = [count]        # counts[i]: copies of s_{m+i} in s_{m+i+1}
@@ -189,8 +195,6 @@ def _sturmian_letters(quotients):
         yield from copies(i - 1, counts[i - 1])
         yield from standard(i - 2)
 
-    yield _ZERO             # floor(1*alpha) - floor(0*alpha)
-    yield word              # s_m, a prefix of every longer s_k
     i = 1
     while True:
         # s_{m+i} without its first s_{m+i-1}, which is already out
@@ -312,15 +316,19 @@ class QuadIrrational:
         return self.p * self.p - self.q * self.q * self.d
 
     def __truediv__(self, other):
+        """self * conj(other) / N(other) in integers: (P1 + Q1*sqrt(d))/C1 over (P2 +
+        Q2*sqrt(d))/C2 is C2*(P1*P2 - d*Q1*Q2 + (Q1*P2 - P1*Q2)*sqrt(d)) / (C1*N)."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.norm()
+        P1, Q1, C1 = self.scaled_triple()
+        P2, Q2, C2 = other.scaled_triple()
+        n = C1 * (P2 * P2 - self.d * Q2 * Q2)
         if n == 0:
             # norm zero forces p = q = 0 since d is non-square
             raise ZeroDivisionError("division by zero field element")
-        num = self * other.conjugate()
-        return QuadIrrational(num.p / n, num.q / n, self.d)
+        return QuadIrrational(Fraction(C2 * (P1 * P2 - self.d * Q1 * Q2), n),
+                              Fraction(C2 * (Q1 * P2 - P1 * Q2), n), self.d)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -786,6 +787,23 @@ def test_sh_imports_no_numpy_ma():
     assert proc.stdout == "0 False\n", proc.stderr
 
 
+def test_a_run_of_each_subcommand_imports_nothing_new():
+    # an import is fixed cost on every run; argparse's first gettext call
+    # imports locale, and np.unique's numpy.ma once cost 16 ms
+    proc = fresh_python(
+        "import contextlib, io, sys\n"
+        "from reebspec.cli import main\n"
+        "before = set(sys.modules)\n"
+        "w = ['--d', '2', '--weights', '1; sqrt(2); 1+sqrt(2)']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['cz', '--freqs', '1,2.5', '--duration', '7', '--both']),\n"
+        "             main(['spectrum', *w, '--max-degree', '40', '--cross-check']),\n"
+        "             main(['partition', *w, '--limit', '1000']),\n"
+        "             main(['sh', *w, '--max-degree', '2002'])]\n"
+        "print(codes, sorted(set(sys.modules) - before - {'locale', '_locale'}))\n")
+    assert proc.stdout == "[0, 0, 0, 0] []\n", proc.stderr
+
+
 def test_runtime_never_imports_mpmath():
     # mpmath is a test dependency only; the cross-check reaches the one
     # place where exact weights become doubles
@@ -900,9 +918,12 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, parsers", [
-    (["sh", *_SH_ARGS], 3),     # top level, the shared --d/--weights parent, sh
-    (["bogus"], 6),             # all four subcommands, to list them in the error
-], ids=["sh", "bogus"])
+    (["cz", "--freqs", "1", "--duration", "1", "--analytic"], 1),
+    (["spectrum", *_SH_ARGS], 1),
+    (["partition", "--d", "2", "--weights", "1;sqrt(2)", "--limit", "10"], 1),
+    (["sh", *_SH_ARGS], 1),
+    (["bogus"], 5),             # top level and all four, to list them in the error
+], ids=["cz", "spectrum", "partition", "sh", "bogus"])
 def test_main_builds_only_the_parser_of_its_subcommand(capsys, monkeypatch, argv, parsers):
     built = []
     init = cli._Parser.__init__
@@ -913,7 +934,17 @@ def test_main_builds_only_the_parser_of_its_subcommand(capsys, monkeypatch, argv
 
     monkeypatch.setattr(cli._Parser, "__init__", spy)
     code, _, _ = run(capsys, *argv)
-    assert (code, len(built)) == ((0 if argv[0] == "sh" else 64), parsers)
+    assert (code, len(built)) == ((64 if argv[0] == "bogus" else 0), parsers)
+
+
+@pytest.mark.parametrize("argv", [["sh", *_SH_ARGS], ["bogus"], ["--help"],
+                                  ["spectrum", "--d", "2", "--weights", "1; 2", *_SH_ARGS[4:]]],
+                         ids=["ok", "usage", "help", "hypothesis"])
+def test_main_leaves_no_object_frozen(capsys, argv):
+    # main() freezes what exists when it starts, so that a collection during
+    # the run skips it, and unfreezes it on every way out
+    run(capsys, *argv)
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("d, message", [

@@ -87,6 +87,50 @@ def test_div_by_zero(ctx2):
         ctx2.element(1, 1) / ctx2.element(0)
 
 
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+# a surd part of 0 makes a rational element
+SURD_PARTS = st.one_of(st.just(Fraction(0)), FRACTIONS, BIG_FRACTIONS)
+
+
+def textbook_quotient(x, y):
+    """x / y as x * conj(y) / N(y), with x and y in Q(sqrt(d))."""
+    num, norm = x * y.conjugate(), y.norm()
+    return QuadIrrational(num.p / norm, num.q / norm, x.d)
+
+
+@given(d=st.sampled_from([2, 3, 5]),
+       x=st.tuples(st.one_of(FRACTIONS, BIG_FRACTIONS), SURD_PARTS),
+       y=st.tuples(st.one_of(FRACTIONS, BIG_FRACTIONS), SURD_PARTS),
+       plain=st.sampled_from([None, "x int", "x Fraction", "y int", "y Fraction"]))
+def test_div_equals_the_textbook_quotient(d, x, y, plain):
+    # an int or Fraction operand on either side, through __rtruediv__ on the left
+    x, y = QuadIrrational(*x, d), QuadIrrational(*y, d)
+    a, b = x, y
+    if plain is not None:
+        side, kind = plain.split()
+        value = (x if side == "x" else y).p
+        value = int(value) if kind == "int" else value
+        if side == "x":
+            a, x = value, QuadIrrational(value, 0, d)
+        else:
+            b, y = value, QuadIrrational(value, 0, d)
+    if not y:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    got, want = a / b, textbook_quotient(x, y)
+    assert (got, str(got), hash(got)) == (want, str(want), hash(want))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_div_by_zero_raises_for_every_operand_type(d):
+    x = QuadIrrational(Fraction(-10**30, 7), Fraction(3, 10**30), d)
+    zero = QuadIrrational(0, 0, d)
+    for a, b in ((x, zero), (x, 0), (x, Fraction(0)), (1, zero), (Fraction(2, 3), zero)):
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+
 def test_mismatched_radicand(ctx2, ctx5):
     with pytest.raises(RadicandError):
         ctx2.sqrt_d() + ctx5.sqrt_d()

@@ -26,6 +26,7 @@ from helpers import (
     count_exact_calls,
     reference_stream,
 )
+from reebspec.ellipsoid import Ellipsoid, spectrum_sets
 from reebspec.partitions import (
     TamuraFamily,
     _block_bounds,
@@ -36,6 +37,7 @@ from reebspec.partitions import (
     verify_partition,
 )
 from reebspec.quadfield import (
+    FieldContext,
     QuadIrrational,
     _WORD_MAX,
     _continued_fraction,
@@ -142,6 +144,28 @@ def test_long_partial_quotients_come_out_tiled(head):
         if letters > 5 * 10**6:
             break
     assert pieces <= 4 * letters // _WORD_MAX + 64
+
+
+def test_a_short_read_builds_short_words():
+    # the words come out as they are built, so 64 letters of sqrt(2) - 1
+    # need s_5 (70 letters) and no word near _WORD_MAX
+    letters = 0
+    for piece in _sturmian_letters(repeat(2)):
+        letters += len(piece)
+        if letters >= 64:
+            break
+    assert letters <= 3 * 64
+
+
+def test_a_short_spectrum_tiles_no_run(monkeypatch):
+    # spectrum_sets to degree 160 reads one 64-n block of each stream
+    tiles = []
+    tile = np.tile
+    monkeypatch.setattr(np, "tile", lambda *args: tiles.append(args) or tile(*args))
+    ctx = FieldContext(2)
+    weights = [ctx.element(1), ctx.sqrt_d(), ctx.element(1, 1)]
+    assert sum(map(len, spectrum_sets(Ellipsoid(weights), 160))) == 79
+    assert tiles == []
 
 
 # ---------------------------------------------------------------------------
